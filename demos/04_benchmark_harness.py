@@ -23,7 +23,7 @@ with open(cfg_path, "w", encoding="utf-8") as f:
     f.write(f"""
 # repeated-subsample benchmark at demo scale
 out_dir = {out_dir}
-base_seed = 0
+base_seed = 1
 n_runs = 10
 n_train = 300
 
@@ -53,8 +53,7 @@ with open(os.path.join(out_dir, "report.txt"), encoding="utf-8") as f:
 
 header, rows = read_table_csv(os.path.join(out_dir, "runs.csv"))
 print(f"--- runs.csv: {len(rows)} rows, columns {header}")
-print("    (no timing columns: the CSVs are byte-identical across reruns")
-print("     and worker counts; wall-clock times live in report.txt)")
+print("    (no timing columns: the CSVs are byte-identical across reruns;")
+print("     wall-clock times live in report.txt)")
 
 print(f"\nbest methods at alpha={report.alpha}: {', '.join(report.best_set)}")
-print(f"rerun with SRPLEARN_WORKERS=4 for parallel runs; outputs do not change")

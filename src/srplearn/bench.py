@@ -6,10 +6,9 @@ used to pick the logistic-regression penalty, then ``n_runs`` training
 subsamples with seeds ``base_seed + run_index``, every configured method
 fit on each and scored on the fixed test set.
 
-Runs may execute on several worker threads (``SRPLEARN_WORKERS``); each
-run derives all its randomness from its own seed and results are
-aggregated by run index, so artifacts on disk are identical for any
-worker count.  Wall-clock timings are inherently non-repeatable and are
+Runs execute one after another in run order, and each derives all its
+randomness from its own seed, so the artifacts on disk are identical
+across reruns.  Wall-clock timings are inherently non-repeatable and are
 reported only in ``report.txt``, never in the CSV outputs.
 """
 
@@ -19,7 +18,6 @@ import os
 import time
 import warnings
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,16 +44,8 @@ from .logreg import logreg_fit, logreg_predict, logreg_select_lambda
 from .matio import read_matrix_csv, write_table_csv
 from .metrics import EvalReport, accuracy, format_report, roc_auc, summarize
 from .projection import apply_projection, default_density, derive_seed, make_projection
-from .sparse import SparseBinaryMatrix
 
-__all__ = ["cmd_bench", "cmd_sweep", "worker_count", "WORKERS_ENV"]
-
-WORKERS_ENV = "SRPLEARN_WORKERS"
-
-# methods consuming the shared projected feature matrix; the remaining
-# methods work on the raw sparse rows (ELM/RVFL build their own ternary
-# layer, the jaccard variants need the binary sets themselves)
-FEATURE_METHODS = {"rbf-srp", "krr-srp", "knn-srp", "logreg-srp"}
+__all__ = ["cmd_bench", "cmd_sweep"]
 
 _RUN_COLUMNS = [
     "run",
@@ -69,27 +59,14 @@ _RUN_COLUMNS = [
 ]
 
 
-def worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, value)
+@dataclass(frozen=True)
+class _Fit:
+    """Everything one method invocation needs besides its inputs, read-only."""
 
-
-@dataclass
-class _RunData:
-    """Everything one method invocation needs, read-only."""
-
-    train: Dataset
-    test: Dataset
-    F_train: np.ndarray | None
-    F_test: np.ndarray | None
+    y_train: np.ndarray
     grid: np.ndarray
     seed: int
     params: dict
-    n_train: int
     logreg_lambda: float | None
     width_override: int | None  # sweeps force the random-layer width
 
@@ -101,103 +78,75 @@ def _float_param(params, key, default):
     return float(params[key]) if key in params else default
 
 
-def _features_required(rd: _RunData):
-    if rd.F_train is None or rd.F_test is None:
-        raise ValueError("method requires projected features")
-    return rd.F_train, rd.F_test
+# Method input: the shared projected features, or the raw sparse rows
+# (ELM/RVFL build their own ternary layer, the Jaccard variants need the
+# binary sets themselves).
+_FEATURES = "features"
+_ROWS = "rows"
+_ELM = "elm"
+_RVFL = "rvfl"
+
+# Each family fits on (X_train, X_test) and returns (scores, decision
+# threshold, iterations, converged).  It calls the library functions by
+# their module-level names, so wrappers installed on those are seen.
+
+def _hidden_layer(kind, X_train, X_test, fit):
+    """ELM, or RVFL with its direct linear block, on a random ternary layer."""
+    L = fit.width_override or _int_param(fit.params, "L", 1000)
+    density = _float_param(fit.params, "density", None)
+    if kind == _ELM:
+        model = elm_fit(X_train, fit.y_train, L, density, fit.seed, fit.grid)
+    else:
+        d_lin = _int_param(fit.params, "d_lin", None)
+        model = rvfl_fit(X_train, fit.y_train, L, d_lin, density, fit.seed, fit.grid)
+    return model_predict(model, X_test), 0.0, 0, True
 
 
-def _labels(ds: Dataset) -> np.ndarray:
-    return ds.labels.astype(np.float64)
+def _rbf(kind, X_train, X_test, fit):
+    """RBF network on random training centroids under distance ``kind``."""
+    L = _int_param(fit.params, "L", min(1000, fit.y_train.size))
+    model = rbf_fit(X_train, fit.y_train, L, kind, fit.seed, fit.grid)
+    return model_predict(model, X_test), 0.0, 0, True
 
 
-def _run_elm(rd: _RunData):
-    L = rd.width_override or _int_param(rd.params, "L", 1000)
-    density = _float_param(rd.params, "density", None) if "density" in rd.params else None
-    model = elm_fit(rd.train.sparse, _labels(rd.train), L, density, rd.seed, rd.grid)
-    return model_predict(model, rd.test.sparse), 0.0, 0, True
-
-
-def _run_rvfl(rd: _RunData):
-    L = rd.width_override or _int_param(rd.params, "L", 1000)
-    density = _float_param(rd.params, "density", None) if "density" in rd.params else None
-    d_lin = _int_param(rd.params, "d_lin", None) if "d_lin" in rd.params else None
-    model = rvfl_fit(
-        rd.train.sparse, _labels(rd.train), L, d_lin, density, rd.seed, rd.grid
-    )
-    return model_predict(model, rd.test.sparse), 0.0, 0, True
-
-
-def _run_rbf_srp(rd: _RunData):
-    F_train, F_test = _features_required(rd)
-    L = _int_param(rd.params, "L", min(1000, rd.n_train))
-    model = rbf_fit(F_train, _labels(rd.train), L, KIND_SQEUCLIDEAN, rd.seed, rd.grid)
-    return model_predict(model, F_test), 0.0, 0, True
-
-
-def _run_rbf_jaccard(rd: _RunData):
-    L = _int_param(rd.params, "L", min(1000, rd.n_train))
-    model = rbf_fit(
-        rd.train.sparse, _labels(rd.train), L, KIND_JACCARD, rd.seed, rd.grid
-    )
-    return model_predict(model, rd.test.sparse), 0.0, 0, True
-
-
-def _run_krr_srp(rd: _RunData):
-    F_train, F_test = _features_required(rd)
-    K = kernel_matrix(KERNEL_LINEAR, F_train, F_train)
-    model = krr_fit(K, _labels(rd.train), rd.grid, KERNEL_LINEAR)
-    scores = krr_predict_kernel(model, kernel_matrix(KERNEL_LINEAR, F_test, F_train))
+def _krr(kind, X_train, X_test, fit):
+    K = kernel_matrix(kind, X_train, X_train)
+    model = krr_fit(K, fit.y_train, fit.grid, kind)
+    scores = krr_predict_kernel(model, kernel_matrix(kind, X_test, X_train))
     return scores, 0.0, 0, True
 
 
-def _run_krr_jaccard(rd: _RunData):
-    K = kernel_matrix(KERNEL_JACCARD, rd.train.sparse, rd.train.sparse)
-    model = krr_fit(K, _labels(rd.train), rd.grid, KERNEL_JACCARD)
-    scores = krr_predict_kernel(
-        model, kernel_matrix(KERNEL_JACCARD, rd.test.sparse, rd.train.sparse)
-    )
-    return scores, 0.0, 0, True
+def _knn(kind, X_train, X_test, fit):
+    k = _int_param(fit.params, "k", 1)
+    if kind == KIND_JACCARD:
+        D = jaccard_distance_matrix(X_test, X_train)
+    else:
+        D = squared_euclidean_distance_matrix(X_test, X_train)
+    return knn_predict(D, fit.y_train, k), 0.0, 0, True
 
 
-def _run_knn_srp(rd: _RunData):
-    F_train, F_test = _features_required(rd)
-    k = _int_param(rd.params, "k", 1)
-    D = squared_euclidean_distance_matrix(F_test, F_train)
-    return knn_predict(D, _labels(rd.train), k), 0.0, 0, True
-
-
-def _run_knn_jaccard(rd: _RunData):
-    k = _int_param(rd.params, "k", 1)
-    D = jaccard_distance_matrix(rd.test.sparse, rd.train.sparse)
-    return knn_predict(D, _labels(rd.train), k), 0.0, 0, True
-
-
-def _run_logreg(rd: _RunData):
-    F_train, F_test = _features_required(rd)
-    if rd.logreg_lambda is None:
-        raise ValueError("logistic regression penalty was not tuned")
+def _logreg(kind, X_train, X_test, fit):
     model = logreg_fit(
-        F_train,
-        _labels(rd.train),
-        rd.logreg_lambda,
-        _int_param(rd.params, "max_iter", 500),
-        _float_param(rd.params, "tol", 1e-6),
+        X_train,
+        fit.y_train,
+        fit.logreg_lambda,
+        _int_param(fit.params, "max_iter", 500),
+        _float_param(fit.params, "tol", 1e-6),
     )
-    scores = logreg_predict(model, F_test)
-    return scores, 0.5, model.iterations, model.converged
+    return logreg_predict(model, X_test), 0.5, model.iterations, model.converged
 
 
-METHOD_RUNNERS = {
-    "elm-srp": _run_elm,
-    "rvfl-srp": _run_rvfl,
-    "rbf-srp": _run_rbf_srp,
-    "krr-srp": _run_krr_srp,
-    "knn-srp": _run_knn_srp,
-    "logreg-srp": _run_logreg,
-    "rbf-jaccard": _run_rbf_jaccard,
-    "krr-jaccard": _run_krr_jaccard,
-    "knn-jaccard": _run_knn_jaccard,
+# name -> (input, family, kind)
+_METHODS = {
+    "elm-srp": (_ROWS, _hidden_layer, _ELM),
+    "rvfl-srp": (_ROWS, _hidden_layer, _RVFL),
+    "rbf-srp": (_FEATURES, _rbf, KIND_SQEUCLIDEAN),
+    "krr-srp": (_FEATURES, _krr, KERNEL_LINEAR),
+    "knn-srp": (_FEATURES, _knn, KIND_SQEUCLIDEAN),
+    "logreg-srp": (_FEATURES, _logreg, None),
+    "rbf-jaccard": (_ROWS, _rbf, KIND_JACCARD),
+    "krr-jaccard": (_ROWS, _krr, KERNEL_JACCARD),
+    "knn-jaccard": (_ROWS, _knn, KIND_JACCARD),
 }
 
 
@@ -205,10 +154,22 @@ def _method_seed(run_seed: int, name: str) -> int:
     return derive_seed(run_seed, zlib.crc32(name.encode("ascii")))
 
 
-def _widen(matrix: SparseBinaryMatrix, n_cols: int) -> SparseBinaryMatrix:
-    if matrix.n_cols == n_cols:
-        return matrix
-    return SparseBinaryMatrix(matrix.indptr, matrix.indices, n_cols)
+def _resolve_methods(cfg: RunConfig, defaults) -> list:
+    """The configured methods, checked before any data is generated."""
+    methods = cfg.resolved_methods(defaults)
+    for m in methods:
+        if m not in _METHODS:
+            raise ValueError(f"unknown method {m!r}")
+    if "logreg-srp" in methods and cfg.base_seed < 1:
+        raise ValueError(
+            "base_seed must be >= 1 when logreg-srp runs (its penalty is "
+            f"tuned on subsample seed base_seed - 1), got {cfg.base_seed}"
+        )
+    return methods
+
+
+def _needs_features(methods) -> bool:
+    return any(_METHODS[m][0] == _FEATURES for m in methods)
 
 
 def _load_data(cfg: RunConfig):
@@ -226,8 +187,8 @@ def _load_data(cfg: RunConfig):
     pool = read_svmlight(d.train_path, d.dense_features, d.index_base, d.n_features)
     test = read_svmlight(d.test_path, d.dense_features, d.index_base, d.n_features)
     width = max(pool.n_sparse_features, test.n_sparse_features)
-    pool = Dataset(_widen(pool.sparse, width), pool.dense, pool.labels, pool.name)
-    test = Dataset(_widen(test.sparse, width), test.dense, test.labels, test.name)
+    pool = Dataset(pool.sparse.widen(width), pool.dense, pool.labels, pool.name)
+    test = Dataset(test.sparse.widen(width), test.dense, test.labels, test.name)
     external = None
     if d.train_features or d.test_features:
         if not (d.train_features and d.test_features):
@@ -286,83 +247,63 @@ def _tune_logreg(cfg, pool, F_pool, grid):
 
 def _run_block(cfg, pool, test, F_pool, F_test, methods, grid, logreg_lambda,
                width_override=None):
-    """Execute all runs for one feature configuration; rows by run index."""
+    """Execute all runs for one feature configuration; rows in run order."""
     n_pool = pool.n_samples
     if cfg.n_train > n_pool:
         raise ValueError(
             f"n_train={cfg.n_train} exceeds training pool of {n_pool}"
         )
-
-    def one(run_index: int):
+    rows = []
+    for run_index in range(cfg.n_runs):
         run_seed = cfg.base_seed + run_index
         idx = subsample_indices(n_pool, cfg.n_train, run_seed)
         train = pool.take(idx)
-        F_train = F_pool[idx] if F_pool is not None else None
-        rows = []
+        inputs = {_ROWS: (train.sparse, test.sparse)}
+        if F_pool is not None:
+            inputs[_FEATURES] = (F_pool[idx], F_test)
         for name in methods:
-            rd = _RunData(
-                train=train,
-                test=test,
-                F_train=F_train,
-                F_test=F_test,
+            source, family, kind = _METHODS[name]
+            fit = _Fit(
+                y_train=train.labels.astype(np.float64),
                 grid=grid,
                 seed=_method_seed(run_seed, name),
                 params=cfg.method_params.get(name, {}),
-                n_train=cfg.n_train,
                 logreg_lambda=logreg_lambda,
                 width_override=width_override,
             )
             start = time.perf_counter()
             try:
-                scores, threshold, iters, conv = METHOD_RUNNERS[name](rd)
-                elapsed = time.perf_counter() - start
-                rows.append(
-                    {
-                        "run": run_index,
-                        "seed": run_seed,
-                        "method": name,
-                        "auc": roc_auc(scores, test.labels),
-                        "accuracy": accuracy(scores, test.labels, threshold),
-                        "iterations": iters,
-                        "converged": int(conv),
-                        "error": "",
-                        "seconds": elapsed,
-                    }
-                )
+                scores, threshold, iters, conv = family(kind, *inputs[source], fit)
+                seconds = time.perf_counter() - start
+                result = {
+                    "auc": roc_auc(scores, test.labels),
+                    "accuracy": accuracy(scores, test.labels, threshold),
+                    "iterations": iters,
+                    "converged": int(conv),
+                    "error": "",
+                }
             except (
                 ValueError,
                 DegenerateFitError,
                 NumericalDivergenceError,
                 np.linalg.LinAlgError,
             ) as exc:
-                elapsed = time.perf_counter() - start
+                seconds = time.perf_counter() - start
                 message = " ".join(str(exc).split())
                 warnings.warn(
                     f"method {name} failed on run {run_index}: {message}",
                     RuntimeWarning,
                 )
-                rows.append(
-                    {
-                        "run": run_index,
-                        "seed": run_seed,
-                        "method": name,
-                        "auc": float("nan"),
-                        "accuracy": float("nan"),
-                        "iterations": 0,
-                        "converged": 0,
-                        "error": message,
-                        "seconds": elapsed,
-                    }
-                )
-        return rows
-
-    workers = worker_count()
-    if workers <= 1:
-        blocks = [one(i) for i in range(cfg.n_runs)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            blocks = list(executor.map(one, range(cfg.n_runs)))
-    return [row for block in blocks for row in block]
+                result = {
+                    "auc": float("nan"),
+                    "accuracy": float("nan"),
+                    "iterations": 0,
+                    "converged": 0,
+                    "error": message,
+                }
+            rows.append({"run": run_index, "seed": run_seed, "method": name,
+                         **result, "seconds": seconds})
+    return rows
 
 
 def _csv_row(row, with_dim=False):
@@ -504,15 +445,12 @@ def _context_lines(cfg, pool, test, methods, extras):
 
 def cmd_bench(cfg: RunConfig) -> EvalReport:
     """Run the repeated-subsample benchmark and write artifacts to disk."""
-    methods = cfg.resolved_methods(BENCH_METHODS)
-    for m in methods:
-        if m not in METHOD_RUNNERS:
-            raise ValueError(f"unknown method {m!r}")
+    methods = _resolve_methods(cfg, BENCH_METHODS)
     pool, test, external = _load_data(cfg)
     grid = cfg.lambda_grid()
     extras = []
     F_pool = F_test = None
-    if any(m in FEATURE_METHODS for m in methods):
+    if _needs_features(methods):
         F_pool, F_test, density, zero_frac = _build_features(
             cfg, pool, test, cfg.srp_dim, external
         )
@@ -550,10 +488,7 @@ def cmd_sweep(cfg: RunConfig):
     feature-based methods get the projected representation recomputed at
     each dimension.  Returns the per-run rows written to sweep.csv.
     """
-    methods = cfg.resolved_methods(SWEEP_METHODS)
-    for m in methods:
-        if m not in METHOD_RUNNERS:
-            raise ValueError(f"unknown method {m!r}")
+    methods = _resolve_methods(cfg, SWEEP_METHODS)
     pool, test, external = _load_data(cfg)
     if external is not None:
         raise ValueError(
@@ -561,7 +496,7 @@ def cmd_sweep(cfg: RunConfig):
             "features are only supported by bench"
         )
     grid = cfg.lambda_grid()
-    need_features = any(m in FEATURE_METHODS for m in methods)
+    need_features = _needs_features(methods)
     all_rows = []
     extras = []
     for dim in cfg.sweep_dims:

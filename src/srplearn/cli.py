@@ -113,9 +113,7 @@ def _do_distances(args) -> int:
             "distances handles pure sparse inputs; found dense features"
         )
     width = max(a.n_sparse_features, b.n_sparse_features)
-    from .bench import _widen
-
-    D = jaccard_distance_matrix(_widen(a.sparse, width), _widen(b.sparse, width))
+    D = jaccard_distance_matrix(a.sparse.widen(width), b.sparse.widen(width))
     write_matrix_csv(args.out, D.values)
     print(f"wrote {D.values.shape[0]}x{D.values.shape[1]} matrix to {args.out}")
     return 0

