@@ -542,7 +542,7 @@ def cmd_sweep(cfg: RunConfig):
                 continue
             auc_mean = float(np.mean([r["auc"] for r in ok]))
             t_mean = float(np.mean([r["seconds"] for r in ok]))
-            lines.append(f"{dim:>6}  {m:<14} {auc_mean:9.4f} {t_mean:8.1f}")
+            lines.append(f"{dim:>6}  {m:<14} {auc_mean:9.4f} {t_mean:8.3f}")
     with open(os.path.join(cfg.out_dir, "report.txt"), "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
     return all_rows

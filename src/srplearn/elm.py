@@ -61,8 +61,8 @@ def _check_labels(y) -> np.ndarray:
     return y.astype(np.float64)
 
 
-def _make_bias(input_dim: int, L: int, density: float, seed: int) -> np.ndarray:
-    # one extra row of the same ternary stream, at row index input_dim
+def elm_bias(input_dim: int, L: int, density: float, seed: int) -> np.ndarray:
+    """Hidden-layer bias: row ``input_dim`` of the hidden projection's stream."""
     cols, signs = ternary_row(seed, input_dim, L, density)
     bias = np.zeros(L, dtype=np.float64)
     bias[cols] = signs * np.sqrt((1.0 / density) / L)
@@ -168,7 +168,7 @@ def elm_fit(
     if lambda_grid is None:
         lambda_grid = default_lambda_grid()
     W = make_projection(input_dim, L, density, seed)
-    bias = _make_bias(input_dim, L, density, seed)
+    bias = elm_bias(input_dim, L, density, seed)
     H = elm_hidden(X, W, bias)
     solution = solve_ridge_press(H, y[:, None], lambda_grid)
     return ElmModel(W, bias, "tanh", None, solution)
@@ -202,7 +202,7 @@ def rvfl_fit(
     if lambda_grid is None:
         lambda_grid = default_lambda_grid()
     W = make_projection(input_dim, L, density, seed)
-    bias = _make_bias(input_dim, L, density, seed)
+    bias = elm_bias(input_dim, L, density, seed)
     linear = make_projection(input_dim, d_lin, density, derive_seed(seed, _STREAM_LINEAR))
     H = np.hstack([elm_hidden(X, W, bias), apply_projection(X, linear)])
     solution = solve_ridge_press(H, y[:, None], lambda_grid)

@@ -84,13 +84,8 @@ def accuracy(scores, labels, threshold: float = 0.0) -> float:
     return float(np.mean(decisions == (labels > 0)))
 
 
-def paired_t_test(a, b) -> float:
-    """Two-sided p-value for the paired difference of two run lists.
-
-    All differences exactly zero give p = 1 (methods indistinguishable);
-    a constant nonzero difference has zero variance and gives p = 0 with
-    a degenerate-separation warning.
-    """
+def _paired_t(a, b) -> tuple:
+    """(p-value, zero_variance) of the paired t-test; see paired_t_test."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or a.shape != b.shape:
@@ -100,18 +95,30 @@ def paired_t_test(a, b) -> float:
         raise ValueError("need at least two paired runs")
     diff = a - b
     if np.all(diff == 0.0):
-        return 1.0
+        return 1.0, False
     sd = float(np.std(diff, ddof=1))
     if sd == 0.0:
+        return 0.0, True
+    t = float(np.mean(diff)) / (sd / math.sqrt(n))
+    dof = n - 1
+    x = dof / (dof + t * t)
+    return float(betainc(dof / 2.0, 0.5, x)), False
+
+
+def paired_t_test(a, b) -> float:
+    """Two-sided p-value for the paired difference of two run lists.
+
+    All differences exactly zero give p = 1 (methods indistinguishable);
+    a constant nonzero difference has zero variance and gives p = 0 with
+    a degenerate-separation warning.
+    """
+    p, zero_variance = _paired_t(a, b)
+    if zero_variance:
         warnings.warn(
             "constant nonzero difference; separation is degenerate, p = 0",
             RuntimeWarning,
         )
-        return 0.0
-    t = float(np.mean(diff)) / (sd / math.sqrt(n))
-    dof = n - 1
-    x = dof / (dof + t * t)
-    return float(betainc(dof / 2.0, 0.5, x))
+    return p
 
 
 @dataclass
@@ -126,6 +133,8 @@ class EvalReport:
     best_set: list
     alpha: float
     time_mean_s: dict = field(default_factory=dict)
+    # method pairs whose p = 0 comes from a zero-variance nonzero difference
+    degenerate_pairs: list = field(default_factory=list)
 
     def best_method(self) -> str:
         return max(self.methods, key=lambda m: self.auc_mean[m])
@@ -153,11 +162,19 @@ def summarize(runs, alpha: float = 0.05, times=None) -> EvalReport:
     auc_std = {m: float(np.std(arrays[m], ddof=1)) for m in methods}
     k = len(methods)
     p = np.ones((k, k), dtype=np.float64)
+    degenerate = []
     for i in range(k):
         for j in range(i + 1, k):
-            p[i, j] = p[j, i] = paired_t_test(
-                arrays[methods[i]], arrays[methods[j]]
-            )
+            p[i, j], zero_variance = _paired_t(arrays[methods[i]], arrays[methods[j]])
+            p[j, i] = p[i, j]
+            if zero_variance:
+                degenerate.append((methods[i], methods[j]))
+    if degenerate:
+        warnings.warn(
+            "constant nonzero difference; separation is degenerate, p = 0: "
+            + _pair_names(degenerate),
+            RuntimeWarning,
+        )
     best = max(methods, key=lambda m: auc_mean[m])
     bi = methods.index(best)
     best_set = [
@@ -179,7 +196,12 @@ def summarize(runs, alpha: float = 0.05, times=None) -> EvalReport:
         best_set=best_set,
         alpha=alpha,
         time_mean_s=time_mean,
+        degenerate_pairs=degenerate,
     )
+
+
+def _pair_names(pairs) -> str:
+    return ", ".join(f"{a} vs {b}" for a, b in pairs)
 
 
 def format_report(report: EvalReport) -> str:
@@ -195,11 +217,16 @@ def format_report(report: EvalReport) -> str:
         star = " *" if m in report.best_set else "  "
         cell = f"{mean_pct:6.2f} ({std_pct:.2f}){star}"
         t = report.time_mean_s.get(m)
-        t_cell = f"{t:8.1f}" if t is not None else f"{'-':>8}"
+        t_cell = f"{t:8.3f}" if t is not None else f"{'-':>8}"
         lines.append(f"{m:<{name_width}}  {cell:>18}  {t_cell}")
     lines.append("")
     lines.append(
         f"* best mean AUC and methods not significantly different from it "
         f"(paired t-test, alpha={report.alpha:g})"
     )
+    if report.degenerate_pairs:
+        lines.append(
+            "p = 0 from a constant nonzero AUC difference (zero variance): "
+            + _pair_names(report.degenerate_pairs)
+        )
     return "\n".join(lines)

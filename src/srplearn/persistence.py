@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .elm import ElmModel, RbfModel
+from .elm import ElmModel, RbfModel, elm_bias
 from .logreg import LogRegModel
 from .matio import (
     format_float,
@@ -20,7 +20,7 @@ from .matio import (
     write_keyvalues,
     write_matrix_csv,
 )
-from .projection import make_projection, ternary_row
+from .projection import make_projection
 from .ridge import RidgeSolution
 from .sparse import SparseBinaryMatrix
 
@@ -121,9 +121,7 @@ def load_model(prefix: str):
         density = float(meta["density"])
         seed = int(meta["seed"])
         W = make_projection(input_dim, width, density, seed)
-        cols, signs = ternary_row(seed, input_dim, width, density)
-        bias = np.zeros(width, dtype=np.float64)
-        bias[cols] = signs * np.sqrt((1.0 / density) / width)
+        bias = elm_bias(input_dim, width, density, seed)
         linear = None
         if kind == "rvfl":
             linear = make_projection(

@@ -11,6 +11,14 @@ independently
 with ``s = 1 / density``.  Entries are generated by a counter-based
 stream keyed on (seed, input row), so any row can be produced out of
 order and regeneration from the same parameters is exact.
+
+Row ``i`` is the Philox stream with key ``(k0, i)`` started at counter 0:
+``2 * output_dim`` uniforms, the first half deciding which columns are
+nonzero and the second half their signs.  One Philox generator per call
+is rewound to each row's key in turn, and rows are drawn into a block of
+at most ``_BLOCK_DOUBLES`` doubles that is thresholded at once.  The
+result is bit-identical to a fresh ``Philox(key=[seed, row])`` per row,
+which is how the stream was first defined.
 """
 
 from __future__ import annotations
@@ -32,6 +40,8 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+# uniforms drawn per block of rows (2 MB); a wider row is a block of its own
+_BLOCK_DOUBLES = 1 << 18
 
 
 def derive_seed(seed: int, stream: int) -> int:
@@ -51,22 +61,55 @@ def default_density(input_dim: int) -> float:
     return 1.0 / math.sqrt(input_dim)
 
 
+def _ternary_rows(seed: int, start: int, stop: int, output_dim: int, density: float):
+    """Nonzero pattern of projection rows ``start .. stop - 1``.
+
+    Returns (rows, cols, positive): index arrays sorted by (row, col) and
+    a boolean sign per entry.
+    """
+    # Key word 0 comes from the key list exactly as the per-row stream
+    # built it, including numpy's rounding of seeds >= 2**63 to float64.
+    bitgen = np.random.Philox(key=[seed & _MASK64, 0])
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # counter 0, empty buffer
+    key = state["state"]["key"]
+    width = 2 * output_dim
+    block_rows = max(1, min(stop - start, _BLOCK_DOUBLES // max(width, 1)))
+    block = np.empty((block_rows, width), dtype=np.float64)
+    row_parts, col_parts, pos_parts = [], [], []
+    for first in range(start, stop, block_rows):
+        u = block[: min(block_rows, stop - first)]
+        for r in range(u.shape[0]):
+            key[1] = first + r
+            bitgen.state = state
+            gen.random(out=u[r])
+        rows, cols = np.nonzero(u[:, :output_dim] < density)
+        row_parts.append(rows + first)
+        col_parts.append(cols)
+        pos_parts.append(u[:, output_dim:][rows, cols] < 0.5)
+    return (
+        np.concatenate(row_parts),
+        np.concatenate(col_parts),
+        np.concatenate(pos_parts),
+    )
+
+
 def ternary_row(seed: int, row_index: int, output_dim: int, density: float):
     """Nonzero pattern of one projection row.
 
     Returns (cols, signs): the strictly increasing column indices of the
     nonzero entries and their signs (+1.0 / -1.0).  Two fixed-length
     uniform draws per row (zero mask, then signs) make every entry a pure
-    function of (seed, row_index, column).
+    function of (seed, row_index, column).  This is the one-row case of
+    the block generator behind :func:`make_projection`, so it equals row
+    ``row_index`` of any projection with the same seed, width and density.
     """
-    rng = np.random.Generator(
-        np.random.Philox(key=[seed & _MASK64, row_index & _MASK64])
+    if row_index < 0:
+        raise ValueError("row_index must be >= 0")
+    _, cols, positive = _ternary_rows(
+        seed, row_index, row_index + 1, output_dim, density
     )
-    u_zero = rng.random(output_dim)
-    u_sign = rng.random(output_dim)
-    cols = np.flatnonzero(u_zero < density)
-    signs = np.where(u_sign[cols] < 0.5, 1.0, -1.0)
-    return cols, signs
+    return cols, np.where(positive, 1.0, -1.0)
 
 
 class SparseProjection:
@@ -194,31 +237,16 @@ def make_projection(
     if not 0.0 < density <= 1.0:
         raise ValueError("density must be in (0, 1]")
     magnitude = math.sqrt((1.0 / density) / output_dim)
-    row_parts = []
-    col_parts = []
-    val_parts = []
-    for i in range(input_dim):
-        cols, signs = ternary_row(seed, i, output_dim, density)
-        if cols.size:
-            row_parts.append(np.full(cols.size, i, dtype=np.int64))
-            col_parts.append(cols)
-            val_parts.append(signs * magnitude)
-    if row_parts:
-        rows = np.concatenate(row_parts)
-        cols = np.concatenate(col_parts)
-        values = np.concatenate(val_parts)
-    else:
-        rows = np.empty(0, np.int64)
-        cols = np.empty(0, np.int64)
-        values = np.empty(0, np.float64)
+    rows, cols, positive = _ternary_rows(seed, 0, input_dim, output_dim, density)
+    values = np.where(positive, magnitude, -magnitude)
     return SparseProjection(input_dim, output_dim, density, seed, rows, cols, values)
 
 
 def apply_projection(X, P: SparseProjection) -> np.ndarray:
     """Project ``X`` (sparse binary or dense rows) to (n_rows, output_dim).
 
-    Output is dense float64 with a fixed accumulation order, so it does
-    not depend on worker count.
+    Output is dense float64 with a fixed accumulation order, so reruns
+    give identical bits.
     """
     if isinstance(X, SparseBinaryMatrix):
         if X.n_cols != P.input_dim:

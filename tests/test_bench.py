@@ -213,7 +213,11 @@ data.density = 0.012
         assert header[0] == "dim"
         assert len(csv_rows) == 2 * 2 * 2  # dims x runs x methods
         assert sorted({r[0] for r in csv_rows}) == ["16", "64"]
-        assert (tmp_path / "sweep_out" / "report.txt").exists()
+        report_lines = (tmp_path / "sweep_out" / "report.txt").read_text().splitlines()
+        # dim, method, auc_mean, then the mean time with three decimals
+        timed = [l.split() for l in report_lines if l.split()[:1] in (["16"], ["64"])]
+        assert len(timed) == 4
+        assert all(len(f[3].rsplit(".", 1)[1]) == 3 for f in timed)
 
         # a single-dim sweep of elm-srp agrees with bench configured to the
         # same hidden width: same seeds, same subsample, same model

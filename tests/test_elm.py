@@ -7,7 +7,7 @@ import pytest
 
 from srplearn.distance import KIND_JACCARD, KIND_SQEUCLIDEAN
 from srplearn.elm import (
-    _make_bias,
+    elm_bias,
     elm_fit,
     elm_hidden,
     model_predict,
@@ -45,7 +45,7 @@ class TestHiddenLayer:
         rng = np.random.default_rng(0)
         X = _random_sparse(rng, 12, 100, 0.1)
         W = make_projection(100, 9, 0.2, seed=3)
-        bias = _make_bias(100, 9, 0.2, seed=3)
+        bias = elm_bias(100, 9, 0.2, seed=3)
         dense_W = np.zeros((100, 9))
         dense_W[W.rows, W.cols] = W.values
         expected = np.tanh(X.to_dense() @ dense_W + bias)
@@ -55,7 +55,7 @@ class TestHiddenLayer:
         rng = np.random.default_rng(1)
         X = _random_sparse(rng, 20, 200, 0.05)
         W = make_projection(200, 16, 0.1, seed=5)
-        bias = _make_bias(200, 16, 0.1, seed=5)
+        bias = elm_bias(200, 16, 0.1, seed=5)
         H = elm_hidden(X, W, bias)
         assert np.all(H > -1.0) and np.all(H < 1.0)
 
@@ -64,7 +64,7 @@ class TestHiddenLayer:
         cols, signs = ternary_row(7, 50, 6, 0.4)
         expected = np.zeros(6)
         expected[cols] = signs * np.sqrt((1.0 / 0.4) / 6)
-        assert np.array_equal(_make_bias(50, 6, 0.4, 7), expected)
+        assert np.array_equal(elm_bias(50, 6, 0.4, 7), expected)
 
     def test_unknown_activation_rejected(self):
         W = make_projection(10, 4, 0.5, seed=0)

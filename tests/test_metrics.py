@@ -193,6 +193,34 @@ class TestFormatReport:
         assert "92.00" in good_line  # mean shown as percent
         assert "52.00" in bad_line
 
+    def test_times_print_milliseconds(self):
+        runs = {"a": [0.5, 0.6], "b": [0.7, 0.9]}
+        report = summarize(runs, times={"a": [0.01, 0.03], "b": [1.0, 2.0]})
+        lines = format_report(report).splitlines()
+        assert next(l for l in lines if l.startswith("a")).endswith("   0.020")
+        assert next(l for l in lines if l.startswith("b")).endswith("   1.500")
+
+    def test_zero_variance_pairs_named(self):
+        # constant AUC lists: every paired difference is the same, so p = 0
+        # says nothing about separation; the report names such pairs
+        runs = {
+            "flat": [0.5, 0.5, 0.5],
+            "perfect": [1.0, 1.0, 1.0],
+            "noisy": [0.7, 0.8, 0.75],
+        }
+        with pytest.warns(RuntimeWarning, match="flat vs perfect"):
+            report = summarize(runs)
+        assert report.degenerate_pairs == [("flat", "perfect")]
+        assert report.p_values[0, 1] == report.p_values[1, 0] == 0.0
+        assert 0.0 < report.p_values[0, 2] < 1.0
+        text = format_report(report)
+        assert "zero variance" in text and "flat vs perfect" in text
+
+    def test_no_zero_variance_line_when_none(self):
+        report = summarize({"a": [0.5, 0.6], "b": [0.7, 0.9]})
+        assert report.degenerate_pairs == []
+        assert "zero variance" not in format_report(report)
+
     def test_missing_times_render_dash(self):
         runs = {"a": [0.5, 0.6], "b": [0.7, 0.8]}
         report = summarize(runs)

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from srplearn import projection
 from srplearn.projection import (
     SparseProjection,
     apply_projection,
@@ -20,6 +23,41 @@ def _random_sparse(rng, n_rows, n_cols, density):
         mask = rng.random(n_cols) < density
         rows.append(np.flatnonzero(mask))
     return SparseBinaryMatrix.from_rows(rows, n_cols)
+
+
+_MASK64 = (1 << 64) - 1
+ORACLE_SEEDS = [0, 5, -7, 2**63 + 5, 2**64 - 1]
+# numpy warns once per key list when a seed near 2**64 is rounded to float64
+_cast_warning = pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+
+
+def _per_row_oracle(seed, input_dim, output_dim, density):
+    """The stream's definition: a fresh Philox generator for every row."""
+    rows, cols, signs = [], [], []
+    for i in range(input_dim):
+        rng = np.random.Generator(
+            np.random.Philox(key=[seed & _MASK64, i & _MASK64])
+        )
+        u_zero = rng.random(output_dim)
+        u_sign = rng.random(output_dim)
+        c = np.flatnonzero(u_zero < density)
+        rows.append(np.full(c.size, i, dtype=np.int64))
+        cols.append(c)
+        signs.append(np.where(u_sign[c] < 0.5, 1.0, -1.0))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(signs)
+
+
+def _assert_matches_oracle(seed, input_dim, output_dim, density):
+    rows, cols, signs = _per_row_oracle(seed, input_dim, output_dim, density)
+    P = make_projection(input_dim, output_dim, density, seed)
+    magnitude = np.sqrt((1.0 / density) / output_dim)
+    assert np.array_equal(P.rows, rows)
+    assert np.array_equal(P.cols, cols)
+    assert np.array_equal(P.values, signs * magnitude)
+    for r in {0, input_dim // 2, input_dim - 1}:
+        c, s = ternary_row(seed, r, output_dim, density)
+        assert np.array_equal(c, cols[rows == r])
+        assert np.array_equal(s, signs[rows == r])
 
 
 def _densify(P):
@@ -72,6 +110,62 @@ class TestTernaryRow:
         cols, signs = ternary_row(1, 0, 50, 1.0)
         assert cols.size == 50
         assert set(np.unique(signs)) <= {-1, 1}
+
+
+@_cast_warning
+class TestBlockGenerationMatchesPerRowStream:
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    @pytest.mark.parametrize(
+        "input_dim, output_dim, density",
+        [
+            (23, 5, 0.3),  # 6 rows per block, last block partial
+            (4, 40, 0.2),  # a row is wider than a block: one row per block
+            (3, 9, 1.0),
+            (1, 1, 1.0),
+        ],
+    )
+    def test_small_blocks(self, monkeypatch, seed, input_dim, output_dim, density):
+        monkeypatch.setattr(projection, "_BLOCK_DOUBLES", 64)
+        _assert_matches_oracle(seed, input_dim, output_dim, density)
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_default_block_size(self, seed):
+        # 8192 rows of width 16 fill a block; 8195 leaves a partial one
+        _assert_matches_oracle(seed, 8195, 16, 0.05)
+
+    def test_row_wider_than_default_block(self):
+        _assert_matches_oracle(5, 3, (1 << 17) + 1, 0.01)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=-(2**63), max_value=2**64 - 1),
+        input_dim=st.integers(min_value=1, max_value=30),
+        output_dim=st.integers(min_value=1, max_value=40),
+        density=st.floats(min_value=0.01, max_value=1.0),
+        block=st.integers(min_value=1, max_value=200),
+    )
+    def test_property_any_seed_and_block(
+        self, seed, input_dim, output_dim, density, block
+    ):
+        old = projection._BLOCK_DOUBLES
+        projection._BLOCK_DOUBLES = block
+        try:
+            _assert_matches_oracle(seed, input_dim, output_dim, density)
+        finally:
+            projection._BLOCK_DOUBLES = old
+
+    def test_negative_row_index_rejected(self):
+        with pytest.raises(ValueError):
+            ternary_row(0, -1, 8, 0.5)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="seeds >= 2**63 are rounded to float64 in the Philox key list",
+    )
+    def test_distinct_high_seeds_give_distinct_rows(self):
+        c1, s1 = ternary_row(2**63 + 1, 0, 64, 0.5)
+        c2, s2 = ternary_row(2**63 + 1000, 0, 64, 0.5)
+        assert not (np.array_equal(c1, c2) and np.array_equal(s1, s2))
 
 
 class TestDeriveSeed:
