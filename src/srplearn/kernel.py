@@ -1,9 +1,8 @@
 """Kernel ridge regression and k-nearest-neighbor classification.
 
 KRR is solved in the dual, (K + lambda I) alpha = y, with the penalty
-chosen by the same leave-one-out identity as the primal ridge solver:
-the LOO residual of sample i is (y_i - yhat_i) / (1 - h_ii) where the
-leverage h_ii is the i-th diagonal of K (K + lambda I)^-1.
+chosen by leave-one-out error (PRESS) in the dual form of the spectral
+core shared with the ridge solver, ``ridge._spectral_press``.
 
 kNN consumes a precomputed distance matrix and depends on distance ranks
 only, so any strictly monotone transform of the distances is equivalent.
@@ -14,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .distance import DistanceMatrix, jaccard_distance_matrix
-from .exceptions import DegenerateFitError
-from .ridge import default_lambda_grid
+from .ridge import _spectral_press, default_lambda_grid
 from .sparse import SparseBinaryMatrix
 
 __all__ = [
@@ -138,52 +136,15 @@ def krr_fit(
         raise ValueError("K must be square")
     if y.ndim != 1 or y.size != K.shape[0]:
         raise ValueError("y must be a vector with one entry per kernel row")
-    asym = np.max(np.abs(K - K.T)) if K.size else 0.0
-    if asym > 1e-8:
+    # relative to scale: a kernel computed as a matrix product is
+    # symmetric only up to the rounding of its largest entries
+    asym = np.max(np.abs(K - K.T), initial=0.0)
+    if asym > 1e-8 * np.max(np.abs(K), initial=0.0):
         raise ValueError(f"kernel matrix is not symmetric (max gap {asym:g})")
     if lambda_grid is None:
         lambda_grid = default_lambda_grid()
-    grid = np.asarray(lambda_grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("lambda_grid must be a nonempty 1-D sequence")
-    if np.any(grid < 0) or not np.all(np.isfinite(grid)):
-        raise ValueError("lambda_grid entries must be finite and >= 0")
-
-    w, Q = np.linalg.eigh((K + K.T) / 2.0)
-    c = Q.T @ y
-    Q2 = Q * Q
-
-    press = np.empty(grid.size, dtype=np.float64)
-    alphas = []
-    for gi, lam in enumerate(grid):
-        denom = w + lam
-        # treat a numerically singular K + lambda I as unusable for this lam
-        if np.any(denom <= 1e-14 * max(1.0, float(np.max(np.abs(w))))):
-            press[gi] = np.inf
-            alphas.append(None)
-            continue
-        inv = 1.0 / denom
-        alpha = Q @ (inv * c)
-        inv_diag = Q2 @ inv              # diagonal of (K + lam I)^-1
-        if np.any(inv_diag <= 0.0):
-            press[gi] = np.inf
-            alphas.append(None)
-            continue
-        loo_resid = alpha / inv_diag     # equals (y - yhat) / (1 - leverage)
-        press[gi] = float(loo_resid @ loo_resid)
-        alphas.append(alpha)
-
-    finite = np.isfinite(press)
-    if not np.any(finite):
-        raise DegenerateFitError(
-            "kernel system is numerically singular for every penalty in the grid"
-        )
-    best_val = np.min(press[finite])
-    candidates = np.flatnonzero(press == best_val)
-    best = int(candidates[np.argmax(grid[candidates])])
-    return KrrModel(
-        alphas[best], grid[best], press[best], grid, kernel_kind, training_rows
-    )
+    lam, press, alpha = _spectral_press((K + K.T) / 2.0, y[:, None], lambda_grid)
+    return KrrModel(alpha[:, 0], lam, press, lambda_grid, kernel_kind, training_rows)
 
 
 def krr_predict_kernel(model: KrrModel, K_cross) -> np.ndarray:

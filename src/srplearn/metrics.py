@@ -96,9 +96,11 @@ def _paired_t(a, b) -> tuple:
     diff = a - b
     if np.all(diff == 0.0):
         return 1.0, False
-    sd = float(np.std(diff, ddof=1))
-    if sd == 0.0:
+    # every difference equal, tested exactly: np.std of a constant that
+    # float64 does not represent exactly is a rounding residue, not zero
+    if np.all(diff == diff[0]):
         return 0.0, True
+    sd = float(np.std(diff, ddof=1))
     t = float(np.mean(diff)) / (sd / math.sqrt(n))
     dof = n - 1
     x = dof / (dof + t * t)

@@ -1,13 +1,18 @@
 """Ridge regression with closed-form leave-one-out model selection.
 
 For a design matrix H and targets Y, the ridge solution at penalty l is
-beta(l) = (H'H + l I)^-1 H'Y.  The leave-one-out residual of sample i is
-(y_i - yhat_i) / (1 - h_ii) where h_ii is the i-th leverage, the diagonal
-of H (H'H + l I)^-1 H'.  Summing its squared norm over samples gives the
-exact retrain-every-fold cross-validation error without retraining; the
-penalty is chosen by minimizing it over a grid.
+beta(l) = (H'H + l I)^-1 H'Y = H'(HH' + l I)^-1 Y.  The leave-one-out
+residual of sample i is (y_i - yhat_i) / (1 - h_ii) where h_ii is the
+i-th leverage, the diagonal of H (H'H + l I)^-1 H'.  Summing its squared
+norm over samples (PRESS) gives the exact retrain-every-fold
+cross-validation error without retraining; the penalty is chosen by
+minimizing it over a grid.
 
-One symmetric eigendecomposition of H'H is reused for every grid value.
+One private core, :func:`_spectral_press`, runs that grid for every
+caller from one symmetric eigendecomposition.  ``solve_ridge_press``
+decomposes the smaller Gram matrix: H'H (primal) when H has no more
+columns than rows, HH' (dual) otherwise, and then returns beta = H'alpha.
+Kernel ridge (``kernel.krr_fit``) passes its kernel to the same core.
 """
 
 from __future__ import annotations
@@ -18,7 +23,10 @@ from .exceptions import DegenerateFitError
 
 __all__ = ["RidgeSolution", "solve_ridge_press", "default_lambda_grid"]
 
-# a leave-one-out denominator at or below this is treated as degenerate
+# a penalty is unusable where an eigenvalue of Gram + l I is at or below
+# this fraction of the spectrum's scale (numerically singular system)
+_SPECTRAL_FLOOR = 1e-14
+# a primal 1 - h_ii at or below this is lost to cancellation
 _MIN_LOO_DENOM = 1e-12
 
 
@@ -52,16 +60,63 @@ class RidgeSolution:
         )
 
 
-def _select_lambda(press: np.ndarray, grid: np.ndarray) -> int:
-    """Index of the minimal PRESS; exact ties go to the larger penalty."""
+def _spectral_press(gram, Y, lambda_grid, H=None):
+    """(selected penalty, its PRESS, its coefficients) for one Gram matrix.
+
+    Primal form, ``H`` given and ``gram`` = H'H = Q diag(w) Q': with
+    T = HQ the fit at penalty l is T diag(1/(w + l)) T'Y, the leverages
+    are (T*T) 1/(w + l), the leave-one-out residual is
+    (Y - fitted) / (1 - h) and the coefficients are beta.
+
+    Dual form, ``H`` None and ``gram`` a kernel K = Q diag(w) Q': alpha =
+    (K + l I)^-1 Y and the leave-one-out residual is the subtraction-free
+    alpha / diag((K + l I)^-1); the coefficients are alpha.
+
+    A penalty with w + l <= 1e-14 * max(1, max|w|), or with a leave-one-out
+    denominator at or below 1e-12 (primal 1 - h) or 0 (dual), gets
+    infinite error.  The smallest PRESS wins, exact ties going to the
+    larger penalty; only the winner's coefficients are formed.  ``Y`` is
+    (n_samples, n_outputs).
+    """
+    grid = np.asarray(lambda_grid, dtype=np.float64)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("lambda_grid must be a nonempty 1-D sequence")
+    if np.any(grid < 0) or not np.all(np.isfinite(grid)):
+        raise ValueError("lambda_grid entries must be finite and >= 0")
+
+    w, Q = np.linalg.eigh(gram)
+    B = Q if H is None else H @ Q
+    C = B.T @ Y
+    B2 = B * B
+    floor = _SPECTRAL_FLOOR * np.max(np.abs(w), initial=1.0)
+    min_denom = 0.0 if H is None else _MIN_LOO_DENOM
+
+    press = np.full(grid.size, np.inf)
+    for gi, lam in enumerate(grid):
+        denom = w + lam
+        if np.any(denom <= floor):
+            continue
+        inv = 1.0 / denom
+        fit = B @ (inv[:, None] * C)    # alpha (dual) or fitted values
+        diag = B2 @ inv                 # diag((K + l I)^-1) or leverages
+        if H is None:
+            resid_num, loo_denom = fit, diag
+        else:
+            resid_num, loo_denom = Y - fit, 1.0 - diag
+        if np.any(loo_denom <= min_denom):
+            continue
+        resid = resid_num / loo_denom[:, None]
+        press[gi] = float(np.sum(resid * resid))
+
     finite = np.isfinite(press)
     if not np.any(finite):
         raise DegenerateFitError(
             "leave-one-out error is degenerate for every penalty in the grid"
         )
-    best = np.min(press[finite])
-    candidates = np.flatnonzero(press == best)
-    return int(candidates[np.argmax(grid[candidates])])
+    candidates = np.flatnonzero(press == np.min(press[finite]))
+    best = int(candidates[np.argmax(grid[candidates])])
+    inv = 1.0 / (w + grid[best])
+    return grid[best], press[best], Q @ (inv[:, None] * C)
 
 
 def solve_ridge_press(H, Y, lambda_grid) -> RidgeSolution:
@@ -87,38 +142,9 @@ def solve_ridge_press(H, Y, lambda_grid) -> RidgeSolution:
         raise ValueError(
             f"row counts differ: {H.shape[0]} vs {Y.shape[0]}"
         )
-    grid = np.asarray(lambda_grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("lambda_grid must be a nonempty 1-D sequence")
-    if np.any(grid < 0) or not np.all(np.isfinite(grid)):
-        raise ValueError("lambda_grid entries must be finite and >= 0")
-
-    gram = H.T @ H
-    w, Q = np.linalg.eigh(gram)
-    T = H @ Q                      # H = T Q'
-    C = T.T @ Y                    # equals Q' H' Y
-    T2 = T * T
-
-    press = np.empty(grid.size, dtype=np.float64)
-    betas = []
-    for gi, lam in enumerate(grid):
-        denom = w + lam
-        if np.any(denom <= 0):
-            press[gi] = np.inf
-            betas.append(None)
-            continue
-        inv = 1.0 / denom
-        coef = inv[:, None] * C
-        fitted = T @ coef
-        leverage = T2 @ inv
-        loo_denom = 1.0 - leverage
-        if np.any(loo_denom <= _MIN_LOO_DENOM):
-            press[gi] = np.inf
-            betas.append(None)
-            continue
-        resid = (Y - fitted) / loo_denom[:, None]
-        press[gi] = float(np.sum(resid * resid))
-        betas.append(Q @ coef)
-
-    best = _select_lambda(press, grid)
-    return RidgeSolution(betas[best], grid[best], press[best], grid)
+    if H.shape[1] <= H.shape[0]:
+        lam, press, beta = _spectral_press(H.T @ H, Y, lambda_grid, H)
+    else:
+        lam, press, alpha = _spectral_press(H @ H.T, Y, lambda_grid)
+        beta = H.T @ alpha
+    return RidgeSolution(beta, lam, press, lambda_grid)

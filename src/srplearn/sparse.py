@@ -116,11 +116,12 @@ class SparseBinaryMatrix:
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n_rows):
             raise ValueError("row index out of range")
-        lengths = self.indptr[idx + 1] - self.indptr[idx]
+        starts = self.indptr[idx]
+        lengths = self.indptr[idx + 1] - starts
         indptr = np.concatenate(([0], np.cumsum(lengths)))
-        indices = np.empty(int(lengths.sum()), dtype=np.int64)
-        for out_i, i in enumerate(idx):
-            indices[indptr[out_i] : indptr[out_i + 1]] = self.row(int(i))
+        # output entry k of new row r is input entry starts[r] + k - indptr[r]
+        source = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        indices = self.indices[source]
         return SparseBinaryMatrix(indptr, indices, self.n_cols)
 
     def widen(self, n_cols: int) -> "SparseBinaryMatrix":
@@ -149,8 +150,8 @@ class SparseBinaryMatrix:
     def to_dense(self) -> np.ndarray:
         """Dense float64 copy (0.0 / 1.0 entries)."""
         out = np.zeros((self.n_rows, self.n_cols), dtype=np.float64)
-        for i in range(self.n_rows):
-            out[i, self.row(i)] = 1.0
+        rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+        out[rows, self.indices] = 1.0
         return out
 
     def __eq__(self, other) -> bool:

@@ -126,6 +126,27 @@ class TestKrr:
         with pytest.raises(ValueError):
             krr_fit(K, np.array([1.0, -1.0, 1.0]), np.array([1.0]))
 
+    def test_rounding_asymmetry_at_large_scale_accepted(self):
+        # a kernel at scale 7e8 computed as a matrix product can differ
+        # from its transpose by an ulp of its largest entries (~1.2e-7)
+        rng = np.random.default_rng(11)
+        F = rng.standard_normal((6, 6))
+        K = F @ F.T
+        K *= 7e8 / np.max(np.abs(K))
+        K[0, 1] = np.nextafter(K[0, 1], np.inf)
+        assert np.max(np.abs(K - K.T)) > 1e-8
+        y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, 1.0])
+        model = krr_fit(K, y, default_lambda_grid(-5, 5))
+        resid = (K + model.lam * np.eye(6)) @ model.alpha - y
+        assert np.linalg.norm(resid) <= 1e-6
+
+    def test_asymmetry_at_small_scale_rejected(self):
+        # a gap of 1.4e-6 relative to a kernel of scale 1e-12 is no rounding
+        K = 1e-12 * np.eye(3)
+        K[0, 1] += 1.4e-18
+        with pytest.raises(ValueError, match="not symmetric"):
+            krr_fit(K, np.array([1.0, -1.0, 1.0]), np.array([1.0]))
+
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
             krr_fit(np.zeros((3, 2)), np.array([1.0, -1.0, 1.0]), np.array([1.0]))

@@ -126,6 +126,15 @@ class TestPairedTTest:
         assert p == 0.0
         assert len(caught) >= 1
 
+    def test_constant_difference_inexact_in_float64_is_zero_variance(self):
+        # np.std of twenty 0.1s is 1.4e-17, not 0: the differences must be
+        # compared, or the t statistic divides by rounding residue
+        with pytest.warns(RuntimeWarning, match="degenerate"):
+            assert paired_t_test(np.full(20, 0.1), np.zeros(20)) == 0.0
+        with pytest.warns(RuntimeWarning, match="a vs b"):
+            report = summarize({"a": [0.1] * 20, "b": [0.0] * 20})
+        assert report.degenerate_pairs == [("a", "b")]
+
     def test_needs_two_runs(self):
         with pytest.raises(ValueError):
             paired_t_test(np.array([1.0]), np.array([2.0]))

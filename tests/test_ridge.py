@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srplearn.exceptions import DegenerateFitError
-from srplearn.ridge import default_lambda_grid, solve_ridge_press
+from srplearn.ridge import _spectral_press, default_lambda_grid, solve_ridge_press
 
 
 def _explicit_loo_sse(H, Y, lam):
@@ -44,13 +46,15 @@ class TestPressAgainstExplicitLoo:
     def test_matches_retraining_on_random_instances(self):
         rng = np.random.default_rng(0)
         grid = default_lambda_grid()
-        for trial in range(20):
-            H = rng.standard_normal((20, 5))
-            Y = rng.standard_normal((20, 1))
-            for lam in grid[:: 8]:
-                sol = solve_ridge_press(H, Y, np.array([lam]))
-                explicit = _explicit_loo_sse(H, Y, lam)
-                assert sol.press_value == pytest.approx(explicit, rel=1e-8)
+        # 12 x 30 has more features than samples: the dual path
+        for shape in [(20, 5), (12, 30)]:
+            for trial in range(20):
+                H = rng.standard_normal(shape)
+                Y = rng.standard_normal((shape[0], 1))
+                for lam in grid[:: 8]:
+                    sol = solve_ridge_press(H, Y, np.array([lam]))
+                    explicit = _explicit_loo_sse(H, Y, lam)
+                    assert sol.press_value == pytest.approx(explicit, rel=1e-8)
 
     def test_multi_output_targets(self):
         rng = np.random.default_rng(1)
@@ -61,6 +65,31 @@ class TestPressAgainstExplicitLoo:
             assert sol.press_value == pytest.approx(
                 _explicit_loo_sse(H, Y, lam), rel=1e-8
             )
+
+
+class TestPrimalAgainstDual:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=25),
+        p=st.integers(min_value=1, max_value=40),
+        k=st.integers(min_value=1, max_value=2),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_same_penalty_press_and_beta(self, n, p, k, seed):
+        # H'H and HH' share their nonzero spectrum, so both forms of the
+        # core must select alike whichever way H is shaped.  The form whose
+        # Gram is singular loses about eps * max(w) / lambda: up to 7e-8
+        # relative PRESS on these shapes at the default grid's 2^-20, below
+        # 2e-11 from 2^-8 up.
+        rng = np.random.default_rng(seed)
+        H = rng.standard_normal((n, p))
+        Y = rng.standard_normal((n, k))
+        grid = default_lambda_grid(-8, 8)
+        lam_p, press_p, beta = _spectral_press(H.T @ H, Y, grid, H)
+        lam_d, press_d, alpha = _spectral_press(H @ H.T, Y, grid)
+        assert lam_p == lam_d
+        assert press_d == pytest.approx(press_p, rel=1e-10)
+        assert np.linalg.norm(H.T @ alpha - beta) <= 1e-8 * np.linalg.norm(beta)
 
 
 class TestSolution:

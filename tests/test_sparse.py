@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srplearn.sparse import (
     SparseBinaryMatrix,
@@ -9,6 +11,12 @@ from srplearn.sparse import (
     sparse_dense_product,
     sparse_gram,
 )
+
+
+# row sets over 6 columns, empty rows included, as a matrix plus its rows
+_matrices = st.lists(
+    st.sets(st.integers(min_value=0, max_value=5), max_size=6), max_size=8
+).map(lambda rows: (SparseBinaryMatrix.from_rows(map(sorted, rows), 6), rows))
 
 
 def random_binary(rng, n_rows, n_cols, density):
@@ -77,6 +85,33 @@ class TestConstruction:
         assert sub.row(2).tolist() == [3]
         with pytest.raises(ValueError):
             m.take_rows([3])
+        with pytest.raises(ValueError):
+            m.take_rows([-1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), matrix=_matrices)
+    def test_take_rows_matches_row_oracle(self, data, matrix):
+        # repeated, unordered and empty selections of possibly empty rows
+        m, rows = matrix
+        idx = data.draw(
+            st.lists(st.integers(min_value=0, max_value=max(m.n_rows - 1, 0)),
+                     max_size=12 if m.n_rows else 0)
+        )
+        sub = m.take_rows(idx)
+        assert sub.shape == (len(idx), m.n_cols)
+        assert sub.row_sets() == [rows[i] for i in idx]
+        for out_i, i in enumerate(idx):
+            assert np.array_equal(sub.row(out_i), m.row(i))
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrix=_matrices)
+    def test_to_dense_matches_row_oracle(self, matrix):
+        m, rows = matrix
+        dense = m.to_dense()
+        assert dense.shape == (len(rows), 6) and dense.dtype == np.float64
+        for i, row in enumerate(rows):
+            assert set(np.flatnonzero(dense[i]).tolist()) == row
+        assert dense.sum() == m.nnz
 
     def test_widen(self):
         m = SparseBinaryMatrix.from_rows([[0], [1, 2]], n_cols=3)
