@@ -30,7 +30,6 @@ from .exceptions import DegenerateFitError, NumericalDivergenceError, SvmlightPa
 from .kernel import (
     KERNEL_JACCARD,
     KERNEL_LINEAR,
-    KnnModel,
     KrrModel,
     kernel_matrix,
     knn_predict,
@@ -71,7 +70,6 @@ __all__ = [
     "KERNEL_LINEAR",
     "KIND_JACCARD",
     "KIND_SQEUCLIDEAN",
-    "KnnModel",
     "KrrModel",
     "LogRegModel",
     "NumericalDivergenceError",

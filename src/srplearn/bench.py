@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import BENCH_METHODS, SWEEP_METHODS, RunConfig
 from .datasets import Dataset, read_svmlight, subsample_indices, synth_generate
 from .distance import (
     KIND_JACCARD,
@@ -45,7 +44,11 @@ from .matio import read_matrix_csv, write_table_csv
 from .metrics import EvalReport, accuracy, format_report, roc_auc, summarize
 from .projection import apply_projection, default_density, derive_seed, make_projection
 
-__all__ = ["cmd_bench", "cmd_sweep"]
+__all__ = ["BENCH_METHODS", "METHODS", "SWEEP_METHODS", "cmd_bench", "cmd_sweep"]
+
+# ``RunConfig`` (srplearn.config) is named only in annotations: the config
+# reader imports this module's method table, so importing it back would
+# be circular.
 
 _RUN_COLUMNS = [
     "run",
@@ -71,13 +74,6 @@ class _Fit:
     width_override: int | None  # sweeps force the random-layer width
 
 
-def _int_param(params, key, default):
-    return int(params[key]) if key in params else default
-
-def _float_param(params, key, default):
-    return float(params[key]) if key in params else default
-
-
 # Method input: the shared projected features, or the raw sparse rows
 # (ELM/RVFL build their own ternary layer, the Jaccard variants need the
 # binary sets themselves).
@@ -92,19 +88,19 @@ _RVFL = "rvfl"
 
 def _hidden_layer(kind, X_train, X_test, fit):
     """ELM, or RVFL with its direct linear block, on a random ternary layer."""
-    L = fit.width_override or _int_param(fit.params, "L", 1000)
-    density = _float_param(fit.params, "density", None)
+    L = fit.width_override or fit.params.get("L", 1000)
+    density = fit.params.get("density")
     if kind == _ELM:
         model = elm_fit(X_train, fit.y_train, L, density, fit.seed, fit.grid)
     else:
-        d_lin = _int_param(fit.params, "d_lin", None)
+        d_lin = fit.params.get("d_lin")
         model = rvfl_fit(X_train, fit.y_train, L, d_lin, density, fit.seed, fit.grid)
     return model_predict(model, X_test), 0.0, 0, True
 
 
 def _rbf(kind, X_train, X_test, fit):
     """RBF network on random training centroids under distance ``kind``."""
-    L = _int_param(fit.params, "L", min(1000, fit.y_train.size))
+    L = fit.params.get("L", min(1000, fit.y_train.size))
     model = rbf_fit(X_train, fit.y_train, L, kind, fit.seed, fit.grid)
     return model_predict(model, X_test), 0.0, 0, True
 
@@ -117,7 +113,7 @@ def _krr(kind, X_train, X_test, fit):
 
 
 def _knn(kind, X_train, X_test, fit):
-    k = _int_param(fit.params, "k", 1)
+    k = fit.params.get("k", 1)
     if kind == KIND_JACCARD:
         D = jaccard_distance_matrix(X_test, X_train)
     else:
@@ -130,24 +126,32 @@ def _logreg(kind, X_train, X_test, fit):
         X_train,
         fit.y_train,
         fit.logreg_lambda,
-        _int_param(fit.params, "max_iter", 500),
-        _float_param(fit.params, "tol", 1e-6),
+        fit.params.get("max_iter", 500),
+        fit.params.get("tol", 1e-6),
     )
     return logreg_predict(model, X_test), 0.5, model.iterations, model.converged
 
 
-# name -> (input, family, kind)
-_METHODS = {
-    "elm-srp": (_ROWS, _hidden_layer, _ELM),
-    "rvfl-srp": (_ROWS, _hidden_layer, _RVFL),
-    "rbf-srp": (_FEATURES, _rbf, KIND_SQEUCLIDEAN),
-    "krr-srp": (_FEATURES, _krr, KERNEL_LINEAR),
-    "knn-srp": (_FEATURES, _knn, KIND_SQEUCLIDEAN),
-    "logreg-srp": (_FEATURES, _logreg, None),
-    "rbf-jaccard": (_ROWS, _rbf, KIND_JACCARD),
-    "krr-jaccard": (_ROWS, _krr, KERNEL_JACCARD),
-    "knn-jaccard": (_ROWS, _knn, KIND_JACCARD),
+# name -> (input, family, kind, {parameter: parser}); the config reader
+# types each ``method.<name>.<parameter>`` value with its parser.
+METHODS = {
+    "elm-srp": (_ROWS, _hidden_layer, _ELM, {"L": int, "density": float}),
+    "rvfl-srp": (_ROWS, _hidden_layer, _RVFL, {"L": int, "d_lin": int, "density": float}),
+    "rbf-srp": (_FEATURES, _rbf, KIND_SQEUCLIDEAN, {"L": int}),
+    "krr-srp": (_FEATURES, _krr, KERNEL_LINEAR, {}),
+    "knn-srp": (_FEATURES, _knn, KIND_SQEUCLIDEAN, {"k": int}),
+    "logreg-srp": (_FEATURES, _logreg, None, {"max_iter": int, "tol": float}),
+    "rbf-jaccard": (_ROWS, _rbf, KIND_JACCARD, {"L": int}),
+    "krr-jaccard": (_ROWS, _krr, KERNEL_JACCARD, {}),
+    "knn-jaccard": (_ROWS, _knn, KIND_JACCARD, {"k": int}),
 }
+# Sweeps default to the methods that depend on the projection: the
+# Jaccard ones see the raw sets, so sweeping them is uninformative.
+BENCH_METHODS = list(METHODS)
+SWEEP_METHODS = [
+    m for m, (_, _, kind, _) in METHODS.items()
+    if kind not in (KIND_JACCARD, KERNEL_JACCARD)
+]
 
 
 def _method_seed(run_seed: int, name: str) -> int:
@@ -158,7 +162,7 @@ def _resolve_methods(cfg: RunConfig, defaults) -> list:
     """The configured methods, checked before any data is generated."""
     methods = cfg.resolved_methods(defaults)
     for m in methods:
-        if m not in _METHODS:
+        if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
     if "logreg-srp" in methods and cfg.base_seed < 1:
         raise ValueError(
@@ -169,7 +173,7 @@ def _resolve_methods(cfg: RunConfig, defaults) -> list:
 
 
 def _needs_features(methods) -> bool:
-    return any(_METHODS[m][0] == _FEATURES for m in methods)
+    return any(METHODS[m][0] == _FEATURES for m in methods)
 
 
 def _load_data(cfg: RunConfig):
@@ -239,8 +243,8 @@ def _tune_logreg(cfg, pool, F_pool, grid):
         pool.labels[idx].astype(np.float64),
         grid,
         seed=tune_seed,
-        max_iter=_int_param(params, "max_iter", 500),
-        tol=_float_param(params, "tol", 1e-6),
+        max_iter=params.get("max_iter", 500),
+        tol=params.get("tol", 1e-6),
     )
     return lam
 
@@ -262,7 +266,7 @@ def _run_block(cfg, pool, test, F_pool, F_test, methods, grid, logreg_lambda,
         if F_pool is not None:
             inputs[_FEATURES] = (F_pool[idx], F_test)
         for name in methods:
-            source, family, kind = _METHODS[name]
+            source, family, kind, _ = METHODS[name]
             fit = _Fit(
                 y_train=train.labels.astype(np.float64),
                 grid=grid,

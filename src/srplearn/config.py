@@ -1,8 +1,13 @@
 """Run configuration: plain ``key=value`` text, no nested format.
 
-Per-method hyperparameters use repeated ``method.<name>.<param>`` keys.
-Unknown keys are rejected so typos fail loudly instead of silently
-running with defaults.
+Every key is declared once, in ``_KEYS``: its section, the attribute it
+sets and the parser that types its value.  Keys of the ``synth`` and
+``svmlight`` sections apply only under that ``data.kind``.  Per-method
+hyperparameters use repeated ``method.<name>.<param>`` keys, typed by
+the parsers of the method table in :mod:`srplearn.bench`.  Every value
+is parsed when the file is read: unknown keys, keys of the other data
+kind and malformed values are rejected there, so typos fail loudly
+instead of silently running with defaults or failing run by run.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bench import BENCH_METHODS, METHODS, SWEEP_METHODS
 from .matio import read_keyvalues
 
 __all__ = [
@@ -22,70 +28,47 @@ __all__ = [
     "SWEEP_METHODS",
 ]
 
-# Full benchmark method set, and the sub-quadratic subset used for
-# projection-dimension sweeps (Jaccard methods do not depend on the
-# projection, so sweeping them is uninformative).
-BENCH_METHODS = [
-    "elm-srp",
-    "rvfl-srp",
-    "rbf-srp",
-    "krr-srp",
-    "knn-srp",
-    "logreg-srp",
-    "rbf-jaccard",
-    "krr-jaccard",
-    "knn-jaccard",
-]
-SWEEP_METHODS = [
-    "elm-srp",
-    "rvfl-srp",
-    "rbf-srp",
-    "krr-srp",
-    "knn-srp",
-    "logreg-srp",
-]
 
-_METHOD_PARAMS = {
-    "elm-srp": {"L", "density"},
-    "rvfl-srp": {"L", "d_lin", "density"},
-    "rbf-srp": {"L"},
-    "krr-srp": set(),
-    "knn-srp": {"k"},
-    "logreg-srp": {"max_iter", "tol"},
-    "rbf-jaccard": {"L"},
-    "krr-jaccard": set(),
-    "knn-jaccard": {"k"},
-}
+def _list(text: str) -> list:
+    return [t.strip() for t in text.split(",") if t.strip()]
 
-_TOP_KEYS = {
-    "out_dir",
-    "base_seed",
-    "n_runs",
-    "n_train",
-    "alpha",
-    "methods",
-    "srp.dim",
-    "srp.density",
-    "srp.seed",
-    "sweep.dims",
-    "lambda.min_exp",
-    "lambda.max_exp",
-    "data.kind",
-    "data.name",
-    "data.seed",
-    "data.n_train_pool",
-    "data.n_test",
-    "data.n_features",
-    "data.density",
-    "data.signal_features",
-    "data.flip_prob",
-    "data.train",
-    "data.test",
-    "data.dense_features",
-    "data.index_base",
-    "data.train_features",
-    "data.test_features",
+
+def _ints(text: str) -> list:
+    return [int(t) for t in _list(text)]
+
+
+# key -> (section, attribute, parser).  "run" keys set RunConfig, the
+# others DataConfig; "synth" and "svmlight" keys only under that kind.
+_KEYS = {
+    "out_dir": ("run", "out_dir", str),
+    "base_seed": ("run", "base_seed", int),
+    "n_runs": ("run", "n_runs", int),
+    "n_train": ("run", "n_train", int),
+    "alpha": ("run", "alpha", float),
+    "methods": ("run", "methods", _list),
+    "srp.dim": ("run", "srp_dim", int),
+    "srp.density": ("run", "srp_density", float),
+    "srp.seed": ("run", "srp_seed", int),
+    "sweep.dims": ("run", "sweep_dims", _ints),
+    "lambda.min_exp": ("run", "lambda_min_exp", int),
+    "lambda.max_exp": ("run", "lambda_max_exp", int),
+    "data.kind": ("data", "kind", str),
+    "data.name": ("data", "name", str),
+    "data.n_features": ("data", "n_features", int),
+    "data.seed": ("synth", "seed", int),
+    "data.n_train_pool": ("synth", "n_train_pool", int),
+    "data.n_test": ("synth", "n_test", int),
+    "data.density": ("synth", "density", float),
+    "data.signal_features": ("synth", "signal_features", int),
+    "data.flip_prob": ("synth", "flip_prob", float),
+    "data.train": ("svmlight", "train_path", str),
+    "data.test": ("svmlight", "test_path", str),
+    "data.dense_features": ("svmlight", "dense_features", int),
+    "data.index_base": ("svmlight", "index_base", int),
+    "data.train_features": ("svmlight", "train_features", str),
+    "data.test_features": ("svmlight", "test_features", str),
 }
+_KINDS = ("synth", "svmlight")
 
 
 def default_sweep_dims(low: int = 4, high: int = 10000, points: int = 12):
@@ -125,7 +108,7 @@ class RunConfig:
     srp_seed: int | None = None       # None: base_seed
     sweep_dims: list = field(default_factory=default_sweep_dims)
     methods: list | None = None       # None: command-specific default
-    method_params: dict = field(default_factory=dict)
+    method_params: dict = field(default_factory=dict)  # name -> {param: parsed value}
     lambda_min_exp: int = -20
     lambda_max_exp: int = 20
     data: DataConfig = field(default_factory=DataConfig)
@@ -139,18 +122,25 @@ class RunConfig:
         return list(self.methods) if self.methods is not None else list(default_list)
 
 
-def _parse_int(raw: str, key: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"config key {key!r}: expected integer, got {raw!r}") from None
+def _method_key(path: str, key: str) -> tuple:
+    """(method name, parameter, parser) of a ``method.<name>.<param>`` key."""
+    parts = key.split(".")
+    if len(parts) != 3:
+        raise ValueError(f"{path}: malformed method key {key!r}")
+    _, name, param = parts
+    if name not in METHODS:
+        raise ValueError(f"{path}: unknown method {name!r}; known: {sorted(METHODS)}")
+    parsers = METHODS[name][3]
+    if param not in parsers:
+        raise ValueError(f"{path}: method {name!r} has no parameter {param!r}")
+    return name, param, parsers[param]
 
 
-def _parse_float(raw: str, key: str) -> float:
+def _parsed(path: str, key: str, parse, text: str):
     try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"config key {key!r}: expected number, got {raw!r}") from None
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: config key {key!r}: {exc}") from None
 
 
 def parse_config(path: str) -> RunConfig:
@@ -158,120 +148,59 @@ def parse_config(path: str) -> RunConfig:
     raw = read_keyvalues(path)
     if "out_dir" not in raw:
         raise ValueError(f"{path}: missing required key out_dir")
+    kind = raw.get("data.kind", "synth")
+    if kind not in _KINDS:
+        raise ValueError(f"data.kind must be synth or svmlight, got {kind!r}")
 
-    method_params: dict = {}
-    for key, value in raw.items():
-        if not key.startswith("method."):
-            if key not in _TOP_KEYS:
-                raise ValueError(f"{path}: unknown config key {key!r}")
+    cfg = RunConfig(out_dir=raw["out_dir"])
+    d = cfg.data
+    for key, text in raw.items():
+        if key.startswith("method."):
+            name, param, parse = _method_key(path, key)
+            cfg.method_params.setdefault(name, {})[param] = _parsed(path, key, parse, text)
             continue
-        parts = key.split(".")
-        if len(parts) != 3:
-            raise ValueError(f"{path}: malformed method key {key!r}")
-        _, name, param = parts
-        if name not in _METHOD_PARAMS:
+        if key not in _KEYS:
+            raise ValueError(f"{path}: unknown config key {key!r}")
+        section, attr, parse = _KEYS[key]
+        if section in _KINDS and section != kind:
             raise ValueError(
-                f"{path}: unknown method {name!r}; known: {sorted(_METHOD_PARAMS)}"
+                f"{path}: config key {key!r} applies only to data.kind = {section}"
             )
-        if param not in _METHOD_PARAMS[name]:
-            raise ValueError(
-                f"{path}: method {name!r} has no parameter {param!r}"
-            )
-        method_params.setdefault(name, {})[param] = value
+        setattr(cfg if section == "run" else d, attr, _parsed(path, key, parse, text))
 
-    cfg = RunConfig(out_dir=raw["out_dir"], method_params=method_params)
-    if "base_seed" in raw:
-        cfg.base_seed = _parse_int(raw["base_seed"], "base_seed")
-    if "n_runs" in raw:
-        cfg.n_runs = _parse_int(raw["n_runs"], "n_runs")
-        if cfg.n_runs < 1:
-            raise ValueError("n_runs must be >= 1")
-    if "n_train" in raw:
-        cfg.n_train = _parse_int(raw["n_train"], "n_train")
-        if cfg.n_train < 1:
-            raise ValueError("n_train must be >= 1")
-    if "alpha" in raw:
-        cfg.alpha = _parse_float(raw["alpha"], "alpha")
-        if not 0.0 < cfg.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
-    if "srp.dim" in raw:
-        cfg.srp_dim = _parse_int(raw["srp.dim"], "srp.dim")
-        if cfg.srp_dim < 1:
-            raise ValueError("srp.dim must be >= 1")
-    if "srp.density" in raw:
-        cfg.srp_density = _parse_float(raw["srp.density"], "srp.density")
-    if "srp.seed" in raw:
-        cfg.srp_seed = _parse_int(raw["srp.seed"], "srp.seed")
-    if "lambda.min_exp" in raw:
-        cfg.lambda_min_exp = _parse_int(raw["lambda.min_exp"], "lambda.min_exp")
-    if "lambda.max_exp" in raw:
-        cfg.lambda_max_exp = _parse_int(raw["lambda.max_exp"], "lambda.max_exp")
+    if cfg.n_runs < 1:
+        raise ValueError("n_runs must be >= 1")
+    if cfg.n_train < 1:
+        raise ValueError("n_train must be >= 1")
+    if not 0.0 < cfg.alpha < 1.0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
+    if cfg.srp_dim < 1:
+        raise ValueError("srp.dim must be >= 1")
     if cfg.lambda_max_exp < cfg.lambda_min_exp:
         raise ValueError("lambda.max_exp must be >= lambda.min_exp")
-
-    if "methods" in raw:
-        names = [t.strip() for t in raw["methods"].split(",") if t.strip()]
-        if not names:
+    if cfg.methods is not None:
+        if not cfg.methods:
             raise ValueError("methods list must be nonempty")
-        for name in names:
-            if name not in _METHOD_PARAMS:
-                raise ValueError(
-                    f"unknown method {name!r}; known: {sorted(_METHOD_PARAMS)}"
-                )
-        if len(set(names)) != len(names):
+        for name in cfg.methods:
+            if name not in METHODS:
+                raise ValueError(f"unknown method {name!r}; known: {sorted(METHODS)}")
+        if len(set(cfg.methods)) != len(cfg.methods):
             raise ValueError("methods list contains duplicates")
-        cfg.methods = names
+    dims = cfg.sweep_dims
+    if not dims:
+        raise ValueError("sweep.dims must be nonempty")
+    if any(v < 1 for v in dims):
+        raise ValueError("sweep.dims entries must be >= 1")
+    if any(b <= a for a, b in zip(dims, dims[1:])):
+        raise ValueError("sweep.dims must be strictly increasing")
 
-    if "sweep.dims" in raw:
-        dims = [_parse_int(t.strip(), "sweep.dims") for t in raw["sweep.dims"].split(",") if t.strip()]
-        if not dims:
-            raise ValueError("sweep.dims must be nonempty")
-        if any(d < 1 for d in dims):
-            raise ValueError("sweep.dims entries must be >= 1")
-        if any(b <= a for a, b in zip(dims, dims[1:])):
-            raise ValueError("sweep.dims must be strictly increasing")
-        cfg.sweep_dims = dims
-
-    d = cfg.data
-    d.kind = raw.get("data.kind", "synth")
-    if d.kind not in ("synth", "svmlight"):
-        raise ValueError(f"data.kind must be synth or svmlight, got {d.kind!r}")
-    if "data.name" in raw:
-        d.name = raw["data.name"]
-    if "data.seed" in raw:
-        d.seed = _parse_int(raw["data.seed"], "data.seed")
-    if d.kind == "synth":
-        if "data.n_train_pool" in raw:
-            d.n_train_pool = _parse_int(raw["data.n_train_pool"], "data.n_train_pool")
-        if "data.n_test" in raw:
-            d.n_test = _parse_int(raw["data.n_test"], "data.n_test")
-        if "data.n_features" in raw:
-            d.n_features = _parse_int(raw["data.n_features"], "data.n_features")
+    if kind == "synth":
         if d.n_features is None:
             raise ValueError("synth data requires data.n_features")
-        if "data.density" in raw:
-            d.density = _parse_float(raw["data.density"], "data.density")
-        if "data.signal_features" in raw:
-            d.signal_features = _parse_int(
-                raw["data.signal_features"], "data.signal_features"
-            )
-        if "data.flip_prob" in raw:
-            d.flip_prob = _parse_float(raw["data.flip_prob"], "data.flip_prob")
         if d.n_train_pool < cfg.n_train:
             raise ValueError("data.n_train_pool must be >= n_train")
         if d.n_test < 1:
             raise ValueError("data.n_test must be >= 1")
-    else:
-        d.train_path = raw.get("data.train")
-        d.test_path = raw.get("data.test")
-        if not d.train_path or not d.test_path:
-            raise ValueError("svmlight data requires data.train and data.test")
-        if "data.dense_features" in raw:
-            d.dense_features = _parse_int(raw["data.dense_features"], "data.dense_features")
-        if "data.index_base" in raw:
-            d.index_base = _parse_int(raw["data.index_base"], "data.index_base")
-        if "data.n_features" in raw:
-            d.n_features = _parse_int(raw["data.n_features"], "data.n_features")
-        d.train_features = raw.get("data.train_features")
-        d.test_features = raw.get("data.test_features")
+    elif not d.train_path or not d.test_path:
+        raise ValueError("svmlight data requires data.train and data.test")
     return cfg

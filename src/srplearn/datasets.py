@@ -22,7 +22,6 @@ __all__ = [
     "subsample",
     "subsample_indices",
     "synth_generate",
-    "write_dataset_metadata",
 ]
 
 
@@ -189,22 +188,6 @@ def write_svmlight(ds: Dataset, path: str, index_base: int = 1) -> None:
             for j in ds.sparse.row(i):
                 parts.append(f"{int(j) + n_dense + index_base}:1")
             handle.write(" ".join(parts) + "\n")
-
-
-def write_dataset_metadata(ds: Dataset, path: str) -> None:
-    """Sidecar with name, dimensions, nnz and dense width as key=value lines."""
-    from .matio import write_keyvalues
-
-    write_keyvalues(
-        path,
-        {
-            "name": ds.name,
-            "n_samples": ds.n_samples,
-            "n_sparse_features": ds.n_sparse_features,
-            "n_dense_features": ds.n_dense_features,
-            "nnz": ds.sparse.nnz,
-        },
-    )
 
 
 def subsample_indices(n_total: int, n: int, seed: int) -> np.ndarray:

@@ -18,7 +18,6 @@ from .sparse import SparseBinaryMatrix
 
 __all__ = [
     "KrrModel",
-    "KnnModel",
     "kernel_matrix",
     "krr_fit",
     "krr_predict",
@@ -59,29 +58,6 @@ class KrrModel:
             f"KrrModel(n_train={self.n_train}, lam={self.lam:g}, "
             f"kernel={self.kernel_kind!r})"
         )
-
-
-class KnnModel:
-    """Training rows, labels and an odd neighbor count."""
-
-    __slots__ = ("training_rows", "labels", "k", "distance_kind")
-
-    def __init__(self, training_rows, labels, k, distance_kind):
-        labels = np.asarray(labels)
-        n = (
-            training_rows.n_rows
-            if isinstance(training_rows, SparseBinaryMatrix)
-            else training_rows.shape[0]
-        )
-        if labels.shape != (n,):
-            raise ValueError("one label per training row required")
-        if not np.all(np.isin(np.unique(labels), (-1, 1))):
-            raise ValueError("labels must be -1 or +1")
-        _check_k(k, n)
-        self.training_rows = training_rows
-        self.labels = labels.astype(np.float64)
-        self.k = int(k)
-        self.distance_kind = distance_kind
 
 
 def _check_k(k: int, n_train: int) -> None:

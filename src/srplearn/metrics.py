@@ -58,8 +58,9 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 def roc_auc(scores, labels) -> float:
     """Probability a positive outscores a negative, ties counted half.
 
-    With only one class present the value is undefined; 0.5 is returned
-    with a degenerate-input warning.
+    With only one class present the value is undefined, and with every
+    score equal it carries no ranking; either way 0.5 is returned with a
+    degenerate-input warning.
     """
     scores, labels = _check_pair(scores, labels)
     pos = labels > 0
@@ -70,6 +71,9 @@ def roc_auc(scores, labels) -> float:
             "only one class present; AUC undefined, returning 0.5",
             RuntimeWarning,
         )
+        return 0.5
+    if np.all(scores == scores[0]):
+        warnings.warn("every score is equal; AUC is 0.5", RuntimeWarning)
         return 0.5
     ranks = _average_ranks(scores)
     rank_sum = float(np.sum(ranks[pos]))

@@ -117,6 +117,49 @@ method.elm-srp.L = 16
         assert rc == 1
         assert "not_a_key" in capsys.readouterr().err
 
+    def test_bad_method_value_fails_at_parse(self, tmp_path, capsys):
+        # before values were typed at parse time, every elm-srp run failed
+        # on int("ten"), the method was dropped and bench still exited 0
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            f"""
+out_dir = {tmp_path / "out"}
+n_runs = 2
+n_train = 40
+methods = elm-srp, knn-jaccard
+data.kind = synth
+data.n_features = 600
+data.n_train_pool = 100
+data.n_test = 50
+data.signal_features = 60
+method.elm-srp.L = ten
+"""
+        )
+        rc = main(["bench", "--config", str(cfg)])
+        assert rc == 1
+        assert "method.elm-srp.L" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_synth_key_under_svmlight_fails(self, tmp_path, capsys):
+        _, train_path, test_path = _write_data(tmp_path)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            f"""
+out_dir = {tmp_path / "out"}
+n_runs = 2
+n_train = 20
+methods = knn-jaccard
+data.kind = svmlight
+data.train = {train_path}
+data.test = {test_path}
+data.n_train_pool = 10
+"""
+        )
+        rc = main(["bench", "--config", str(cfg)])
+        assert rc == 1
+        assert "data.n_train_pool" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["bench", "--config", str(tmp_path / "absent.txt")])
         assert rc == 1

@@ -45,6 +45,16 @@ class TestDefaults:
         assert set(SWEEP_METHODS) < set(BENCH_METHODS)
         assert not any("jaccard" in m for m in SWEEP_METHODS)
 
+    def test_derived_lists_pinned(self):
+        # both lists derive from the one method table; order is the
+        # column order of every CSV
+        assert SWEEP_METHODS == [
+            "elm-srp", "rvfl-srp", "rbf-srp", "krr-srp", "knn-srp", "logreg-srp",
+        ]
+        assert BENCH_METHODS == SWEEP_METHODS + [
+            "rbf-jaccard", "krr-jaccard", "knn-jaccard",
+        ]
+
     def test_default_sweep_dims_increasing(self):
         dims = default_sweep_dims()
         assert dims[0] == 4 and dims[-1] == 10000
@@ -91,8 +101,8 @@ method.knn-srp.k = 3
         assert cfg.sweep_dims == [8, 32, 128]
         assert cfg.lambda_grid().shape == (11,)
         assert cfg.data.signal_features == 250
-        assert cfg.method_params["elm-srp"]["L"] == "300"
-        assert cfg.method_params["knn-srp"]["k"] == "3"
+        assert cfg.method_params["elm-srp"]["L"] == 300
+        assert cfg.method_params["knn-srp"]["k"] == 3
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ValueError) as exc:
@@ -155,3 +165,44 @@ method.knn-srp.k = 3
             parse_config(_write(tmp_path, MINIMAL + "alpha = 1.5\n"))
         with pytest.raises(ValueError):
             parse_config(_write(tmp_path, MINIMAL + "n_runs = 0\n"))
+
+    @pytest.mark.parametrize(
+        "line", ["method.elm-srp.L = ten", "method.logreg-srp.tol = small"]
+    )
+    def test_bad_method_value_names_key(self, tmp_path, line):
+        with pytest.raises(ValueError) as exc:
+            parse_config(_write(tmp_path, MINIMAL + line + "\n"))
+        assert line.split(" = ")[0] in str(exc.value)
+
+
+SVMLIGHT = """
+out_dir = /tmp/x
+data.kind = svmlight
+data.train = a.svm
+data.test = b.svm
+"""
+
+
+class TestDataKindSections:
+    @pytest.mark.parametrize(
+        "kind, line",
+        [
+            ("synth", "data.train = x"),
+            ("synth", "data.index_base = 7"),
+            ("synth", "data.test_features = f.csv"),
+            ("svmlight", "data.seed = 3"),
+            ("svmlight", "data.n_train_pool = 10"),
+            ("svmlight", "data.flip_prob = 0.1"),
+        ],
+    )
+    def test_key_of_other_kind_rejected(self, tmp_path, kind, line):
+        base = MINIMAL if kind == "synth" else SVMLIGHT
+        with pytest.raises(ValueError) as exc:
+            parse_config(_write(tmp_path, base + line + "\n"))
+        assert line.split(" = ")[0] in str(exc.value)
+
+    def test_shared_keys_accepted_under_both(self, tmp_path):
+        shared = "data.name = d\ndata.n_features = 50\n"
+        for base in (MINIMAL.replace("data.n_features = 1000\n", ""), SVMLIGHT):
+            cfg = parse_config(_write(tmp_path, base + shared))
+            assert cfg.data.name == "d" and cfg.data.n_features == 50

@@ -62,6 +62,16 @@ class TestRocAuc:
     def test_all_tied_scores_give_half(self):
         assert roc_auc(np.zeros(10), np.array([1, -1] * 5)) == 0.5
 
+    def test_constant_scores_warn_and_return_half(self):
+        # the knn-srp collapse: every test row scored -1
+        with pytest.warns(RuntimeWarning, match="every score is equal"):
+            assert roc_auc(np.full(10, -1.0), np.array([1, -1] * 5)) == 0.5
+
+    def test_varying_scores_do_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert roc_auc(np.array([0.0, 0.0, 1.0]), np.array([1, -1, 1])) == 0.75
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(2)
         scores = rng.standard_normal(80)
