@@ -132,18 +132,38 @@ def _logreg(kind, X_train, X_test, fit):
     return logreg_predict(model, X_test), 0.5, model.iterations, model.converged
 
 
+def _ranged(parse, holds, requirement):
+    """A parameter parser that also checks the range a config alone decides."""
+    def parser(text):
+        value = parse(text)
+        if not holds(value):
+            raise ValueError(f"must be {requirement}, got {value!r}")
+        return value
+    return parser
+
+
+_WIDTH = _ranged(int, lambda v: v >= 1, ">= 1")
+_DENSITY = _ranged(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+_K = _ranged(int, lambda v: v >= 1 and v % 2 == 1, "an odd integer >= 1")
+_MAX_ITER = _ranged(int, lambda v: v >= 0, ">= 0")
+_TOL = _ranged(float, lambda v: v > 0.0, "> 0")
+
 # name -> (input, family, kind, {parameter: parser}); the config reader
-# types each ``method.<name>.<parameter>`` value with its parser.
+# types and range-checks each ``method.<name>.<parameter>`` value with its
+# parser.  Ranges that depend on the data (k or L against n_train) are
+# checked by the library when a run starts.
 METHODS = {
-    "elm-srp": (_ROWS, _hidden_layer, _ELM, {"L": int, "density": float}),
-    "rvfl-srp": (_ROWS, _hidden_layer, _RVFL, {"L": int, "d_lin": int, "density": float}),
-    "rbf-srp": (_FEATURES, _rbf, KIND_SQEUCLIDEAN, {"L": int}),
+    "elm-srp": (_ROWS, _hidden_layer, _ELM, {"L": _WIDTH, "density": _DENSITY}),
+    "rvfl-srp": (
+        _ROWS, _hidden_layer, _RVFL, {"L": _WIDTH, "d_lin": _WIDTH, "density": _DENSITY}
+    ),
+    "rbf-srp": (_FEATURES, _rbf, KIND_SQEUCLIDEAN, {"L": _WIDTH}),
     "krr-srp": (_FEATURES, _krr, KERNEL_LINEAR, {}),
-    "knn-srp": (_FEATURES, _knn, KIND_SQEUCLIDEAN, {"k": int}),
-    "logreg-srp": (_FEATURES, _logreg, None, {"max_iter": int, "tol": float}),
-    "rbf-jaccard": (_ROWS, _rbf, KIND_JACCARD, {"L": int}),
+    "knn-srp": (_FEATURES, _knn, KIND_SQEUCLIDEAN, {"k": _K}),
+    "logreg-srp": (_FEATURES, _logreg, None, {"max_iter": _MAX_ITER, "tol": _TOL}),
+    "rbf-jaccard": (_ROWS, _rbf, KIND_JACCARD, {"L": _WIDTH}),
     "krr-jaccard": (_ROWS, _krr, KERNEL_JACCARD, {}),
-    "knn-jaccard": (_ROWS, _knn, KIND_JACCARD, {"k": int}),
+    "knn-jaccard": (_ROWS, _knn, KIND_JACCARD, {"k": _K}),
 }
 # Sweeps default to the methods that depend on the projection: the
 # Jaccard ones see the raw sets, so sweeping them is uninformative.

@@ -4,15 +4,25 @@ The on-disk format is svmlight text: one sample per line,
 ``<label> <index>:<value> ...``.  A configurable number of the
 lowest-numbered feature indices form a dense real-valued block; all
 remaining indices are binarized (any nonzero value becomes 1).
+
+The reader takes a file in blocks of whole lines.  Per line it only
+strips the comment, splits on whitespace and parses the label; the
+``index:value`` tokens of a block are converted and validated together
+with numpy (see :func:`read_svmlight` for the accepted syntax and the
+order in which errors are reported).  The writer assembles a whole file
+from the arrays, and synthetic rows are drawn in blocks, so no Python
+code runs per feature token in either direction.
 """
 
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
 from .exceptions import SvmlightParseError
+from .matio import format_ints, join_lines, parse_ints, token_buffer
 from .sparse import SparseBinaryMatrix
 
 __all__ = [
@@ -72,12 +82,28 @@ class Dataset:
         )
 
 
-def _parse_label(token: str, path: str, line_no: int) -> int:
-    try:
-        value = float(token)
-    except ValueError:
-        raise SvmlightParseError(path, line_no, f"bad label {token!r}") from None
-    return 1 if value > 0 else -1
+# Text read per block; a block is then completed to the end of its line.
+_BLOCK_BYTES = 1 << 22
+# Uniform draws per block of synthetic rows (2 MB); a row wider than this
+# is a block of its own.
+_SYNTH_BLOCK_DOUBLES = 1 << 18
+# Values of the form [+-]?[0-9]{1,15} are exact in float64 and converted
+# by integer arithmetic; every other value goes through numpy's float
+# parser, after this pattern (Python's float syntax without "_" digit
+# separators or non-ASCII digits) has accepted it.
+_FLOAT = (
+    rb"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+    rb"|(?i:infinity|inf|nan))"
+)
+# first value (of values joined by single spaces) that does not match
+_BAD_FLOAT = re.compile(rb"(?:^| )(?!" + _FLOAT + rb"(?: |\Z))")
+# the token checks in the order they apply within a token
+_TOKEN_ERRORS = (
+    "bad feature token",
+    "feature index below base:",
+    "duplicate feature index",
+    "non-finite value",
+)
 
 
 def read_svmlight(
@@ -97,56 +123,43 @@ def read_svmlight(
     ``n_features`` fixes the total feature count (dense block plus
     sparse width); by default the sparse width is inferred as the
     largest sparse index plus one.
+
+    The file is read in blocks of whole lines of about 4 MB.
+    Python work is per line only: strip the ``#`` comment, split on
+    whitespace, parse the label.  The ``index:value`` tokens of a block
+    are converted and checked with whole-array numpy operations.  An
+    index is ``[+-]?[0-9]{1,18}`` and a value follows Python's float
+    syntax, both in ASCII digits without ``_`` separators.
+
+    Errors raise :class:`SvmlightParseError` for the first offending
+    item in file order; within a line the label comes first, then token
+    by token: a malformed token, an index below the base, a duplicate
+    index (its later occurrence), a non-finite value.  A sparse index
+    beyond the width that ``n_features`` implies is reported after the
+    whole file is read, at line 0.
     """
     if index_base not in (0, 1):
         raise ValueError("index_base must be 0 or 1")
     if dense_feature_count < 0:
         raise ValueError("dense_feature_count must be >= 0")
-    labels = []
-    rows = []
-    dense_rows = []
-    max_sparse = -1
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            labels.append(_parse_label(tokens[0], path, line_no))
-            dense = np.zeros(dense_feature_count, dtype=np.float64)
-            sparse_idx = []
-            seen = set()
-            for token in tokens[1:]:
-                try:
-                    idx_str, val_str = token.split(":", 1)
-                    idx = int(idx_str)
-                    value = float(val_str)
-                except ValueError:
-                    raise SvmlightParseError(
-                        path, line_no, f"bad feature token {token!r}"
-                    ) from None
-                idx -= index_base
-                if idx < 0:
-                    raise SvmlightParseError(
-                        path, line_no, f"feature index below base: {token!r}"
-                    )
-                if idx in seen:
-                    raise SvmlightParseError(
-                        path, line_no, f"duplicate feature index {idx + index_base}"
-                    )
-                seen.add(idx)
-                if not np.isfinite(value):
-                    raise SvmlightParseError(
-                        path, line_no, f"non-finite value {token!r}"
-                    )
-                if idx < dense_feature_count:
-                    dense[idx] = value
-                elif value != 0.0:
-                    sparse_idx.append(idx - dense_feature_count)
-            if sparse_idx:
-                max_sparse = max(max_sparse, max(sparse_idx))
-            rows.append(np.sort(np.asarray(sparse_idx, dtype=np.int64)))
-            dense_rows.append(dense)
+    # a zero-row block gives the empty file its shapes
+    blocks = [_parse_block(path, [], 1, dense_feature_count, index_base)]
+    line_no = 1
+    with open(path, "rb") as handle:
+        while block := handle.read(_BLOCK_BYTES):
+            if not block.endswith(b"\n"):
+                block += handle.readline()
+            # the universal newlines of text mode: "\r\n" and "\r" end lines too
+            text = block.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+            lines = text.split("\n")
+            if not lines[-1]:
+                lines.pop()
+            blocks.append(
+                _parse_block(path, lines, line_no, dense_feature_count, index_base)
+            )
+            line_no += len(lines)
+    labels, dense, counts, indices = (np.concatenate(c) for c in zip(*blocks))
+    max_sparse = int(indices.max()) if indices.size else -1
     if n_features is None:
         sparse_width = max_sparse + 1
     else:
@@ -160,34 +173,141 @@ def read_svmlight(
                 f"sparse index {max_sparse} exceeds width {sparse_width} "
                 f"implied by n_features={n_features}",
             )
-    sparse = SparseBinaryMatrix.from_rows(rows, sparse_width)
-    dense = (
-        np.vstack(dense_rows)
-        if dense_feature_count > 0 and dense_rows
-        else (np.zeros((len(rows), dense_feature_count)) if dense_feature_count else None)
-    )
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    sparse = SparseBinaryMatrix(indptr, indices, sparse_width)
     name = os.path.splitext(os.path.basename(path))[0]
-    return Dataset(sparse, dense, np.asarray(labels, dtype=np.int64), name)
+    return Dataset(sparse, dense if dense_feature_count else None, labels, name)
+
+
+def _parse_block(path, lines, first_line, n_dense, index_base):
+    """(labels, dense rows, sparse count per row, sparse indices) of the
+    non-empty lines in ``lines``, whose first is line ``first_line``."""
+    row_lines, labels, counts, tokens = [], [], [], []
+    bad_label = None
+    for line_no, line in enumerate(lines, start=first_line):
+        parts = line.split("#", 1)[0].split()
+        if not parts:
+            continue
+        try:
+            labels.append(float(parts[0]))
+        except ValueError:
+            # raised after the tokens of the lines before it are checked
+            bad_label = SvmlightParseError(path, line_no, f"bad label {parts[0]!r}")
+            break
+        row_lines.append(line_no)
+        counts.append(len(parts) - 1)
+        tokens += parts[1:]
+
+    buf, start, stop = token_buffer(tokens)
+    n = len(tokens)
+    colons = np.flatnonzero(buf == 58)  # ':'
+    owner = np.searchsorted(stop, colons)
+    colon = stop.copy()  # no colon: the whole token is the index, the value empty
+    colon[owner] = colons
+    value_start = np.minimum(colon + 1, stop)
+    index, index_ok = parse_ints(buf, start, colon)
+    value_int, value_ok = parse_ints(buf, value_start, stop, max_digits=15)
+    malformed = (np.bincount(owner, minlength=n) != 1) | ~index_ok
+    values = value_int.astype(np.float64)
+    values[(value_int == 0) & (buf[value_start] == 45)] = -0.0  # float("-0")
+
+    general = np.flatnonzero(~malformed & ~value_ok)
+    parsed, n_valid = _parse_floats(buf, value_start[general], stop[general])
+    values[general[:n_valid]] = parsed
+    malformed[general[n_valid : n_valid + 1]] = True
+
+    # every check below runs on the tokens before the first malformed one
+    cut = int(np.argmax(malformed)) if malformed.any() else n
+    row = np.repeat(np.arange(len(counts)), counts)
+    r, index, values = row[:cut], index[:cut] - index_base, values[:cut]
+    # lines already in ascending index order (the svmlight convention) need no sort
+    ascending = (r[1:] != r[:-1]) | (index[1:] > index[:-1])
+    order = np.arange(cut) if ascending.all() else np.lexsort((index, r))
+    row_s, index_s = r[order], index[order]
+    duplicate = np.zeros(cut, dtype=bool)
+    duplicate[order[1:]] = (row_s[1:] == row_s[:-1]) & (index_s[1:] == index_s[:-1])
+    first, kind = cut, 0
+    # strictly earlier hits only: on one token the earlier check wins
+    for k, flags in enumerate((index < 0, duplicate, ~np.isfinite(values)), start=1):
+        hits = np.flatnonzero(flags[:first])
+        if hits.size:
+            first, kind = int(hits[0]), k
+    if first < n:
+        detail = index[first] + index_base if kind == 2 else repr(tokens[first])
+        raise SvmlightParseError(
+            path, row_lines[row[first]], f"{_TOKEN_ERRORS[kind]} {detail}"
+        )
+    if bad_label is not None:
+        raise bad_label
+
+    values_s = values[order]
+    in_dense = index_s < n_dense
+    dense = np.zeros((len(counts), n_dense), dtype=np.float64)
+    dense[row_s[in_dense], index_s[in_dense]] = values_s[in_dense]
+    sparse = ~in_dense & (values_s != 0.0)
+    return (
+        np.where(np.asarray(labels) > 0, 1, -1),
+        dense,
+        np.bincount(row_s[sparse], minlength=len(counts)),
+        index_s[sparse] - n_dense,
+    )
+
+
+def _parse_floats(buf, start, stop):
+    """Values of the fields ``buf[start[k]:stop[k]]``, by numpy's float parser.
+
+    Each field must be followed by a space in ``buf``.  Returns (values,
+    n_valid): the fields before the first one that ``_FLOAT`` rejects,
+    converted; that field's position is ``n_valid``.
+    """
+    lengths = stop + 1 - start  # each field with the space after it
+    offsets = np.cumsum(lengths) - lengths
+    text = buf[
+        np.repeat(start - offsets, lengths) + np.arange(lengths.sum())
+    ].tobytes()[:-1]
+    bad = _BAD_FLOAT.search(text) if start.size else None
+    if bad is None:
+        return np.fromstring(text, dtype=np.float64, sep=" "), start.size
+    valid = text[: bad.start()]
+    return np.fromstring(valid, dtype=np.float64, sep=" "), text.count(b" ", 0, bad.end())
 
 
 def write_svmlight(ds: Dataset, path: str, index_base: int = 1) -> None:
     """Inverse of :func:`read_svmlight`; round-trips exactly.
 
     Dense values are written with 17 significant digits so re-reading
-    reproduces them bit for bit; zero dense values are omitted.
+    reproduces them bit for bit; zero dense values are omitted.  The
+    file's bytes are assembled from the arrays in one pass; only the
+    dense values are formatted one by one.
     """
     if index_base not in (0, 1):
         raise ValueError("index_base must be 0 or 1")
-    n_dense = ds.n_dense_features
+    n = ds.n_samples
+    if ds.dense is None:
+        dense_rows = dense_cols = np.empty(0, dtype=np.int64)
+        dense_values = []
+    else:
+        dense_rows, dense_cols = np.nonzero(ds.dense)
+        dense_values = ds.dense[dense_rows, dense_cols].tolist()
+    dense_text = map("{}:{:.17g}".format, (dense_cols + index_base).tolist(), dense_values)
+    sparse = ds.sparse
+    groups = (
+        token_buffer(np.where(ds.labels > 0, "+1", "-1").tolist()),
+        token_buffer(list(dense_text)),
+        format_ints(sparse.indices + ds.n_dense_features + index_base, b":1"),
+    )
+    # label, then dense, then sparse entries: a stable sort by row keeps that order
+    owner = np.concatenate(
+        (np.arange(n), dense_rows, np.repeat(np.arange(n), np.diff(sparse.indptr)))
+    )
+    order = np.argsort(owner, kind="stable")
+    shifts = np.cumsum([0] + [g[0].size for g in groups[:-1]])
+    buf = np.concatenate([g[0] for g in groups])
+    start = np.concatenate([g[1] + k for g, k in zip(groups, shifts)])[order]
+    stop = np.concatenate([g[2] + k for g, k in zip(groups, shifts)])[order]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n))))
     with open(path, "w", encoding="utf-8") as handle:
-        for i in range(ds.n_samples):
-            parts = ["+1" if ds.labels[i] > 0 else "-1"]
-            if ds.dense is not None:
-                for j in np.flatnonzero(ds.dense[i]):
-                    parts.append(f"{j + index_base}:{ds.dense[i, j]:.17g}")
-            for j in ds.sparse.row(i):
-                parts.append(f"{int(j) + n_dense + index_base}:1")
-            handle.write(" ".join(parts) + "\n")
+        handle.write(join_lines(buf, start, stop, indptr).decode("ascii"))
 
 
 def subsample_indices(n_total: int, n: int, seed: int) -> np.ndarray:
@@ -229,17 +349,30 @@ def synth_generate(
     if signal_features and density * 4.0 > 1.0:
         raise ValueError("density * 4 must not exceed 1 for signal features")
     rng = np.random.default_rng(seed)
-    rates = {}
-    for cls, factor in ((1, 4.0), (-1, 0.25)):
-        r = np.full(n_features, density, dtype=np.float64)
-        r[:signal_features] = density * factor
-        rates[cls] = r
     true_labels = np.where(np.arange(n) % 2 == 0, 1, -1)
-    rows = []
-    for i in range(n):
-        rows.append(np.flatnonzero(rng.random(n_features) < rates[true_labels[i]]))
+    signal_rate = np.where(true_labels > 0, density * 4.0, density * 0.25)
+    block = min(n, max(1, _SYNTH_BLOCK_DOUBLES // n_features))
+    uniforms = np.empty((block, n_features), dtype=np.float64)
+    active = np.empty((block, n_features), dtype=bool)
+    counts, indices = [], []
+    for lo in range(0, n, block):
+        u, a = uniforms[: n - lo], active[: n - lo]
+        # a (rows, n_features) draw continues the stream exactly like one
+        # draw per row, so the rows match row-by-row generation
+        rng.random(out=u)
+        np.less(u, density, out=a)
+        np.less(
+            u[:, :signal_features],
+            signal_rate[lo : lo + len(u), None],
+            out=a[:, :signal_features],
+        )
+        flat = np.flatnonzero(a)
+        rows = flat // n_features
+        counts.append(np.bincount(rows, minlength=len(u)))
+        indices.append(flat - rows * n_features)
     flips = rng.random(n) < flip_prob
     labels = np.where(flips, -true_labels, true_labels)
-    sparse = SparseBinaryMatrix.from_rows(rows, n_features)
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    sparse = SparseBinaryMatrix(indptr, np.concatenate(indices), n_features)
     name = f"synth-n{n}-d{n_features}-s{signal_features}-seed{seed}"
     return Dataset(sparse, None, labels, name)

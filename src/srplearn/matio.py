@@ -1,9 +1,17 @@
-"""Plain-text persistence: numeric CSV matrices, small typed tables, and
-key=value metadata files.
+"""Plain-text persistence: numeric CSV matrices, small typed tables,
+key=value metadata files, and the bulk primitives that turn lines of
+whitespace-separated tokens into arrays and back.
 
 Floats are written with 17 significant digits, which round-trips float64
 exactly, so every file re-read through this module reproduces the
 original values bit for bit.
+
+The token primitives keep Python work per line, never per token: a
+caller splits each line with ``str.split``, :func:`token_buffer` joins
+all tokens into one byte array, and :func:`parse_ints` converts fields of
+that array with whole-array numpy operations.  :func:`format_ints` and
+:func:`join_lines` are the writing direction: a whole file's bytes are
+assembled by array indexing, without a Python object per field.
 """
 
 from __future__ import annotations
@@ -20,7 +28,13 @@ __all__ = [
     "read_table_csv",
     "write_keyvalues",
     "read_keyvalues",
+    "token_buffer",
+    "parse_ints",
+    "format_ints",
+    "join_lines",
 ]
+
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 def format_float(x: float) -> str:
@@ -120,3 +134,87 @@ def read_keyvalues(path: str) -> dict:
             key, value = line.split("=", 1)
             out[key.strip()] = value.strip()
     return out
+
+
+def token_buffer(tokens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tokens joined by single spaces as UTF-8 bytes, with each token's span.
+
+    ``tokens`` hold no whitespace (as returned by ``str.split``).  Token k
+    is ``buf[start[k]:stop[k]]`` and ``buf[stop[k]]`` is the space after
+    it: one is appended after the last token too, so every field of a
+    token, empty ones included, starts at a readable byte.
+    """
+    buf = np.frombuffer((" ".join(tokens) + " ").encode("utf-8"), dtype=np.uint8)
+    stop = np.flatnonzero(buf == 32)[: len(tokens)]
+    start = np.concatenate(([0], stop[:-1] + 1)) if stop.size else stop
+    return buf, start, stop
+
+
+def parse_ints(buf, start, stop, max_digits: int = 18) -> tuple[np.ndarray, np.ndarray]:
+    """Decimal integers held in the fields ``buf[start[k]:stop[k]]``, in bulk.
+
+    A field is valid when it reads ``[+-]?[0-9]{1,max_digits}`` in ASCII;
+    18 digits always fit int64.  Returns (values, ok): ``values[k]`` is
+    the integer of a valid field and 0 elsewhere.  Every field must start
+    at a readable byte (see :func:`token_buffer`).  The loop runs over
+    digit positions, at most ``max_digits`` times, never over fields.
+    """
+    first = buf[start]
+    signed = ((first == 43) | (first == 45)) & (stop > start)  # '+' or '-'
+    lo = start + signed
+    n_digits = stop - lo
+    ok = (n_digits >= 1) & (n_digits <= max_digits)
+    values = np.zeros(start.size, dtype=np.int64)
+    for j in range(int(n_digits.max(initial=0, where=ok)), 0, -1):
+        pos = stop - j  # the j-th byte from the end of every field
+        inside = pos >= lo
+        # bytes below '0' wrap around to large values in uint8 arithmetic
+        digit = buf[np.maximum(pos, 0)] - np.uint8(48)
+        ok &= ~inside | (digit < 10)
+        values = values * 10 + np.where(inside, digit, 0)
+    return np.where(ok, np.where(first == 45, -values, values), 0), ok
+
+
+def format_ints(values, suffix: bytes = b"") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decimal text of non-negative integers, each followed by ``suffix``.
+
+    The reverse of :func:`parse_ints`: returns (buf, start, stop) with
+    field k in ``buf[start[k]:stop[k]]``, fields back to back.  The loop
+    runs over digit positions, never over values.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    n_digits = 1 + np.searchsorted(_POWERS_OF_TEN, values, side="right")
+    lengths = n_digits + len(suffix)
+    stop = np.cumsum(lengths)
+    start = stop - lengths
+    buf = np.empty(int(stop[-1]) if stop.size else 0, dtype=np.uint8)
+    end = start + n_digits
+    for j, byte in enumerate(suffix):
+        buf[end + j] = byte
+    rest = values.copy()
+    for j in range(int(n_digits.max(initial=0))):  # the j-th digit from the right
+        live = n_digits > j
+        buf[end[live] - 1 - j] = 48 + rest[live] % 10
+        rest //= 10
+    return buf, start, stop
+
+
+def join_lines(buf, start, stop, indptr) -> bytes:
+    """Text with one line per row, from fields ``buf[start[k]:stop[k]]``.
+
+    Line r joins fields ``indptr[r]`` to ``indptr[r + 1] - 1`` with single
+    spaces and ends with a newline; an empty row gives an empty line.
+    """
+    lengths = stop - start
+    counts = np.diff(indptr)
+    empty = counts == 0
+    row = np.repeat(np.arange(counts.size), counts)
+    # every field is followed by one separator byte; an empty row is one newline
+    offset = np.cumsum(lengths + 1) - (lengths + 1) + (np.cumsum(empty) - empty)[row]
+    out = np.full(int(lengths.sum()) + row.size + int(empty.sum()), 10, dtype=np.uint8)
+    inner = np.ones(row.size, dtype=bool)
+    inner[indptr[1:][~empty] - 1] = False
+    out[(offset + lengths)[inner]] = 32
+    within = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    out[np.repeat(offset, lengths) + within] = buf[np.repeat(start, lengths) + within]
+    return out.tobytes()

@@ -9,14 +9,20 @@ identically to the original.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .elm import ElmModel, RbfModel, elm_bias
 from .logreg import LogRegModel
 from .matio import (
     format_float,
+    format_ints,
+    join_lines,
+    parse_ints,
     read_keyvalues,
     read_matrix_csv,
+    token_buffer,
     write_keyvalues,
     write_matrix_csv,
 )
@@ -36,18 +42,25 @@ def _grid_from_str(text: str) -> np.ndarray:
 
 
 def _write_sparse_rows(path: str, matrix: SparseBinaryMatrix) -> None:
+    """One line per row: its column indices, space-separated."""
+    buf, start, stop = format_ints(matrix.indices)
     with open(path, "w", encoding="utf-8") as handle:
-        for i in range(matrix.n_rows):
-            handle.write(" ".join(str(int(j)) for j in matrix.row(i)) + "\n")
+        handle.write(join_lines(buf, start, stop, matrix.indptr).decode("ascii"))
 
 
 def _read_sparse_rows(path: str, n_cols: int) -> SparseBinaryMatrix:
-    rows = []
+    """Inverse of :func:`_write_sparse_rows`; rows may list indices in any order."""
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            rows.append([int(t) for t in line.split()] if line else [])
-    return SparseBinaryMatrix.from_rows(rows, n_cols)
+        rows = [line.split() for line in handle]
+    tokens = list(chain.from_iterable(rows))
+    buf, start, stop = token_buffer(tokens)
+    cols, ok = parse_ints(buf, start, stop)
+    if not ok.all():
+        raise ValueError(f"{path}: bad column index {tokens[int(np.argmin(ok))]!r}")
+    row = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    order = np.lexsort((cols, row))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=len(rows)))))
+    return SparseBinaryMatrix(indptr, cols[order], n_cols)
 
 
 def save_model(model, prefix: str) -> None:

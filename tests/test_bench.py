@@ -367,3 +367,40 @@ method.knn-jaccard.k = 7
         assert all(r[7] != "" for r in knn_rows)
         report_text = (tmp_path / "fail_out" / "report.txt").read_text()
         assert "failures: 2" in report_text
+
+
+class TestKnnSrpCollapse:
+    def test_constant_scores_warned_and_reported(self, tmp_path):
+        # at this shape (bench-mix's) 1-NN on the projected features gives
+        # every test row the same label in every run: AUC 0.5 with constant
+        # scores, while krr-jaccard scores 1.0 in every run, so the pair's
+        # AUC difference is a nonzero constant with zero variance
+        cfg = parse_config(
+            _write_cfg(
+                tmp_path,
+                "collapse.txt",
+                f"""
+out_dir = {tmp_path / "out"}
+n_runs = 2
+n_train = 200
+methods = knn-srp, krr-jaccard
+srp.dim = 400
+data.kind = synth
+data.n_features = 3000
+data.n_train_pool = 600
+data.n_test = 100
+data.density = 0.03
+data.signal_features = 600
+""",
+            )
+        )
+        with pytest.warns(RuntimeWarning, match="every score is equal"):
+            report = cmd_bench(cfg)
+        assert report.auc_mean["knn-srp"] == 0.5
+        _, rows = read_table_csv(str(tmp_path / "out" / "runs.csv"))
+        assert [r[3] for r in rows if r[2] == "knn-srp"] == ["0.5", "0.5"]
+        text = (tmp_path / "out" / "report.txt").read_text()
+        assert (
+            "p = 0 from a constant nonzero AUC difference (zero variance): "
+            "knn-srp vs krr-jaccard" in text
+        )

@@ -140,6 +140,30 @@ method.elm-srp.L = ten
         assert "method.elm-srp.L" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_out_of_range_method_value_fails_at_parse(self, tmp_path, capsys):
+        # before the method table checked ranges, every knn-srp run failed
+        # on the even k, the method was dropped and bench still exited 0
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            f"""
+out_dir = {tmp_path / "out"}
+n_runs = 2
+n_train = 40
+methods = knn-srp, knn-jaccard
+srp.dim = 20
+data.kind = synth
+data.n_features = 600
+data.n_train_pool = 100
+data.n_test = 50
+data.signal_features = 60
+method.knn-srp.k = 2
+"""
+        )
+        rc = main(["bench", "--config", str(cfg)])
+        assert rc == 1
+        assert "method.knn-srp.k" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_synth_key_under_svmlight_fails(self, tmp_path, capsys):
         _, train_path, test_path = _write_data(tmp_path)
         cfg = tmp_path / "cfg.txt"

@@ -167,12 +167,42 @@ method.knn-srp.k = 3
             parse_config(_write(tmp_path, MINIMAL + "n_runs = 0\n"))
 
     @pytest.mark.parametrize(
-        "line", ["method.elm-srp.L = ten", "method.logreg-srp.tol = small"]
+        "line",
+        [
+            "method.elm-srp.L = ten",
+            "method.logreg-srp.tol = small",
+            # ranges the config alone decides
+            "method.knn-srp.k = 2",
+            "method.knn-jaccard.k = 0",
+            "method.knn-jaccard.k = -1",
+            "method.elm-srp.L = 0",
+            "method.rbf-jaccard.L = -3",
+            "method.rvfl-srp.d_lin = 0",
+            "method.elm-srp.density = 0",
+            "method.rvfl-srp.density = 1.5",
+            "method.elm-srp.density = nan",
+            "method.logreg-srp.max_iter = -1",
+            "method.logreg-srp.tol = 0",
+        ],
     )
     def test_bad_method_value_names_key(self, tmp_path, line):
         with pytest.raises(ValueError) as exc:
             parse_config(_write(tmp_path, MINIMAL + line + "\n"))
         assert line.split(" = ")[0] in str(exc.value)
+
+    def test_method_value_range_edges_accepted(self, tmp_path):
+        cfg = parse_config(
+            _write(
+                tmp_path,
+                MINIMAL
+                + "method.knn-srp.k = 1\nmethod.elm-srp.L = 1\n"
+                + "method.elm-srp.density = 1\nmethod.logreg-srp.max_iter = 0\n"
+                + "method.logreg-srp.tol = 1e-300\n",
+            )
+        )
+        assert cfg.method_params["knn-srp"] == {"k": 1}
+        assert cfg.method_params["elm-srp"] == {"L": 1, "density": 1.0}
+        assert cfg.method_params["logreg-srp"] == {"max_iter": 0, "tol": 1e-300}
 
 
 SVMLIGHT = """

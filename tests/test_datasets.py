@@ -1,8 +1,14 @@
 """Tests for dataset containers, the svmlight reader/writer, and synthesis."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from srplearn import datasets
 from srplearn.datasets import (
     Dataset,
     read_svmlight,
@@ -13,6 +19,193 @@ from srplearn.datasets import (
 )
 from srplearn.exceptions import SvmlightParseError
 from srplearn.sparse import SparseBinaryMatrix
+
+
+def _per_token_oracle(
+    path: str,
+    dense_feature_count: int = 0,
+    index_base: int = 1,
+    n_features: int | None = None,
+) -> Dataset:
+    """The per-token reader that the block parse replaced, kept as reference."""
+    labels = []
+    rows = []
+    dense_rows = []
+    max_sparse = -1
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            tokens = line.split()
+            try:
+                value = float(tokens[0])
+            except ValueError:
+                raise SvmlightParseError(
+                    path, line_no, f"bad label {tokens[0]!r}"
+                ) from None
+            labels.append(1 if value > 0 else -1)
+            dense = np.zeros(dense_feature_count, dtype=np.float64)
+            sparse_idx = []
+            seen = set()
+            for token in tokens[1:]:
+                try:
+                    idx_str, val_str = token.split(":", 1)
+                    idx = int(idx_str)
+                    value = float(val_str)
+                except ValueError:
+                    raise SvmlightParseError(
+                        path, line_no, f"bad feature token {token!r}"
+                    ) from None
+                idx -= index_base
+                if idx < 0:
+                    raise SvmlightParseError(
+                        path, line_no, f"feature index below base: {token!r}"
+                    )
+                if idx in seen:
+                    raise SvmlightParseError(
+                        path, line_no, f"duplicate feature index {idx + index_base}"
+                    )
+                seen.add(idx)
+                if not np.isfinite(value):
+                    raise SvmlightParseError(
+                        path, line_no, f"non-finite value {token!r}"
+                    )
+                if idx < dense_feature_count:
+                    dense[idx] = value
+                elif value != 0.0:
+                    sparse_idx.append(idx - dense_feature_count)
+            if sparse_idx:
+                max_sparse = max(max_sparse, max(sparse_idx))
+            rows.append(np.sort(np.asarray(sparse_idx, dtype=np.int64)))
+            dense_rows.append(dense)
+    if n_features is None:
+        sparse_width = max_sparse + 1
+    else:
+        sparse_width = n_features - dense_feature_count
+        if sparse_width < 0:
+            raise ValueError("n_features smaller than dense_feature_count")
+        if max_sparse >= sparse_width:
+            raise SvmlightParseError(
+                path,
+                0,
+                f"sparse index {max_sparse} exceeds width {sparse_width} "
+                f"implied by n_features={n_features}",
+            )
+    sparse = SparseBinaryMatrix.from_rows(rows, sparse_width)
+    dense = (
+        np.vstack(dense_rows)
+        if dense_feature_count > 0 and dense_rows
+        else (np.zeros((len(rows), dense_feature_count)) if dense_feature_count else None)
+    )
+    name = os.path.splitext(os.path.basename(path))[0]
+    return Dataset(sparse, dense, np.asarray(labels, dtype=np.int64), name)
+
+
+def _per_entry_writer_oracle(ds: Dataset, path: str, index_base: int = 1) -> None:
+    """The per-entry writer that the array-built file replaced, kept as reference."""
+    n_dense = ds.n_dense_features
+    with open(path, "w", encoding="utf-8") as handle:
+        for i in range(ds.n_samples):
+            parts = ["+1" if ds.labels[i] > 0 else "-1"]
+            if ds.dense is not None:
+                for j in np.flatnonzero(ds.dense[i]):
+                    parts.append(f"{j + index_base}:{ds.dense[i, j]:.17g}")
+            for j in ds.sparse.row(i):
+                parts.append(f"{int(j) + n_dense + index_base}:1")
+            handle.write(" ".join(parts) + "\n")
+
+
+def _per_row_synth_oracle(n, n_features, density, signal_features, flip_prob, seed):
+    """(rows, labels) of the one-draw-per-row synth_generate loop, kept as reference."""
+    rng = np.random.default_rng(seed)
+    rates = {}
+    for cls, factor in ((1, 4.0), (-1, 0.25)):
+        r = np.full(n_features, density, dtype=np.float64)
+        r[:signal_features] = density * factor
+        rates[cls] = r
+    true_labels = np.where(np.arange(n) % 2 == 0, 1, -1)
+    rows = [
+        np.flatnonzero(rng.random(n_features) < rates[true_labels[i]])
+        for i in range(n)
+    ]
+    flips = rng.random(n) < flip_prob
+    return SparseBinaryMatrix.from_rows(rows, n_features), np.where(flips, -true_labels, true_labels)
+
+
+def _outcome(read, path, **kwargs):
+    """The dataset a reader returns, or the type, text and line of its error."""
+    try:
+        return read(path, **kwargs)
+    except (SvmlightParseError, ValueError) as exc:
+        return (type(exc), str(exc), getattr(exc, "line_no", None))
+
+
+def _assert_reads_like_oracle(path, **kwargs):
+    expected = _outcome(_per_token_oracle, path, **kwargs)
+    got = _outcome(read_svmlight, path, **kwargs)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert not isinstance(got, tuple), got
+    assert got.sparse == expected.sparse
+    assert np.array_equal(got.labels, expected.labels)
+    assert got.labels.dtype == expected.labels.dtype
+    if expected.dense is None:
+        assert got.dense is None
+    else:
+        # bit for bit, so a -0.0 dense value must stay -0.0
+        assert got.dense.shape == expected.dense.shape
+        assert got.dense.tobytes() == expected.dense.tobytes()
+    assert got.name == expected.name
+
+
+# malformed or rejected tokens, for index base 1 (base 0 shifts the below-base one)
+_BAD_TOKENS = ["abc", "1:", ":1", "1:2:3", "1.5:1", "1e3:1", "0:1", "2:nan", "3:inf", "4:-Infinity"]
+_VALUES = ["1", "0", "-0", "0.0", "0.5", "-2.25", "+4", "1e-3", "1E2", ".5", "5.", "7", "-1",
+           "1e-400", "0.30000000000000004", "-1.2345678901234567e-05"]
+_LABELS = ["+1", "-1", "1", "0", "2.5", "-3", "1e0", "nan", "abc", "1:1"]
+
+
+@st.composite
+def _svmlight_files(draw):
+    """(text, index_base, dense_feature_count, n_features) of a small file."""
+    base = draw(st.sampled_from([0, 1]))
+    n_dense = draw(st.integers(0, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "\t", "# only a comment"])))
+            continue
+        label = draw(st.sampled_from(_LABELS[:7]) if kind > 1 else st.sampled_from(_LABELS))
+        tokens = [label]
+        for _ in range(draw(st.integers(0, 6))):
+            pick = draw(st.integers(0, 59))
+            if pick < 2:
+                token = draw(st.sampled_from(_BAD_TOKENS))
+                if token == "0:1":
+                    token = f"{base - 1}:1"
+            elif pick == 2 and len(tokens) > 1:
+                token = draw(st.sampled_from(tokens[1:]))  # a duplicate, usually
+            else:
+                index = draw(st.integers(base, base + 40))
+                written = draw(st.sampled_from([str(index), f"+{index}", f"0{index}"]))
+                if pick < 12:
+                    value = repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+                else:
+                    value = draw(st.sampled_from(_VALUES))
+                token = f"{written}:{value}"
+            tokens.append(token)
+        line = draw(st.sampled_from([" ", "  ", "\t"])).join(tokens)
+        if draw(st.booleans()):
+            line += draw(st.sampled_from([" # trailing", "#x 1:1"]))
+        lines.append(line)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    n_features = draw(st.sampled_from([None, None, n_dense + 20, n_dense + 45]))
+    return text, base, n_dense, n_features
+
 
 
 class TestReadSvmlight:
@@ -111,6 +304,82 @@ class TestReadSvmlight:
             read_svmlight(str(p), dense_feature_count=2)
 
 
+class TestReadMatchesPerTokenOracle:
+    """The block parse reads, and rejects, exactly what the per-token loop did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=_svmlight_files(), block=st.integers(min_value=1, max_value=64))
+    def test_property_small_blocks(self, spec, block):
+        text, base, n_dense, n_features = spec
+        old = datasets._BLOCK_BYTES
+        datasets._BLOCK_BYTES = block  # rows cross block boundaries
+        try:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "d.svm")
+                with open(path, "wb") as handle:
+                    handle.write(text.encode("utf-8"))
+                _assert_reads_like_oracle(
+                    path,
+                    dense_feature_count=n_dense,
+                    index_base=base,
+                    n_features=n_features,
+                )
+        finally:
+            datasets._BLOCK_BYTES = old
+
+    @pytest.mark.parametrize("block", [3, 1 << 22])
+    @pytest.mark.parametrize("bad", _BAD_TOKENS + ["1_0:1", "\u0661:1", "1:\u0661"])
+    def test_each_bad_token(self, monkeypatch, tmp_path, block, bad):
+        monkeypatch.setattr(datasets, "_BLOCK_BYTES", block)
+        p = tmp_path / "d.svm"
+        p.write_text(f"+1 1:1 2:0.5\n# c\n-1 5:1 3:2 {bad} 9:1\n+1 1:1\n")
+        if bad in ("1_0:1", "\u0661:1", "1:\u0661"):
+            # Python's int() and float() accept "_" separators and non-ASCII
+            # digits; the block parse takes ASCII digits only
+            with pytest.raises(SvmlightParseError) as exc:
+                read_svmlight(str(p))
+            assert (exc.value.line_no, str(exc.value)) == (
+                3, f"{p}:3: bad feature token {bad!r}"
+            )
+        else:
+            _assert_reads_like_oracle(str(p))
+
+    @pytest.mark.parametrize(
+        "text, line_no, reason",
+        [
+            ("+1 0:1 abc\n", 1, "feature index below base: '0:1'"),
+            ("+1 abc 0:1\n", 1, "bad feature token 'abc'"),
+            ("+1 3:1 3:nan\n", 1, "duplicate feature index 3"),
+            ("+1 3:nan 3:1\n", 1, "non-finite value '3:nan'"),
+            ("+1 2:1 02:1 3:1 3:1\n", 1, "duplicate feature index 2"),
+            ("+1 1:1\nx 1:1\n+1 abc\n", 2, "bad label 'x'"),
+            ("+1 abc\nx 1:1\n", 1, "bad feature token 'abc'"),
+            ("+1 1:1\n\n\n-1 1:1 2:1 7:1e400\n", 4, "non-finite value '7:1e400'"),
+            ("+1 1:1\r-1 1:", 2, "bad feature token '1:'"),
+            ("\n\n# c\n\n+1 1:1\n\n\n-1 abc\n", 8, "bad feature token 'abc'"),
+        ],
+    )
+    def test_first_error_in_file_order(self, monkeypatch, tmp_path, text, line_no, reason):
+        p = tmp_path / "d.svm"
+        p.write_bytes(text.encode("utf-8"))
+        for block in (1, 5, 16, 1 << 22):
+            monkeypatch.setattr(datasets, "_BLOCK_BYTES", block)
+            with pytest.raises(SvmlightParseError) as exc:
+                read_svmlight(str(p))
+            assert (exc.value.path, exc.value.line_no) == (str(p), line_no)
+            assert str(exc.value) == f"{p}:{line_no}: {reason}"
+            _assert_reads_like_oracle(str(p))
+
+    def test_batch_file_across_blocks(self, monkeypatch, tmp_path):
+        ds = synth_generate(300, 2000, 0.02, 100, 0.1, seed=4)
+        path = str(tmp_path / "batch.svm")
+        write_svmlight(ds, path)
+        for block in (1000, 1 << 22):
+            monkeypatch.setattr(datasets, "_BLOCK_BYTES", block)
+            _assert_reads_like_oracle(path, n_features=2000)
+            _assert_reads_like_oracle(path, dense_feature_count=40, index_base=0)
+
+
 class TestWriteSvmlight:
     def test_round_trip_sparse_only(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -144,6 +413,33 @@ class TestWriteSvmlight:
         assert back.sparse == ds.sparse
         assert np.array_equal(back.dense, ds.dense)
         assert np.array_equal(back.labels, ds.labels)
+
+
+    @pytest.mark.parametrize("index_base", [0, 1])
+    @pytest.mark.parametrize("n_dense", [0, 3])
+    def test_bytes_match_per_entry_oracle(self, tmp_path, index_base, n_dense):
+        rng = np.random.default_rng(5)
+        rows = [np.flatnonzero(rng.random(40) < 0.15) for _ in range(12)]
+        rows[3] = np.empty(0, dtype=np.int64)  # a row with no sparse entry
+        dense = None
+        if n_dense:
+            dense = rng.standard_normal((12, n_dense))
+            dense[0, :] = 0.0  # a row with no dense entry
+            dense[4, 1] = 0.0
+            dense[5, 2] = -0.0  # omitted like 0.0
+            dense[6, 0] = 1e-300
+        labels = np.where(rng.random(12) > 0.5, 1, -1).astype(np.int64)
+        for n in (12, 0):
+            ds = Dataset(
+                SparseBinaryMatrix.from_rows(rows[:n], 40),
+                None if dense is None else dense[:n],
+                labels[:n],
+                "t",
+            )
+            new, old = tmp_path / "new.svm", tmp_path / "old.svm"
+            write_svmlight(ds, str(new), index_base=index_base)
+            _per_entry_writer_oracle(ds, str(old), index_base=index_base)
+            assert new.read_bytes() == old.read_bytes()
 
 
 class TestDataset:
@@ -250,6 +546,29 @@ class TestSynthGenerate:
         flipped = int(np.sum(ds_clean.labels != ds_flip.labels))
         sigma = np.sqrt(n * 0.3 * 0.7)
         assert abs(flipped - n * 0.3) < 4 * sigma
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1 << 18])
+    @pytest.mark.parametrize(
+        "n, n_features, density, signal, flip",
+        [
+            (23, 5, 0.2, 2, 0.3),  # several rows per block, last block partial
+            (4, 40, 0.1, 10, 0.0),  # a row wider than a small block
+            (9, 3, 0.25, 3, 0.1),  # every feature carries signal
+            (1, 1, 1.0, 0, 0.0),
+            (301, 1000, 0.02, 100, 0.05),
+        ],
+    )
+    def test_blocks_match_per_row_oracle(
+        self, monkeypatch, block, n, n_features, density, signal, flip
+    ):
+        monkeypatch.setattr(datasets, "_SYNTH_BLOCK_DOUBLES", block)
+        for seed in (0, 3):
+            ds = synth_generate(n, n_features, density, signal, flip, seed)
+            rows, labels = _per_row_synth_oracle(n, n_features, density, signal, flip, seed)
+            assert ds.sparse == rows
+            # the labels are drawn after the rows, so they also check the
+            # generator state the block draws leave behind
+            assert np.array_equal(ds.labels, labels)
 
     def test_deterministic(self):
         a = synth_generate(30, 300, 0.02, 30, 0.1, seed=7)

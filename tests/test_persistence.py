@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from srplearn.distance import KIND_JACCARD, KIND_SQEUCLIDEAN
-from srplearn.elm import elm_fit, model_predict, rbf_fit, rvfl_fit
+from srplearn.elm import RbfModel, elm_fit, model_predict, rbf_fit, rvfl_fit
 from srplearn.logreg import logreg_fit, logreg_predict
 from srplearn.persistence import load_model, save_model
+from srplearn.ridge import RidgeSolution
 from srplearn.sparse import SparseBinaryMatrix
 
 
@@ -73,6 +74,24 @@ class TestRbfRoundTrip:
         X_new = _random_sparse(rng, 12, 80, 0.15)
         assert np.array_equal(model_predict(model, X_new), model_predict(back, X_new))
         assert back.centroids == model.centroids
+
+    def test_sparse_centroids_with_empty_rows(self, tmp_path):
+        # a hand-built model: centroid rows of very different lengths,
+        # an empty one included, written one line per row
+        rng = np.random.default_rng(4)
+        rows = [[], [0, 7, 12345], [5], [], list(range(0, 20000, 7))]
+        centroids = SparseBinaryMatrix.from_rows(rows, 20001)
+        beta = rng.standard_normal((len(rows), 1))
+        solution = RidgeSolution(beta, 0.5, 1.25, np.array([0.5, 1.0]))
+        model = RbfModel(centroids, np.full(len(rows), 0.7), KIND_JACCARD, solution, 3)
+        prefix = str(tmp_path / "rbfj")
+        save_model(model, prefix)
+        text = (tmp_path / "rbfj.centroids.txt").read_text()
+        assert text == "".join(" ".join(str(j) for j in r) + "\n" for r in rows)
+        back = load_model(prefix)
+        assert back.centroids == centroids
+        X_new = _random_sparse(rng, 6, 20001, 0.001)
+        assert np.array_equal(model_predict(model, X_new), model_predict(back, X_new))
 
 
 class TestLogRegRoundTrip:
