@@ -58,7 +58,7 @@ from .projection import (
     ternary_row,
 )
 from .ridge import RidgeSolution, default_lambda_grid, solve_ridge_press
-from .sparse import SparseBinaryMatrix, sparse_dense_product, sparse_gram
+from .sparse import SparseBinaryMatrix, sparse_gram
 
 __all__ = [
     "Dataset",
@@ -109,7 +109,6 @@ __all__ = [
     "rvfl_fit",
     "save_model",
     "solve_ridge_press",
-    "sparse_dense_product",
     "sparse_gram",
     "squared_euclidean_distance_matrix",
     "subsample",

@@ -1,10 +1,15 @@
 """Benchmark harness: repeated-subsample runs and projection-dimension sweeps.
 
-Protocol per benchmark: one fixed projection (all methods see the same
-projected representation), one tuning subsample (seed ``base_seed - 1``)
-used to pick the logistic-regression penalty, then ``n_runs`` training
-subsamples with seeds ``base_seed + run_index``, every configured method
-fit on each and scored on the fixed test set.
+Protocol per projection dimension: one fixed projection (all methods see
+the same projected representation), one tuning subsample (seed
+``base_seed - 1``) used to pick the logistic-regression penalty, then
+``n_runs`` training subsamples with seeds ``base_seed + run_index``, every
+configured method fit on each and scored on the fixed test set.
+
+``bench`` is a sweep of the one dimension ``srp.dim`` with the configured
+ELM/RVFL widths; ``sweep`` runs each of ``sweep.dims`` and uses it as the
+ELM/RVFL width too.  Both follow one evaluation path and differ only in
+the files they write from its rows.
 
 Runs execute one after another in run order, and each derives all its
 randomness from its own seed, so the artifacts on disk are identical
@@ -122,13 +127,7 @@ def _knn(kind, X_train, X_test, fit):
 
 
 def _logreg(kind, X_train, X_test, fit):
-    model = logreg_fit(
-        X_train,
-        fit.y_train,
-        fit.logreg_lambda,
-        fit.params.get("max_iter", 500),
-        fit.params.get("tol", 1e-6),
-    )
+    model = logreg_fit(X_train, fit.y_train, fit.logreg_lambda, **fit.params)
     return logreg_predict(model, X_test), 0.5, model.iterations, model.converged
 
 
@@ -231,46 +230,46 @@ def _load_data(cfg: RunConfig):
 def _build_features(cfg, pool, test, dim, external):
     """Shared feature matrices for the feature-consuming methods.
 
-    Returns (F_pool, F_test, density_used, zero_fraction).  The zero
-    fraction of the projected block is a diagnostic for projection
-    density choice.
+    Returns (F_pool, F_test, note); the note names the features' source
+    and the exact-zero fraction of the projected block, a diagnostic for
+    the projection density.
     """
-    density = cfg.srp_density
-    if density is None:
-        density = default_density(pool.n_sparse_features)
     if external is not None:
         f_pool, f_test = external
-        zero_frac = float(np.mean(f_pool == 0.0)) if f_pool.size else 0.0
+        source = f"precomputed features ({f_pool.shape[1]} columns)"
     else:
+        density = cfg.srp_density
+        if density is None:
+            density = default_density(pool.n_sparse_features)
         seed = cfg.srp_seed if cfg.srp_seed is not None else cfg.base_seed
         P = make_projection(pool.n_sparse_features, dim, density, seed)
         f_pool = apply_projection(pool.sparse, P)
         f_test = apply_projection(test.sparse, P)
-        zero_frac = float(np.mean(f_pool == 0.0)) if f_pool.size else 0.0
+        source = f"projection density={density:.6g} seed={seed}"
+    zero_frac = float(np.mean(f_pool == 0.0)) if f_pool.size else 0.0
+    note = f"{source}, exact-zero fraction {zero_frac:.4f}"
     if pool.dense is not None:
         f_pool = np.hstack([f_pool, pool.dense])
         f_test = np.hstack([f_test, test.dense])
-    return f_pool, f_test, density, zero_frac
+    return f_pool, f_test, note
 
 
 def _tune_logreg(cfg, pool, F_pool, grid):
     """Penalty chosen once on the tuning subsample (seed base_seed - 1)."""
     tune_seed = cfg.base_seed - 1
     idx = subsample_indices(pool.n_samples, cfg.n_train, tune_seed)
-    params = cfg.method_params.get("logreg-srp", {})
     lam, _ = logreg_select_lambda(
         F_pool[idx],
         pool.labels[idx].astype(np.float64),
         grid,
         seed=tune_seed,
-        max_iter=params.get("max_iter", 500),
-        tol=params.get("tol", 1e-6),
+        **cfg.method_params.get("logreg-srp", {}),
     )
     return lam
 
 
 def _run_block(cfg, pool, test, F_pool, F_test, methods, grid, logreg_lambda,
-               width_override=None):
+               width_override):
     """Execute all runs for one feature configuration; rows in run order."""
     n_pool = pool.n_samples
     if cfg.n_train > n_pool:
@@ -330,23 +329,59 @@ def _run_block(cfg, pool, test, F_pool, F_test, methods, grid, logreg_lambda,
     return rows
 
 
-def _csv_row(row, with_dim=False):
-    out = []
-    if with_dim:
-        out.append(row["dim"])
-    out.extend(
-        [
-            row["run"],
-            row["seed"],
-            row["method"],
-            float(row["auc"]),
-            float(row["accuracy"]),
-            row["iterations"],
-            row["converged"],
-            row["error"],
-        ]
-    )
-    return out
+def _evaluate(cfg: RunConfig, sweep: bool):
+    """Every run of every method at each projection dimension.
+
+    ``bench`` evaluates the one dimension ``srp.dim`` with the configured
+    ELM/RVFL widths; a sweep evaluates each of ``sweep.dims`` and uses it
+    as the ELM/RVFL width too.  Returns (methods, rows, context lines for
+    the report); each row carries its ``dim``.
+    """
+    methods = _resolve_methods(cfg, SWEEP_METHODS if sweep else BENCH_METHODS)
+    pool, test, external = _load_data(cfg)
+    if sweep and external is not None:
+        raise ValueError(
+            "sweeps recompute projections per dimension; precomputed "
+            "features are only supported by bench"
+        )
+    grid = cfg.lambda_grid()
+    context = [
+        f"data: {pool.name or cfg.data.kind} "
+        f"(pool={pool.n_samples}, test={test.n_samples}, "
+        f"sparse_features={pool.n_sparse_features}, "
+        f"dense_features={pool.n_dense_features})",
+        f"methods: {', '.join(methods)}",
+        f"n_train={cfg.n_train} n_runs={cfg.n_runs} base_seed={cfg.base_seed}",
+        f"lambda grid: 2^{cfg.lambda_min_exp} .. 2^{cfg.lambda_max_exp} "
+        f"({cfg.lambda_max_exp - cfg.lambda_min_exp + 1} values)",
+    ]
+    rows = []
+    for dim in cfg.sweep_dims if sweep else [cfg.srp_dim]:
+        F_pool = F_test = None
+        if _needs_features(methods):
+            F_pool, F_test, note = _build_features(cfg, pool, test, dim, external)
+            context.append(f"dim {dim}: {note}")
+        logreg_lambda = None
+        if "logreg-srp" in methods:
+            logreg_lambda = _tune_logreg(cfg, pool, F_pool, grid)
+            context.append(
+                f"dim {dim}: logreg lambda={logreg_lambda:.6g}, tuned on "
+                f"subsample seed {cfg.base_seed - 1}"
+            )
+        block = _run_block(cfg, pool, test, F_pool, F_test, methods, grid,
+                           logreg_lambda, dim if sweep else None)
+        rows.extend({"dim": dim, **r} for r in block)
+    return methods, rows, context
+
+
+def _write_csv(path, columns, rows):
+    write_table_csv(path, columns, [[r[c] for c in columns] for r in rows])
+
+
+def _write_report(out_dir, title, context, body):
+    lines = [title, "", *context, "", *body]
+    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def _aggregate(rows, methods, n_runs, alpha):
@@ -387,14 +422,9 @@ def _aggregate(rows, methods, n_runs, alpha):
     return report, acc_runs
 
 
-def _write_bench_artifacts(cfg, out_dir, rows, report, acc_runs, methods,
-                           context_lines):
+def _write_bench_artifacts(out_dir, rows, report, acc_runs, context):
     os.makedirs(out_dir, exist_ok=True)
-    write_table_csv(
-        os.path.join(out_dir, "runs.csv"),
-        _RUN_COLUMNS,
-        [_csv_row(r) for r in rows],
-    )
+    _write_csv(os.path.join(out_dir, "runs.csv"), _RUN_COLUMNS, rows)
     summary_rows = []
     for m in report.methods:
         acc = acc_runs.get(m, [])
@@ -426,82 +456,30 @@ def _write_bench_artifacts(cfg, out_dir, rows, report, acc_runs, methods,
                 for mi, m in enumerate(report.methods)
             ],
         )
-    failures = [r for r in rows if r["error"]]
-    lines = ["benchmark report", ""]
-    lines.extend(context_lines)
-    lines.append("")
-    lines.append(format_report(report))
-    lines.append("")
+    body = [format_report(report), ""]
     logreg_rows = [r for r in rows if r["method"] == "logreg-srp" and not r["error"]]
     if logreg_rows:
         iters = [r["iterations"] for r in logreg_rows]
         conv = sum(r["converged"] for r in logreg_rows)
-        lines.append(
+        body.append(
             f"logreg iterations: min={min(iters)} max={max(iters)}; "
             f"converged {conv}/{len(logreg_rows)} runs"
         )
+    failures = [r for r in rows if r["error"]]
     if failures:
-        lines.append(f"failures: {len(failures)}")
+        body.append(f"failures: {len(failures)}")
         for r in failures:
-            lines.append(
-                f"  run {r['run']} {r['method']}: {r['error']}"
-            )
+            body.append(f"  run {r['run']} {r['method']}: {r['error']}")
     else:
-        lines.append("failures: none")
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def _context_lines(cfg, pool, test, methods, extras):
-    lines = [
-        f"data: {pool.name or cfg.data.kind} "
-        f"(pool={pool.n_samples}, test={test.n_samples}, "
-        f"sparse_features={pool.n_sparse_features}, "
-        f"dense_features={pool.n_dense_features})",
-        f"methods: {', '.join(methods)}",
-        f"n_train={cfg.n_train} n_runs={cfg.n_runs} base_seed={cfg.base_seed}",
-        f"lambda grid: 2^{cfg.lambda_min_exp} .. 2^{cfg.lambda_max_exp} "
-        f"({cfg.lambda_max_exp - cfg.lambda_min_exp + 1} values)",
-    ]
-    lines.extend(extras)
-    return lines
+        body.append("failures: none")
+    _write_report(out_dir, "benchmark report", context, body)
 
 
 def cmd_bench(cfg: RunConfig) -> EvalReport:
     """Run the repeated-subsample benchmark and write artifacts to disk."""
-    methods = _resolve_methods(cfg, BENCH_METHODS)
-    pool, test, external = _load_data(cfg)
-    grid = cfg.lambda_grid()
-    extras = []
-    F_pool = F_test = None
-    if _needs_features(methods):
-        F_pool, F_test, density, zero_frac = _build_features(
-            cfg, pool, test, cfg.srp_dim, external
-        )
-        source = "precomputed" if external is not None else "generated"
-        extras.append(
-            f"projection: dim={cfg.srp_dim} density={density:.6g} "
-            f"seed={cfg.srp_seed if cfg.srp_seed is not None else cfg.base_seed} "
-            f"({source}); exact-zero fraction of projected block: {zero_frac:.4f}"
-        )
-    logreg_lambda = None
-    if "logreg-srp" in methods:
-        logreg_lambda = _tune_logreg(cfg, pool, F_pool, grid)
-        extras.append(
-            f"logreg penalty tuned on subsample seed {cfg.base_seed - 1}: "
-            f"lambda={logreg_lambda:.6g}"
-        )
-    rows = _run_block(cfg, pool, test, F_pool, F_test, methods, grid, logreg_lambda)
+    methods, rows, context = _evaluate(cfg, sweep=False)
     report, acc_runs = _aggregate(rows, methods, cfg.n_runs, cfg.alpha)
-    _write_bench_artifacts(
-        cfg,
-        cfg.out_dir,
-        rows,
-        report,
-        acc_runs,
-        methods,
-        _context_lines(cfg, pool, test, methods, extras),
-    )
+    _write_bench_artifacts(cfg.out_dir, rows, report, acc_runs, context)
     return report
 
 
@@ -512,61 +490,22 @@ def cmd_sweep(cfg: RunConfig):
     feature-based methods get the projected representation recomputed at
     each dimension.  Returns the per-run rows written to sweep.csv.
     """
-    methods = _resolve_methods(cfg, SWEEP_METHODS)
-    pool, test, external = _load_data(cfg)
-    if external is not None:
-        raise ValueError(
-            "sweeps recompute projections per dimension; precomputed "
-            "features are only supported by bench"
-        )
-    grid = cfg.lambda_grid()
-    need_features = _needs_features(methods)
-    all_rows = []
-    extras = []
-    for dim in cfg.sweep_dims:
-        F_pool = F_test = None
-        if need_features:
-            F_pool, F_test, density, zero_frac = _build_features(
-                cfg, pool, test, dim, None
-            )
-            extras.append(
-                f"dim {dim}: projection density={density:.6g}, "
-                f"exact-zero fraction {zero_frac:.4f}"
-            )
-        logreg_lambda = None
-        if "logreg-srp" in methods:
-            logreg_lambda = _tune_logreg(cfg, pool, F_pool, grid)
-            extras.append(f"dim {dim}: logreg lambda={logreg_lambda:.6g}")
-        rows = _run_block(
-            cfg, pool, test, F_pool, F_test, methods, grid, logreg_lambda,
-            width_override=dim,
-        )
-        for r in rows:
-            r["dim"] = dim
-        all_rows.extend(rows)
+    methods, rows, context = _evaluate(cfg, sweep=True)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    write_table_csv(
-        os.path.join(cfg.out_dir, "sweep.csv"),
-        ["dim"] + _RUN_COLUMNS,
-        [_csv_row(r, with_dim=True) for r in all_rows],
-    )
-    lines = ["sweep report", ""]
-    lines.extend(_context_lines(cfg, pool, test, methods, extras))
-    lines.append("")
-    lines.append(f"{'dim':>6}  {'method':<14} {'auc_mean':>9} {'time_s':>8}")
+    _write_csv(os.path.join(cfg.out_dir, "sweep.csv"), ["dim"] + _RUN_COLUMNS, rows)
+    table = [f"{'dim':>6}  {'method':<14} {'auc_mean':>9} {'time_s':>8}"]
     for dim in cfg.sweep_dims:
         for m in methods:
             ok = [
                 r
-                for r in all_rows
+                for r in rows
                 if r["dim"] == dim and r["method"] == m and r["error"] == ""
             ]
             if not ok:
-                lines.append(f"{dim:>6}  {m:<14} {'failed':>9} {'-':>8}")
+                table.append(f"{dim:>6}  {m:<14} {'failed':>9} {'-':>8}")
                 continue
             auc_mean = float(np.mean([r["auc"] for r in ok]))
             t_mean = float(np.mean([r["seconds"] for r in ok]))
-            lines.append(f"{dim:>6}  {m:<14} {auc_mean:9.4f} {t_mean:8.3f}")
-    with open(os.path.join(cfg.out_dir, "report.txt"), "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
-    return all_rows
+            table.append(f"{dim:>6}  {m:<14} {auc_mean:9.4f} {t_mean:8.3f}")
+    _write_report(cfg.out_dir, "sweep report", context, table)
+    return rows

@@ -24,6 +24,9 @@ __all__ = [
 KIND_JACCARD = "jaccard"
 KIND_SQEUCLIDEAN = "squared-euclidean"
 
+# Memory cap for the live intermediates of one block of Jaccard distances.
+_BLOCK_BUDGET_MB = 256.0
+
 
 class DistanceMatrix:
     """Dense (n_rows(A), n_rows(B)) matrix of pairwise distances.
@@ -61,14 +64,10 @@ def _jaccard_block(A, B_block, counts_a, counts_b_block):
     return out
 
 
-def jaccard_distance_matrix(
-    A: SparseBinaryMatrix,
-    B: SparseBinaryMatrix,
-    memory_budget_mb: float = 256.0,
-) -> DistanceMatrix:
+def jaccard_distance_matrix(A: SparseBinaryMatrix, B: SparseBinaryMatrix) -> DistanceMatrix:
     """Exact Jaccard distances between all rows of A and all rows of B.
 
-    B is processed in row blocks sized from ``memory_budget_mb`` so the
+    B is processed in row blocks sized from ``_BLOCK_BUDGET_MB`` so the
     intermediate intersection-count matrix stays within budget.  Block
     size does not affect the result.
     """
@@ -76,15 +75,13 @@ def jaccard_distance_matrix(
         raise ValueError(
             f"column counts differ: {A.n_cols} vs {B.n_cols}"
         )
-    if memory_budget_mb <= 0:
-        raise ValueError("memory_budget_mb must be positive")
     counts_a = row_counts(A).astype(np.float64)
     counts_b = row_counts(B).astype(np.float64)
     out = np.empty((A.n_rows, B.n_rows), dtype=np.float64)
     if A.n_rows == 0 or B.n_rows == 0:
         return DistanceMatrix(out, KIND_JACCARD)
     # 3 live float64 copies of an (n_rows(A), block) slab: gram, union, out
-    budget_entries = int(memory_budget_mb * 1e6 / 8.0)
+    budget_entries = int(_BLOCK_BUDGET_MB * 1e6 / 8.0)
     block = max(1, budget_entries // (3 * max(1, A.n_rows)))
     for start in range(0, B.n_rows, block):
         stop = min(start + block, B.n_rows)

@@ -9,7 +9,10 @@ Three hidden-layer constructions share one training path:
 - RBF: H[i, j] = exp(-gamma_j * d^2(x_i, c_j)) against centroids sampled
   from the training rows, with random log-uniform kernel widths.
 
-Only the output weights are trained; see :mod:`srplearn.ridge`.
+Each model has one design function that builds H, called both by its fit
+and by :func:`model_predict`.  ELM and RVFL share one fit, ELM being an
+RVFL without the linear branch.  Only the output weights are trained;
+see :mod:`srplearn.ridge`.
 """
 
 from __future__ import annotations
@@ -51,14 +54,21 @@ _STREAM_CENTROIDS = 2
 _STREAM_GAMMAS = 3
 
 
-def _check_labels(y) -> np.ndarray:
+def _check_fit(X, y, lambda_grid):
+    """Labels as float64 and the penalty grid, checked against ``X.shape``."""
     y = np.asarray(y)
     if y.ndim != 1 or y.size == 0:
         raise ValueError("y must be a nonempty 1-D vector")
-    vals = np.unique(y)
-    if not np.all(np.isin(vals, (-1, 1))):
+    if not np.all(np.isin(np.unique(y), (-1, 1))):
         raise ValueError("labels must be -1 or +1")
-    return y.astype(np.float64)
+    n = X.shape[0]
+    if n == 0:
+        raise ValueError("X must be nonempty")
+    if n != y.size:
+        raise ValueError(f"row counts differ: {n} vs {y.size}")
+    if lambda_grid is None:
+        lambda_grid = default_lambda_grid()
+    return y.astype(np.float64), lambda_grid
 
 
 def elm_bias(input_dim: int, L: int, density: float, seed: int) -> np.ndarray:
@@ -72,18 +82,15 @@ def elm_bias(input_dim: int, L: int, density: float, seed: int) -> np.ndarray:
 class ElmModel:
     """Fitted ELM or RVFL (when ``linear_part`` is set)."""
 
-    __slots__ = ("W", "bias", "activation", "linear_part", "solution")
+    __slots__ = ("W", "bias", "linear_part", "solution")
 
     def __init__(
         self,
         W: SparseProjection,
         bias: np.ndarray,
-        activation: str,
         linear_part: SparseProjection | None,
         solution: RidgeSolution,
     ):
-        if activation != "tanh":
-            raise ValueError(f"unsupported activation: {activation!r}")
         if bias.shape != (W.output_dim,):
             raise ValueError("bias length must equal hidden width")
         expected_rows = W.output_dim + (
@@ -93,13 +100,8 @@ class ElmModel:
             raise ValueError("output weight row count does not match design")
         self.W = W
         self.bias = bias
-        self.activation = activation
         self.linear_part = linear_part
         self.solution = solution
-
-    @property
-    def hidden_width(self) -> int:
-        return self.W.output_dim
 
 
 class RbfModel:
@@ -111,11 +113,7 @@ class RbfModel:
         gammas = np.asarray(gammas, dtype=np.float64)
         if np.any(gammas <= 0):
             raise ValueError("kernel widths must be positive")
-        n_centroids = (
-            centroids.n_rows
-            if isinstance(centroids, SparseBinaryMatrix)
-            else centroids.shape[0]
-        )
+        n_centroids = centroids.shape[0]
         if gammas.shape != (n_centroids,):
             raise ValueError("one kernel width per centroid required")
         if distance_kind not in (KIND_JACCARD, KIND_SQEUCLIDEAN):
@@ -128,21 +126,47 @@ class RbfModel:
         self.solution = solution
         self.seed = int(seed)
 
-    @property
-    def hidden_width(self) -> int:
-        return self.gammas.size
 
-
-def elm_hidden(X, W: SparseProjection, bias, activation: str = "tanh") -> np.ndarray:
+def elm_hidden(X, W: SparseProjection, bias) -> np.ndarray:
     """Hidden layer output tanh(X W + bias) as a dense (N, L) array."""
-    if activation != "tanh":
-        raise ValueError(f"unsupported activation: {activation!r}")
     bias = np.asarray(bias, dtype=np.float64)
     if bias.shape != (W.output_dim,):
         raise ValueError("bias length must equal hidden width")
     pre = apply_projection(X, W)
     pre += bias[None, :]
     return np.tanh(pre)
+
+
+def _elm_design(X, W, bias, linear_part) -> np.ndarray:
+    """ELM design tanh(X W + b), extended by X V when a linear part is set."""
+    H = elm_hidden(X, W, bias)
+    if linear_part is None:
+        return H
+    return np.hstack([H, apply_projection(X, linear_part)])
+
+
+def _fit_hidden(X, y, L, d_lin, density, seed, lambda_grid) -> ElmModel:
+    """ELM fit, with a linear branch of width ``d_lin`` unless it is 0.
+
+    ``d_lin=None`` gives the branch min(input dimension, L) columns.
+    """
+    y, lambda_grid = _check_fit(X, y, lambda_grid)
+    if L < 1:
+        raise ValueError("hidden width L must be >= 1")
+    input_dim = X.shape[1]
+    if d_lin is None:
+        d_lin = min(input_dim, L)
+    if density is None:
+        density = default_density(input_dim)
+    W = make_projection(input_dim, L, density, seed)
+    bias = elm_bias(input_dim, L, density, seed)
+    linear = None
+    if d_lin:
+        linear = make_projection(
+            input_dim, d_lin, density, derive_seed(seed, _STREAM_LINEAR)
+        )
+    H = _elm_design(X, W, bias, linear)
+    return ElmModel(W, bias, linear, solve_ridge_press(H, y[:, None], lambda_grid))
 
 
 def elm_fit(
@@ -154,24 +178,7 @@ def elm_fit(
     lambda_grid=None,
 ) -> ElmModel:
     """Fit an ELM with L hidden neurons on sparse binary or dense rows."""
-    y = _check_labels(y)
-    if L < 1:
-        raise ValueError("hidden width L must be >= 1")
-    input_dim = X.n_cols if isinstance(X, SparseBinaryMatrix) else X.shape[1]
-    n = X.n_rows if isinstance(X, SparseBinaryMatrix) else X.shape[0]
-    if n == 0:
-        raise ValueError("X must be nonempty")
-    if n != y.size:
-        raise ValueError(f"row counts differ: {n} vs {y.size}")
-    if density is None:
-        density = default_density(input_dim)
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid()
-    W = make_projection(input_dim, L, density, seed)
-    bias = elm_bias(input_dim, L, density, seed)
-    H = elm_hidden(X, W, bias)
-    solution = solve_ridge_press(H, y[:, None], lambda_grid)
-    return ElmModel(W, bias, "tanh", None, solution)
+    return _fit_hidden(X, y, L, 0, density, seed, lambda_grid)
 
 
 def rvfl_fit(
@@ -183,30 +190,13 @@ def rvfl_fit(
     seed: int = 0,
     lambda_grid=None,
 ) -> ElmModel:
-    """Fit an RVFL: ELM design extended with a random linear branch."""
-    y = _check_labels(y)
-    if L < 1:
-        raise ValueError("hidden width L must be >= 1")
-    input_dim = X.n_cols if isinstance(X, SparseBinaryMatrix) else X.shape[1]
-    n = X.n_rows if isinstance(X, SparseBinaryMatrix) else X.shape[0]
-    if n == 0:
-        raise ValueError("X must be nonempty")
-    if n != y.size:
-        raise ValueError(f"row counts differ: {n} vs {y.size}")
-    if d_lin is None:
-        d_lin = min(input_dim, L)
-    if d_lin < 1:
+    """Fit an RVFL: ELM design extended with a random linear branch.
+
+    ``d_lin`` defaults to min(input dimension, L).
+    """
+    if d_lin is not None and d_lin < 1:
         raise ValueError("linear branch width d_lin must be >= 1")
-    if density is None:
-        density = default_density(input_dim)
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid()
-    W = make_projection(input_dim, L, density, seed)
-    bias = elm_bias(input_dim, L, density, seed)
-    linear = make_projection(input_dim, d_lin, density, derive_seed(seed, _STREAM_LINEAR))
-    H = np.hstack([elm_hidden(X, W, bias), apply_projection(X, linear)])
-    solution = solve_ridge_press(H, y[:, None], lambda_grid)
-    return ElmModel(W, bias, "tanh", linear, solution)
+    return _fit_hidden(X, y, L, d_lin, density, seed, lambda_grid)
 
 
 def _squared_distances(X, centroids, distance_kind) -> np.ndarray:
@@ -221,12 +211,13 @@ def _squared_distances(X, centroids, distance_kind) -> np.ndarray:
     return squared_euclidean_distance_matrix(X, centroids).values
 
 
+def _rbf_design(X, centroids, gammas, distance_kind) -> np.ndarray:
+    """RBF design exp(-gamma_j * d^2(x_i, c_j))."""
+    return np.exp(-gammas[None, :] * _squared_distances(X, centroids, distance_kind))
+
+
 def _pairwise_distance_median(centroids, distance_kind) -> float | None:
-    n = (
-        centroids.n_rows
-        if isinstance(centroids, SparseBinaryMatrix)
-        else centroids.shape[0]
-    )
+    n = centroids.shape[0]
     if n < 2:
         return None  # no pairs to measure
     d2 = _squared_distances(centroids, centroids, distance_kind)
@@ -248,18 +239,12 @@ def rbf_fit(
     Kernel widths are gamma_j = g_j / m**2 with g_j log-uniform on
     [0.1, 10] and m the median pairwise distance among the centroids.
     """
-    y = _check_labels(y)
-    n = X.n_rows if isinstance(X, SparseBinaryMatrix) else X.shape[0]
-    if n != y.size:
-        raise ValueError(f"row counts differ: {n} vs {y.size}")
+    y, lambda_grid = _check_fit(X, y, lambda_grid)
+    n = X.shape[0]
     if L < 1:
         raise ValueError("centroid count L must be >= 1")
     if L > n:
         raise ValueError(f"centroid count {L} exceeds sample count {n}")
-    if distance_kind == KIND_JACCARD and not isinstance(X, SparseBinaryMatrix):
-        raise ValueError("jaccard distance requires sparse binary rows")
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid()
     pick = np.random.default_rng(derive_seed(seed, _STREAM_CENTROIDS))
     idx = pick.choice(n, size=L, replace=False)
     centroids = (
@@ -279,7 +264,7 @@ def rbf_fit(
     width_rng = np.random.default_rng(derive_seed(seed, _STREAM_GAMMAS))
     g = np.power(10.0, width_rng.uniform(-1.0, 1.0, size=L))
     gammas = g / (m * m)
-    H = np.exp(-gammas[None, :] * _squared_distances(X, centroids, distance_kind))
+    H = _rbf_design(X, centroids, gammas, distance_kind)
     solution = solve_ridge_press(H, y[:, None], lambda_grid)
     return RbfModel(centroids, gammas, distance_kind, solution, seed)
 
@@ -287,12 +272,9 @@ def rbf_fit(
 def model_predict(model, X) -> np.ndarray:
     """Real-valued scores for each row of X; class decision is sign(score)."""
     if isinstance(model, ElmModel):
-        H = elm_hidden(X, model.W, model.bias, model.activation)
-        if model.linear_part is not None:
-            H = np.hstack([H, apply_projection(X, model.linear_part)])
-        return np.asarray(H @ model.solution.beta).ravel()
-    if isinstance(model, RbfModel):
-        d2 = _squared_distances(X, model.centroids, model.distance_kind)
-        H = np.exp(-model.gammas[None, :] * d2)
-        return np.asarray(H @ model.solution.beta).ravel()
-    raise TypeError(f"unsupported model type: {type(model).__name__}")
+        H = _elm_design(X, model.W, model.bias, model.linear_part)
+    elif isinstance(model, RbfModel):
+        H = _rbf_design(X, model.centroids, model.gammas, model.distance_kind)
+    else:
+        raise TypeError(f"unsupported model type: {type(model).__name__}")
+    return np.asarray(H @ model.solution.beta).ravel()

@@ -17,6 +17,7 @@ assembled by array indexing, without a Python object per field.
 from __future__ import annotations
 
 import csv
+import warnings
 
 import numpy as np
 
@@ -42,37 +43,33 @@ def format_float(x: float) -> str:
 
 
 def write_matrix_csv(path: str, matrix) -> None:
-    """Write a 2-D float array as headerless comma-separated rows."""
+    """Write a 2-D float array as headerless comma-separated rows.
+
+    A 1-D array is written as one row.
+    """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim == 1:
         matrix = matrix[None, :]
     if matrix.ndim != 2:
         raise ValueError("matrix must be 1-D or 2-D")
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in matrix:
-            handle.write(",".join(format_float(v) for v in row) + "\n")
+    np.savetxt(path, matrix, fmt="%.17g", delimiter=",", encoding="utf-8")
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
-    """Read a headerless numeric CSV as a 2-D float64 array."""
-    rows = []
-    width = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            values = [float(tok) for tok in line.split(",")]
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise ValueError(
-                    f"{path}:{line_no}: expected {width} columns, got {len(values)}"
-                )
-            rows.append(values)
-    if not rows:
-        return np.zeros((0, 0), dtype=np.float64)
-    return np.asarray(rows, dtype=np.float64)
+    """Read a headerless numeric CSV as a 2-D float64 array.
+
+    A file without values reads as shape (0, 0); a ragged or malformed
+    one raises ``ValueError`` naming ``path``.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            matrix = np.loadtxt(
+                path, delimiter=",", comments=None, ndmin=2, encoding="utf-8"
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    return matrix if matrix.size else np.zeros((0, 0), dtype=np.float64)
 
 
 def write_table_csv(path: str, header, rows) -> None:

@@ -72,7 +72,6 @@ def save_model(model, prefix: str) -> None:
             "hidden_width": model.W.output_dim,
             "density": model.W.density,
             "seed": model.W.seed,
-            "activation": model.activation,
             "lambda": model.solution.lam,
             "press": model.solution.press_value,
             "lambda_grid": _grid_to_str(model.solution.lambda_grid),
@@ -91,11 +90,7 @@ def save_model(model, prefix: str) -> None:
             "distance_kind": model.distance_kind,
             "seed": model.seed,
             "centroid_storage": "dense" if dense_centroids else "sparse",
-            "centroid_cols": (
-                model.centroids.shape[1]
-                if dense_centroids
-                else model.centroids.n_cols
-            ),
+            "centroid_cols": model.centroids.shape[1],
             "lambda": model.solution.lam,
             "press": model.solution.press_value,
             "lambda_grid": _grid_to_str(model.solution.lambda_grid),
@@ -125,50 +120,13 @@ def save_model(model, prefix: str) -> None:
 
 
 def load_model(prefix: str):
-    """Rebuild the model saved at ``prefix``; predictions match exactly."""
+    """Rebuild the model saved at ``prefix``; predictions match exactly.
+
+    Keys that older files carry and this version does not need are
+    ignored, such as the ``activation=tanh`` of ELM and RVFL models.
+    """
     meta = read_keyvalues(prefix + ".meta")
     kind = meta["kind"]
-    if kind in ("elm", "rvfl"):
-        input_dim = int(meta["input_dim"])
-        width = int(meta["hidden_width"])
-        density = float(meta["density"])
-        seed = int(meta["seed"])
-        W = make_projection(input_dim, width, density, seed)
-        bias = elm_bias(input_dim, width, density, seed)
-        linear = None
-        if kind == "rvfl":
-            linear = make_projection(
-                input_dim,
-                int(meta["linear_width"]),
-                float(meta["linear_density"]),
-                int(meta["linear_seed"]),
-            )
-        beta = read_matrix_csv(prefix + ".beta.csv")
-        solution = RidgeSolution(
-            beta,
-            float(meta["lambda"]),
-            float(meta["press"]),
-            _grid_from_str(meta["lambda_grid"]),
-        )
-        return ElmModel(W, bias, meta["activation"], linear, solution)
-    if kind == "rbf":
-        beta = read_matrix_csv(prefix + ".beta.csv")
-        gammas = read_matrix_csv(prefix + ".gammas.csv").ravel()
-        if meta["centroid_storage"] == "dense":
-            centroids = read_matrix_csv(prefix + ".centroids.csv")
-        else:
-            centroids = _read_sparse_rows(
-                prefix + ".centroids.txt", int(meta["centroid_cols"])
-            )
-        solution = RidgeSolution(
-            beta,
-            float(meta["lambda"]),
-            float(meta["press"]),
-            _grid_from_str(meta["lambda_grid"]),
-        )
-        return RbfModel(
-            centroids, gammas, meta["distance_kind"], solution, int(meta["seed"])
-        )
     if kind == "logreg":
         weights = read_matrix_csv(prefix + ".weights.csv").ravel()
         return LogRegModel(
@@ -178,4 +136,37 @@ def load_model(prefix: str):
             bool(int(meta["converged"])),
             int(meta["iterations"]),
         )
-    raise ValueError(f"unknown model kind: {kind!r}")
+    if kind not in ("elm", "rvfl", "rbf"):
+        raise ValueError(f"unknown model kind: {kind!r}")
+    solution = RidgeSolution(
+        read_matrix_csv(prefix + ".beta.csv"),
+        float(meta["lambda"]),
+        float(meta["press"]),
+        _grid_from_str(meta["lambda_grid"]),
+    )
+    if kind == "rbf":
+        gammas = read_matrix_csv(prefix + ".gammas.csv").ravel()
+        if meta["centroid_storage"] == "dense":
+            centroids = read_matrix_csv(prefix + ".centroids.csv")
+        else:
+            centroids = _read_sparse_rows(
+                prefix + ".centroids.txt", int(meta["centroid_cols"])
+            )
+        return RbfModel(
+            centroids, gammas, meta["distance_kind"], solution, int(meta["seed"])
+        )
+    input_dim = int(meta["input_dim"])
+    width = int(meta["hidden_width"])
+    density = float(meta["density"])
+    seed = int(meta["seed"])
+    W = make_projection(input_dim, width, density, seed)
+    bias = elm_bias(input_dim, width, density, seed)
+    linear = None
+    if kind == "rvfl":
+        linear = make_projection(
+            input_dim,
+            int(meta["linear_width"]),
+            float(meta["linear_density"]),
+            int(meta["linear_seed"]),
+        )
+    return ElmModel(W, bias, linear, solution)

@@ -19,7 +19,6 @@ __all__ = [
     "SparseBinaryMatrix",
     "sparse_gram",
     "row_counts",
-    "sparse_dense_product",
 ]
 
 
@@ -191,18 +190,3 @@ def row_counts(a: SparseBinaryMatrix) -> np.ndarray:
     """Number of active entries in each row, as an int64 vector."""
     return np.diff(a.indptr)
 
-
-def sparse_dense_product(a: SparseBinaryMatrix, v: np.ndarray) -> np.ndarray:
-    """Matrix product ``a @ v`` with the implicit ones of ``a``.
-
-    Accumulation within each output row follows ascending column index of
-    ``a``, so the result does not depend on scheduling.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 2:
-        raise ValueError("dense operand must be 2-D")
-    if a.n_cols != v.shape[0]:
-        raise ValueError(
-            f"inner dimensions differ: {a.n_cols} vs {v.shape[0]}"
-        )
-    return a.to_scipy() @ v

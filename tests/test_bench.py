@@ -7,7 +7,7 @@ import pytest
 
 from srplearn import bench
 from srplearn.bench import cmd_bench, cmd_sweep
-from srplearn.config import BENCH_METHODS, parse_config
+from srplearn.config import BENCH_METHODS, SWEEP_METHODS, parse_config
 from srplearn.matio import read_table_csv
 
 
@@ -205,39 +205,44 @@ data.density = 0.012
                 "s.txt",
                 f"out_dir = {tmp_path / 'sweep_out'}\n"
                 + common
-                + "methods = elm-srp, knn-srp\nsweep.dims = 16, 64\n",
+                + "sweep.dims = 16, 64\n",
             )
         )
         rows = cmd_sweep(sweep_cfg)
         header, csv_rows = read_table_csv(str(tmp_path / "sweep_out" / "sweep.csv"))
         assert header[0] == "dim"
-        assert len(csv_rows) == 2 * 2 * 2  # dims x runs x methods
+        n_methods = len(SWEEP_METHODS)
+        assert n_methods == 6
+        assert len(rows) == len(csv_rows) == 2 * 2 * n_methods  # dims x runs x methods
         assert sorted({r[0] for r in csv_rows}) == ["16", "64"]
+        assert {r[3] for r in csv_rows} == set(SWEEP_METHODS)
+        assert all(r[8] == "" for r in csv_rows)
         report_lines = (tmp_path / "sweep_out" / "report.txt").read_text().splitlines()
         # dim, method, auc_mean, then the mean time with three decimals
         timed = [l.split() for l in report_lines if l.split()[:1] in (["16"], ["64"])]
-        assert len(timed) == 4
+        assert len(timed) == 2 * n_methods
         assert all(len(f[3].rsplit(".", 1)[1]) == 3 for f in timed)
 
-        # a single-dim sweep of elm-srp agrees with bench configured to the
-        # same hidden width: same seeds, same subsample, same model
+        # bench at srp.dim 64 with the ELM/RVFL widths set to 64 is the
+        # sweep's dim-64 block: same projection, seeds, subsamples, models
         bench_cfg = parse_config(
             _write_cfg(
                 tmp_path,
                 "b.txt",
                 f"out_dir = {tmp_path / 'bench_out'}\n"
                 + common
-                + "methods = elm-srp\nmethod.elm-srp.L = 64\n",
+                + f"methods = {', '.join(SWEEP_METHODS)}\nsrp.dim = 64\n"
+                + "method.elm-srp.L = 64\nmethod.rvfl-srp.L = 64\n",
             )
         )
         cmd_bench(bench_cfg)
-        _, bench_rows = read_table_csv(str(tmp_path / "bench_out" / "runs.csv"))
-        # compare AUC values at matching run seeds
-        sweep_auc = {
-            r[2]: r[4] for r in csv_rows if r[0] == "64" and r[3] == "elm-srp"
-        }
-        bench_auc = {r[1]: r[3] for r in bench_rows}
-        assert sweep_auc == bench_auc
+        bench_header, bench_rows = read_table_csv(
+            str(tmp_path / "bench_out" / "runs.csv")
+        )
+        assert header[1:] == bench_header
+        sweep_64 = {(r[1], r[3]): r[1:] for r in csv_rows if r[0] == "64"}
+        assert sweep_64 == {(r[0], r[2]): r for r in bench_rows}
+        assert len(sweep_64) == 2 * n_methods
 
     def test_sweep_rerun_byte_identical(self, tmp_path):
         text = """

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from srplearn import distance
 from srplearn.distance import (
     KIND_JACCARD,
     KIND_SQEUCLIDEAN,
@@ -86,13 +87,15 @@ class TestJaccard:
             i, j, k = rng.integers(0, 25, size=3)
             assert D[i, j] <= D[i, k] + D[k, j] + 1e-12
 
-    def test_block_size_does_not_change_values(self):
+    def test_block_size_does_not_change_values(self, monkeypatch):
         rng = np.random.default_rng(10)
         A = _random_sparse(rng, 40, 60, 0.1)
         B = _random_sparse(rng, 35, 60, 0.1)
-        full = jaccard_distance_matrix(A, B, memory_budget_mb=1024).values
+        monkeypatch.setattr(distance, "_BLOCK_BUDGET_MB", 1024.0)
+        full = jaccard_distance_matrix(A, B).values
         # budget small enough to force many blocks of B
-        tiny = jaccard_distance_matrix(A, B, memory_budget_mb=0.01).values
+        monkeypatch.setattr(distance, "_BLOCK_BUDGET_MB", 0.01)
+        tiny = jaccard_distance_matrix(A, B).values
         assert np.array_equal(full, tiny)
 
     def test_column_mismatch_rejected(self):

@@ -66,12 +66,6 @@ class TestHiddenLayer:
         expected[cols] = signs * np.sqrt((1.0 / 0.4) / 6)
         assert np.array_equal(elm_bias(50, 6, 0.4, 7), expected)
 
-    def test_unknown_activation_rejected(self):
-        W = make_projection(10, 4, 0.5, seed=0)
-        bias = np.zeros(4)
-        with pytest.raises(ValueError):
-            elm_hidden(SparseBinaryMatrix.from_rows([[0]], 10), W, bias, "relu")
-
 
 class TestElmFit:
     def test_deterministic(self):

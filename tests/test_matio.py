@@ -49,6 +49,30 @@ class TestMatrixCsv:
         write_matrix_csv(path, M)
         assert np.array_equal(read_matrix_csv(path), M)
 
+    @pytest.mark.parametrize("shape", [(40, 9), (1, 5), (7,), (0, 3), (1, 0)])
+    def test_bytes_match_per_value_oracle(self, tmp_path, shape):
+        rng = np.random.default_rng(2)
+        M = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        special = [-0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan, 2.0, -15.0]
+        M.reshape(-1)[: len(special)] = special[: M.size]
+        path = tmp_path / "m.csv"
+        write_matrix_csv(str(path), M)
+        rows = M[None, :] if M.ndim == 1 else M
+        expected = "".join(",".join(format_float(v) for v in row) + "\n" for row in rows)
+        assert path.read_bytes() == expected.encode("ascii")
+        back = read_matrix_csv(str(path))
+        if M.size:
+            assert np.array_equal(back.view(np.uint64), rows.view(np.uint64))
+        else:
+            assert back.shape == (0, 0)
+
+    @pytest.mark.parametrize("text", ["1,2,3\n4,5\n", "1,x\n", "1,,2\n"])
+    def test_malformed_rejected_naming_path(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="bad.csv"):
+            read_matrix_csv(str(path))
+
 
 class TestFormatFloat:
     def test_round_trips_float64(self):

@@ -48,6 +48,20 @@ class TestElmRoundTrip:
         assert np.array_equal(model_predict(model, X_new), model_predict(back, X_new))
         assert back.linear_part.output_dim == 6
 
+    def test_older_activation_key_ignored(self, tmp_path):
+        # files written before tanh became the only hidden layer say so
+        rng = np.random.default_rng(4)
+        X = _random_sparse(rng, 30, 120, 0.1)
+        model = elm_fit(X, _labels(rng, 30), 12, seed=2)
+        prefix = str(tmp_path / "old")
+        save_model(model, prefix)
+        meta = tmp_path / "old.meta"
+        assert "activation" not in meta.read_text()
+        with open(meta, "a", encoding="utf-8") as handle:
+            handle.write("activation=tanh\n")
+        back = load_model(prefix)
+        assert np.array_equal(model_predict(model, X), model_predict(back, X))
+
 
 class TestRbfRoundTrip:
     def test_dense_centroids(self, tmp_path):

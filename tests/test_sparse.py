@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from srplearn.sparse import (
     SparseBinaryMatrix,
     row_counts,
-    sparse_dense_product,
     sparse_gram,
 )
 
@@ -175,54 +174,3 @@ class TestRowCounts:
         a = SparseBinaryMatrix.from_rows([[], [0], []], n_cols=2)
         assert row_counts(a).tolist() == [0, 1, 0]
 
-
-class TestDenseProduct:
-    def test_matches_naive_triple_loop(self):
-        rng = np.random.default_rng(52)
-        a = random_binary(rng, 15, 40, 0.2)
-        v = rng.standard_normal((40, 7))
-        got = sparse_dense_product(a, v)
-        expected = np.zeros((15, 7))
-        for i in range(15):
-            for j in rng.permutation(40):  # order must not matter
-                if j in set(a.row(i).tolist()):
-                    expected[i] += v[j]
-        np.testing.assert_allclose(got, expected, atol=1e-12)
-
-    def test_matches_dense_matmul(self):
-        rng = np.random.default_rng(600)
-        a = random_binary(rng, 30, 80, 0.1)
-        v = rng.standard_normal((80, 5))
-        np.testing.assert_allclose(
-            sparse_dense_product(a, v), a.to_dense() @ v, atol=1e-12
-        )
-
-    def test_shape_mismatch_rejected(self):
-        a = SparseBinaryMatrix.from_rows([[0]], n_cols=3)
-        with pytest.raises(ValueError):
-            sparse_dense_product(a, np.zeros((4, 2)))
-        with pytest.raises(ValueError):
-            sparse_dense_product(a, np.zeros(3))
-
-    def test_deterministic_across_threads(self):
-        import threading
-
-        rng = np.random.default_rng(1234)
-        a = random_binary(rng, 200, 400, 0.05)
-        v = rng.standard_normal((400, 16))
-        baseline = sparse_dense_product(a, v)
-        results = []
-
-        def work():
-            for _ in range(4):
-                results.append(sparse_dense_product(a, v))
-
-        threads = [threading.Thread(target=work) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(30)
-            assert not t.is_alive()
-        assert len(results) == 32
-        for r in results:
-            np.testing.assert_array_equal(r, baseline)
