@@ -28,12 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset, read_svmlight, subsample_indices, synth_generate
-from .distance import (
-    KIND_JACCARD,
-    KIND_SQEUCLIDEAN,
-    jaccard_distance_matrix,
-    squared_euclidean_distance_matrix,
-)
+from .distance import KIND_JACCARD, KIND_SQEUCLIDEAN, distance_matrix
 from .elm import elm_fit, model_predict, rbf_fit, rvfl_fit
 from .exceptions import DegenerateFitError, NumericalDivergenceError
 from .kernel import (
@@ -119,10 +114,7 @@ def _krr(kind, X_train, X_test, fit):
 
 def _knn(kind, X_train, X_test, fit):
     k = fit.params.get("k", 1)
-    if kind == KIND_JACCARD:
-        D = jaccard_distance_matrix(X_test, X_train)
-    else:
-        D = squared_euclidean_distance_matrix(X_test, X_train)
+    D = distance_matrix(kind, X_test, X_train)
     return knn_predict(D, fit.y_train, k), 0.0, 0, True
 
 

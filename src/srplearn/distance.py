@@ -1,9 +1,15 @@
 """Pairwise distance matrices.
 
-Jaccard distances between rows of two sparse binary matrices are computed
-for all pairs at once from one sparse matrix product:
+Every pairwise distance between rows of two sparse binary matrices is
+computed for all pairs at once from intersection counts, which come from
+one sparse matrix product per row block of B:
 
-    J(a, b) = 1 - |a & b| / (|a| + |b| - |a & b|)
+    J(a, b)    = 1 - |a & b| / (|a| + |b| - |a & b|)
+    |a - b|^2  = |a| + |b| - 2 |a & b|
+
+Both sparse distances share one blocked count loop, so both stay within
+the same memory cap.  Dense rows get squared Euclidean distances from one
+matrix product.  :func:`distance_matrix` selects the distance by kind.
 
 Per-pair scalar computation is deliberately not exposed; the matrix
 product route is only efficient when pairs are joined in large matrices.
@@ -17,14 +23,16 @@ from .sparse import SparseBinaryMatrix, row_counts, sparse_gram
 
 __all__ = [
     "DistanceMatrix",
+    "distance_matrix",
     "jaccard_distance_matrix",
     "squared_euclidean_distance_matrix",
 ]
 
 KIND_JACCARD = "jaccard"
 KIND_SQEUCLIDEAN = "squared-euclidean"
+KINDS = (KIND_JACCARD, KIND_SQEUCLIDEAN)
 
-# Memory cap for the live intermediates of one block of Jaccard distances.
+# Memory cap for the live intermediates of one block of sparse distances.
 _BLOCK_BUDGET_MB = 256.0
 
 
@@ -38,7 +46,7 @@ class DistanceMatrix:
     __slots__ = ("values", "kind")
 
     def __init__(self, values: np.ndarray, kind: str):
-        if kind not in (KIND_JACCARD, KIND_SQEUCLIDEAN):
+        if kind not in KINDS:
             raise ValueError(f"unknown distance kind: {kind!r}")
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2:
@@ -54,59 +62,59 @@ class DistanceMatrix:
         return f"DistanceMatrix(shape={self.shape}, kind={self.kind!r})"
 
 
-def _jaccard_block(A, B_block, counts_a, counts_b_block):
-    g = sparse_gram(A, B_block)
-    union = counts_a[:, None] + counts_b_block[None, :] - g
+def _from_counts(A, B, combine) -> np.ndarray:
+    """``combine(|a&b|, |a|, |b|)`` for every row a of A and row b of B.
+
+    Both operands must be sparse binary matrices of equal width.  B is
+    processed in row blocks sized from ``_BLOCK_BUDGET_MB`` so the
+    intermediate count matrices stay within budget; the counts are exact
+    integers, so block size does not affect the result.
+    """
+    if not (isinstance(A, SparseBinaryMatrix) and isinstance(B, SparseBinaryMatrix)):
+        raise TypeError("sparse distances need two sparse binary matrices")
+    if A.n_cols != B.n_cols:
+        raise ValueError(f"column counts differ: {A.n_cols} vs {B.n_cols}")
+    counts_a = row_counts(A).astype(np.float64)[:, None]
+    counts_b = row_counts(B).astype(np.float64)[None, :]
+    out = np.empty((A.n_rows, B.n_rows), dtype=np.float64)
+    # about 3 live float64 copies of an (n_rows(A), block) slab
+    budget_entries = int(_BLOCK_BUDGET_MB * 1e6 / 8.0)
+    block = max(1, budget_entries // (3 * max(1, A.n_rows)))
+    for start in range(0, B.n_rows, block):
+        stop = min(start + block, B.n_rows)
+        part = B if block >= B.n_rows else B.take_rows(np.arange(start, stop))
+        out[:, start:stop] = combine(
+            sparse_gram(A, part), counts_a, counts_b[:, start:stop]
+        )
+    return out
+
+
+def _jaccard(g, counts_a, counts_b):
+    union = counts_a + counts_b - g
     # union == 0 only when both rows are empty; that distance is 0.
     # An empty row against a nonempty one gives g == 0, hence distance 1.
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(union > 0, 1.0 - g / np.maximum(union, 1.0), 0.0)
-    return out
+        return np.where(union > 0, 1.0 - g / np.maximum(union, 1.0), 0.0)
 
 
 def jaccard_distance_matrix(A: SparseBinaryMatrix, B: SparseBinaryMatrix) -> DistanceMatrix:
     """Exact Jaccard distances between all rows of A and all rows of B.
 
-    B is processed in row blocks sized from ``_BLOCK_BUDGET_MB`` so the
-    intermediate intersection-count matrix stays within budget.  Block
-    size does not affect the result.
+    Both must be sparse binary matrices (``TypeError`` otherwise) of
+    equal width (``ValueError`` otherwise).
     """
-    if A.n_cols != B.n_cols:
-        raise ValueError(
-            f"column counts differ: {A.n_cols} vs {B.n_cols}"
-        )
-    counts_a = row_counts(A).astype(np.float64)
-    counts_b = row_counts(B).astype(np.float64)
-    out = np.empty((A.n_rows, B.n_rows), dtype=np.float64)
-    if A.n_rows == 0 or B.n_rows == 0:
-        return DistanceMatrix(out, KIND_JACCARD)
-    # 3 live float64 copies of an (n_rows(A), block) slab: gram, union, out
-    budget_entries = int(_BLOCK_BUDGET_MB * 1e6 / 8.0)
-    block = max(1, budget_entries // (3 * max(1, A.n_rows)))
-    for start in range(0, B.n_rows, block):
-        stop = min(start + block, B.n_rows)
-        b_block = B.take_rows(np.arange(start, stop))
-        out[:, start:stop] = _jaccard_block(
-            A, b_block, counts_a, counts_b[start:stop]
-        )
-    return DistanceMatrix(out, KIND_JACCARD)
+    return DistanceMatrix(_from_counts(A, B, _jaccard), KIND_JACCARD)
 
 
 def squared_euclidean_distance_matrix(A, B) -> DistanceMatrix:
     """Pairwise squared Euclidean distances between rows of A and B.
 
     Both arguments are either sparse binary matrices (exact integer
-    result via intersection counts) or dense float arrays.
+    result via intersection counts) or dense float arrays; one sparse
+    operand with one dense one raises ``TypeError``.
     """
-    if isinstance(A, SparseBinaryMatrix) and isinstance(B, SparseBinaryMatrix):
-        if A.n_cols != B.n_cols:
-            raise ValueError(
-                f"column counts differ: {A.n_cols} vs {B.n_cols}"
-            )
-        g = sparse_gram(A, B)
-        counts_a = row_counts(A).astype(np.float64)
-        counts_b = row_counts(B).astype(np.float64)
-        d2 = counts_a[:, None] + counts_b[None, :] - 2.0 * g
+    if isinstance(A, SparseBinaryMatrix) or isinstance(B, SparseBinaryMatrix):
+        d2 = _from_counts(A, B, lambda g, a, b: a + b - 2.0 * g)
         return DistanceMatrix(d2, KIND_SQEUCLIDEAN)
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -121,3 +129,12 @@ def squared_euclidean_distance_matrix(A, B) -> DistanceMatrix:
     d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (A @ B.T)
     np.maximum(d2, 0.0, out=d2)
     return DistanceMatrix(d2, KIND_SQEUCLIDEAN)
+
+
+def distance_matrix(kind: str, A, B) -> DistanceMatrix:
+    """Pairwise distances of ``kind``, one of :data:`KINDS`, between rows of A and B."""
+    if kind == KIND_JACCARD:
+        return jaccard_distance_matrix(A, B)
+    if kind == KIND_SQEUCLIDEAN:
+        return squared_euclidean_distance_matrix(A, B)
+    raise ValueError(f"unknown distance kind: {kind!r}")

@@ -7,7 +7,9 @@ Three hidden-layer constructions share one training path:
 - RVFL: ELM plus a random linear branch, design matrix [tanh(XW + b) | X V]
   with V an independent ternary projection and no activation.
 - RBF: H[i, j] = exp(-gamma_j * d^2(x_i, c_j)) against centroids sampled
-  from the training rows, with random log-uniform kernel widths.
+  from the training rows, with random log-uniform kernel widths.  The
+  distances come from :func:`srplearn.distance.distance_matrix`, which
+  also checks the operands (Jaccard needs sparse binary rows).
 
 Each model has one design function that builds H, called both by its fit
 and by :func:`model_predict`.  ELM and RVFL share one fit, ELM being an
@@ -21,12 +23,7 @@ import warnings
 
 import numpy as np
 
-from .distance import (
-    KIND_JACCARD,
-    KIND_SQEUCLIDEAN,
-    jaccard_distance_matrix,
-    squared_euclidean_distance_matrix,
-)
+from .distance import KIND_JACCARD, KIND_SQEUCLIDEAN, KINDS, distance_matrix
 from .projection import (
     SparseProjection,
     apply_projection,
@@ -116,7 +113,7 @@ class RbfModel:
         n_centroids = centroids.shape[0]
         if gammas.shape != (n_centroids,):
             raise ValueError("one kernel width per centroid required")
-        if distance_kind not in (KIND_JACCARD, KIND_SQEUCLIDEAN):
+        if distance_kind not in KINDS:
             raise ValueError(f"unknown distance kind: {distance_kind!r}")
         if solution.beta.shape[0] != n_centroids:
             raise ValueError("output weight row count does not match design")
@@ -200,15 +197,8 @@ def rvfl_fit(
 
 
 def _squared_distances(X, centroids, distance_kind) -> np.ndarray:
-    if distance_kind == KIND_JACCARD:
-        if not (
-            isinstance(X, SparseBinaryMatrix)
-            and isinstance(centroids, SparseBinaryMatrix)
-        ):
-            raise ValueError("jaccard distance requires sparse binary rows")
-        j = jaccard_distance_matrix(X, centroids).values
-        return j * j
-    return squared_euclidean_distance_matrix(X, centroids).values
+    d = distance_matrix(distance_kind, X, centroids).values
+    return d * d if distance_kind == KIND_JACCARD else d
 
 
 def _rbf_design(X, centroids, gammas, distance_kind) -> np.ndarray:

@@ -14,7 +14,6 @@ import numpy as np
 
 from .distance import DistanceMatrix, jaccard_distance_matrix
 from .ridge import _spectral_press, default_lambda_grid
-from .sparse import SparseBinaryMatrix
 
 __all__ = [
     "KrrModel",
@@ -72,7 +71,7 @@ def kernel_matrix(kind: str, rows_a, rows_b) -> np.ndarray:
 
     "linear-srp": plain inner products of dense feature rows.
     "jaccard-similarity": 1 - J on sparse binary rows (1 on identical
-    nonempty rows, 0 on disjoint ones).
+    nonempty rows, 0 on disjoint ones); other rows raise ``TypeError``.
     """
     if kind == KERNEL_LINEAR:
         a = np.asarray(rows_a, dtype=np.float64)
@@ -85,11 +84,6 @@ def kernel_matrix(kind: str, rows_a, rows_b) -> np.ndarray:
             )
         return a @ b.T
     if kind == KERNEL_JACCARD:
-        if not (
-            isinstance(rows_a, SparseBinaryMatrix)
-            and isinstance(rows_b, SparseBinaryMatrix)
-        ):
-            raise TypeError("jaccard kernel expects sparse binary matrices")
         return 1.0 - jaccard_distance_matrix(rows_a, rows_b).values
     raise ValueError(f"unknown kernel kind: {kind!r}")
 

@@ -22,6 +22,8 @@ __all__ = [
 
 _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-20
+# share of the rows held out when choosing the penalty
+_HOLDOUT_FRACTION = 0.2
 
 
 class LogRegModel:
@@ -138,7 +140,6 @@ def logreg_select_lambda(
     y,
     lambda_grid,
     seed: int = 0,
-    holdout_fraction: float = 0.2,
     max_iter: int = 500,
     tol: float = 1e-6,
 ):
@@ -152,10 +153,8 @@ def logreg_select_lambda(
     grid = np.asarray(lambda_grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("lambda_grid must be a nonempty 1-D sequence")
-    if not 0.0 < holdout_fraction < 1.0:
-        raise ValueError("holdout_fraction must be in (0, 1)")
     n = X.shape[0]
-    n_hold = max(1, int(round(n * holdout_fraction)))
+    n_hold = max(1, int(round(n * _HOLDOUT_FRACTION)))
     if n_hold >= n:
         raise ValueError("holdout split leaves no training rows")
     perm = np.random.default_rng(seed).permutation(n)

@@ -142,9 +142,6 @@ class EvalReport:
     # method pairs whose p = 0 comes from a zero-variance nonzero difference
     degenerate_pairs: list = field(default_factory=list)
 
-    def best_method(self) -> str:
-        return max(self.methods, key=lambda m: self.auc_mean[m])
-
 
 def summarize(runs, alpha: float = 0.05, times=None) -> EvalReport:
     """Mean/std per method plus the set statistically tied with the best.

@@ -162,9 +162,6 @@ class SparseBinaryMatrix:
             and np.array_equal(self.indices, other.indices)
         )
 
-    def __hash__(self):
-        return None  # unhashable; identity does not matter
-
     def __repr__(self) -> str:
         return (
             f"SparseBinaryMatrix(n_rows={self.n_rows}, n_cols={self.n_cols}, "

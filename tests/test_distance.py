@@ -7,10 +7,14 @@ from srplearn import distance
 from srplearn.distance import (
     KIND_JACCARD,
     KIND_SQEUCLIDEAN,
+    KINDS,
     DistanceMatrix,
+    distance_matrix,
     jaccard_distance_matrix,
     squared_euclidean_distance_matrix,
 )
+from srplearn.elm import rbf_fit
+from srplearn.kernel import KERNEL_JACCARD, kernel_matrix
 from srplearn.sparse import SparseBinaryMatrix
 
 
@@ -87,22 +91,26 @@ class TestJaccard:
             i, j, k = rng.integers(0, 25, size=3)
             assert D[i, j] <= D[i, k] + D[k, j] + 1e-12
 
-    def test_block_size_does_not_change_values(self, monkeypatch):
-        rng = np.random.default_rng(10)
-        A = _random_sparse(rng, 40, 60, 0.1)
-        B = _random_sparse(rng, 35, 60, 0.1)
-        monkeypatch.setattr(distance, "_BLOCK_BUDGET_MB", 1024.0)
-        full = jaccard_distance_matrix(A, B).values
-        # budget small enough to force many blocks of B
-        monkeypatch.setattr(distance, "_BLOCK_BUDGET_MB", 0.01)
-        tiny = jaccard_distance_matrix(A, B).values
-        assert np.array_equal(full, tiny)
-
     def test_column_mismatch_rejected(self):
         A = SparseBinaryMatrix.from_rows([[0]], 3)
         B = SparseBinaryMatrix.from_rows([[0]], 4)
         with pytest.raises(ValueError):
             jaccard_distance_matrix(A, B)
+
+
+@pytest.mark.parametrize(
+    "pairwise", [jaccard_distance_matrix, squared_euclidean_distance_matrix]
+)
+def test_block_size_does_not_change_values(monkeypatch, pairwise):
+    rng = np.random.default_rng(10)
+    A = _random_sparse(rng, 40, 60, 0.1)
+    B = _random_sparse(rng, 35, 60, 0.1)
+    monkeypatch.setattr(distance, "_BLOCK_BUDGET_MB", 1024.0)
+    full = pairwise(A, B).values
+    # budget small enough to force many blocks of B
+    monkeypatch.setattr(distance, "_BLOCK_BUDGET_MB", 0.01)
+    tiny = pairwise(A, B).values
+    assert np.array_equal(full, tiny)
 
 
 class TestSquaredEuclidean:
@@ -157,3 +165,42 @@ class TestDistanceMatrix:
     def test_values_must_be_2d(self):
         with pytest.raises(ValueError):
             DistanceMatrix(np.zeros(3), KIND_JACCARD)
+
+
+class TestDistanceMatrixByKind:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_named_function(self, kind):
+        rng = np.random.default_rng(14)
+        A = _random_sparse(rng, 9, 30, 0.2)
+        B = _random_sparse(rng, 7, 30, 0.2)
+        named = {
+            KIND_JACCARD: jaccard_distance_matrix,
+            KIND_SQEUCLIDEAN: squared_euclidean_distance_matrix,
+        }[kind]
+        D = distance_matrix(kind, A, B)
+        assert D.kind == kind
+        assert np.array_equal(D.values, named(A, B).values)
+
+    def test_unknown_kind_rejected(self):
+        A = SparseBinaryMatrix.from_rows([[0]], 3)
+        with pytest.raises(ValueError):
+            distance_matrix("chebyshev", A, A)
+
+
+_DENSE = np.eye(4)
+_LABELS = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: jaccard_distance_matrix(_DENSE, _DENSE),
+        lambda: kernel_matrix(KERNEL_JACCARD, _DENSE, _DENSE),
+        lambda: rbf_fit(_DENSE, _LABELS, 2, KIND_JACCARD),
+        lambda: distance_matrix(KIND_JACCARD, _DENSE, _DENSE),
+    ],
+    ids=["jaccard_distance_matrix", "kernel_matrix", "rbf_fit", "distance_matrix"],
+)
+def test_jaccard_of_dense_rows_is_a_type_error(call):
+    with pytest.raises(TypeError):
+        call()

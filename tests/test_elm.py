@@ -198,7 +198,7 @@ class TestRbf:
         rng = np.random.default_rng(15)
         F = rng.standard_normal((10, 3))
         y = np.where(F[:, 0] > 0, 1.0, -1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             rbf_fit(F, y, 4, KIND_JACCARD)
 
     def test_too_many_centroids_rejected(self):

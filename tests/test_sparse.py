@@ -1,5 +1,7 @@
 """Tests for the sparse binary matrix type and its arithmetic."""
 
+import collections.abc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,12 @@ class TestConstruction:
         m = SparseBinaryMatrix.from_rows([[0]], n_cols=2)
         with pytest.raises(AttributeError):
             m.n_cols = 7
+
+    def test_unhashable(self):
+        m = SparseBinaryMatrix.from_rows([[0]], n_cols=2)
+        assert not isinstance(m, collections.abc.Hashable)
+        with pytest.raises(TypeError, match="unhashable"):
+            {m}
 
     def test_row_boundary_equal_index_allowed(self):
         # consecutive rows may start where the previous ended, including
