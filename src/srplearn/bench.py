@@ -42,7 +42,7 @@ from .kernel import (
 from .logreg import logreg_fit, logreg_predict, logreg_select_lambda
 from .matio import read_matrix_csv, write_table_csv
 from .metrics import EvalReport, accuracy, format_report, roc_auc, summarize
-from .projection import apply_projection, default_density, derive_seed, make_projection
+from .projection import apply_projection, derive_seed, make_projection
 
 __all__ = ["BENCH_METHODS", "METHODS", "SWEEP_METHODS", "cmd_bench", "cmd_sweep"]
 
@@ -230,14 +230,11 @@ def _build_features(cfg, pool, test, dim, external):
         f_pool, f_test = external
         source = f"precomputed features ({f_pool.shape[1]} columns)"
     else:
-        density = cfg.srp_density
-        if density is None:
-            density = default_density(pool.n_sparse_features)
         seed = cfg.srp_seed if cfg.srp_seed is not None else cfg.base_seed
-        P = make_projection(pool.n_sparse_features, dim, density, seed)
+        P = make_projection(pool.n_sparse_features, dim, cfg.srp_density, seed)
         f_pool = apply_projection(pool.sparse, P)
         f_test = apply_projection(test.sparse, P)
-        source = f"projection density={density:.6g} seed={seed}"
+        source = f"projection density={P.density:.6g} seed={seed}"
     zero_frac = float(np.mean(f_pool == 0.0)) if f_pool.size else 0.0
     note = f"{source}, exact-zero fraction {zero_frac:.4f}"
     if pool.dense is not None:

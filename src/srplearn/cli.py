@@ -32,7 +32,7 @@ from .datasets import read_svmlight
 from .distance import jaccard_distance_matrix
 from .exceptions import DegenerateFitError, NumericalDivergenceError, SvmlightParseError
 from .matio import write_keyvalues, write_matrix_csv
-from .projection import apply_projection, default_density, make_projection
+from .projection import apply_projection, make_projection
 
 __all__ = ["main", "build_parser"]
 
@@ -94,10 +94,7 @@ def _do_project(args) -> int:
         raise ValueError(
             "project handles pure sparse inputs; found dense features"
         )
-    density = args.density
-    if density is None:
-        density = default_density(data.n_sparse_features)
-    P = make_projection(data.n_sparse_features, args.dim, density, args.seed)
+    P = make_projection(data.n_sparse_features, args.dim, args.density, args.seed)
     F = apply_projection(data.sparse, P)
     write_matrix_csv(args.out, F)
     write_keyvalues(args.out + ".meta", P.metadata())

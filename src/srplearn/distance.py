@@ -67,8 +67,9 @@ def _from_counts(A, B, combine) -> np.ndarray:
 
     Both operands must be sparse binary matrices of equal width.  B is
     processed in row blocks sized from ``_BLOCK_BUDGET_MB`` so the
-    intermediate count matrices stay within budget; the counts are exact
-    integers, so block size does not affect the result.
+    intermediates of one block stay within budget; the counts are exact
+    integers, so block size does not affect the result.  ``combine`` may
+    overwrite the count slab it is given.
     """
     if not (isinstance(A, SparseBinaryMatrix) and isinstance(B, SparseBinaryMatrix)):
         raise TypeError("sparse distances need two sparse binary matrices")
@@ -77,7 +78,8 @@ def _from_counts(A, B, combine) -> np.ndarray:
     counts_a = row_counts(A).astype(np.float64)[:, None]
     counts_b = row_counts(B).astype(np.float64)[None, :]
     out = np.empty((A.n_rows, B.n_rows), dtype=np.float64)
-    # about 3 live float64 copies of an (n_rows(A), block) slab
+    # a block peaks at 2.8 float64 (n_rows(A), block) slabs (tracemalloc,
+    # every pair intersecting): the sparse product and its dense copy
     budget_entries = int(_BLOCK_BUDGET_MB * 1e6 / 8.0)
     block = max(1, budget_entries // (3 * max(1, A.n_rows)))
     for start in range(0, B.n_rows, block):
@@ -90,11 +92,24 @@ def _from_counts(A, B, combine) -> np.ndarray:
 
 
 def _jaccard(g, counts_a, counts_b):
-    union = counts_a + counts_b - g
+    """1 - g / union, computed in place on the count slab ``g``."""
+    union = counts_a + counts_b
+    union -= g
+    np.maximum(union, 1.0, out=union)
+    g /= union
+    np.subtract(1.0, g, out=g)
     # union == 0 only when both rows are empty; that distance is 0.
     # An empty row against a nonempty one gives g == 0, hence distance 1.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(union > 0, 1.0 - g / np.maximum(union, 1.0), 0.0)
+    g[np.ix_(counts_a[:, 0] == 0, counts_b[0] == 0)] = 0.0
+    return g
+
+
+def _sqeuclidean(g, counts_a, counts_b):
+    """|a| + |b| - 2 g in place; exact, since every term is an integer."""
+    g *= -2.0
+    g += counts_a
+    g += counts_b
+    return g
 
 
 def jaccard_distance_matrix(A: SparseBinaryMatrix, B: SparseBinaryMatrix) -> DistanceMatrix:
@@ -114,7 +129,7 @@ def squared_euclidean_distance_matrix(A, B) -> DistanceMatrix:
     operand with one dense one raises ``TypeError``.
     """
     if isinstance(A, SparseBinaryMatrix) or isinstance(B, SparseBinaryMatrix):
-        d2 = _from_counts(A, B, lambda g, a, b: a + b - 2.0 * g)
+        d2 = _from_counts(A, B, _sqeuclidean)
         return DistanceMatrix(d2, KIND_SQEUCLIDEAN)
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)

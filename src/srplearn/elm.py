@@ -27,7 +27,6 @@ from .distance import KIND_JACCARD, KIND_SQEUCLIDEAN, KINDS, distance_matrix
 from .projection import (
     SparseProjection,
     apply_projection,
-    default_density,
     derive_seed,
     make_projection,
     ternary_row,
@@ -153,14 +152,12 @@ def _fit_hidden(X, y, L, d_lin, density, seed, lambda_grid) -> ElmModel:
     input_dim = X.shape[1]
     if d_lin is None:
         d_lin = min(input_dim, L)
-    if density is None:
-        density = default_density(input_dim)
     W = make_projection(input_dim, L, density, seed)
-    bias = elm_bias(input_dim, L, density, seed)
+    bias = elm_bias(input_dim, L, W.density, seed)
     linear = None
     if d_lin:
         linear = make_projection(
-            input_dim, d_lin, density, derive_seed(seed, _STREAM_LINEAR)
+            input_dim, d_lin, W.density, derive_seed(seed, _STREAM_LINEAR)
         )
     H = _elm_design(X, W, bias, linear)
     return ElmModel(W, bias, linear, solve_ridge_press(H, y[:, None], lambda_grid))

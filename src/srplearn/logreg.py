@@ -12,6 +12,7 @@ import numpy as np
 from scipy.special import expit
 
 from .exceptions import NumericalDivergenceError
+from .ridge import _select_penalty
 
 __all__ = [
     "LogRegModel",
@@ -147,23 +148,20 @@ def logreg_select_lambda(
 
     Rows are shuffled once (seeded) and split; each grid value is fit on
     the larger part and scored on the holdout.  Exact ties go to the
-    larger penalty.  Returns (best_lambda, losses aligned with the grid).
+    larger penalty, as for ridge (:func:`srplearn.ridge._select_penalty`).
+    Returns (best_lambda, losses aligned with the grid).
     """
     X, y = _check_inputs(X, y)
-    grid = np.asarray(lambda_grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("lambda_grid must be a nonempty 1-D sequence")
     n = X.shape[0]
     n_hold = max(1, int(round(n * _HOLDOUT_FRACTION)))
     if n_hold >= n:
         raise ValueError("holdout split leaves no training rows")
     perm = np.random.default_rng(seed).permutation(n)
     hold, train = perm[:n_hold], perm[n_hold:]
-    losses = np.empty(grid.size, dtype=np.float64)
-    for gi, lam in enumerate(grid):
+
+    def heldout_loss(lam):
         model = logreg_fit(X[train], y[train], float(lam), max_iter, tol)
-        losses[gi] = _heldout_logloss(model, X[hold], y[hold])
-    best_val = np.min(losses)
-    candidates = np.flatnonzero(losses == best_val)
-    best = int(candidates[np.argmax(grid[candidates])])
+        return _heldout_logloss(model, X[hold], y[hold])
+
+    grid, losses, best = _select_penalty(lambda_grid, heldout_loss, "held-out log-loss")
     return float(grid[best]), losses

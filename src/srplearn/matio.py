@@ -119,7 +119,8 @@ def write_keyvalues(path: str, mapping: dict) -> None:
 
 
 def read_keyvalues(path: str) -> dict:
-    """Parse ``key=value`` lines; blank lines and # comments are skipped."""
+    """Parse ``key=value`` lines; blank lines and # comments are skipped.
+    A key given twice is an error, not a silent override."""
     out = {}
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
@@ -128,8 +129,10 @@ def read_keyvalues(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{line_no}: expected key=value")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in out:
+                raise ValueError(f"{path}:{line_no}: duplicate key {key!r}")
+            out[key] = value
     return out
 
 

@@ -1,14 +1,17 @@
 """Ternary sparse random projections.
 
 A projection maps ``input_dim`` sparse binary features to ``output_dim``
-dense real features.  Each entry of the implicit projection matrix is
+dense real features.  Each entry of the projection matrix is
 independently
 
     -sqrt(s / output_dim)  with probability 1 / (2 s)
     0                      with probability 1 - 1 / s
     +sqrt(s / output_dim)  with probability 1 / (2 s)
 
-with ``s = 1 / density``.  Entries are generated by a counter-based
+with ``s = 1 / density``.  It is stored as its nonzero pattern, an
+(input_dim, output_dim) :class:`~srplearn.sparse.SparseBinaryMatrix` in
+CSR layout, plus one sign per stored entry; the values are the signs
+times the common magnitude.  Entries are generated by a counter-based
 stream keyed on (seed, input row), so any row can be produced out of
 order and regeneration from the same parameters is exact.
 
@@ -64,8 +67,9 @@ def default_density(input_dim: int) -> float:
 def _ternary_rows(seed: int, start: int, stop: int, output_dim: int, density: float):
     """Nonzero pattern of projection rows ``start .. stop - 1``.
 
-    Returns (rows, cols, positive): index arrays sorted by (row, col) and
-    a boolean sign per entry.
+    Returns (counts, cols, positive): the nonzero count of each row, the
+    increasing column indices of each row in turn, and a boolean sign per
+    entry.
     """
     # Key word 0 comes from the key list exactly as the per-row stream
     # built it, including numpy's rounding of seeds >= 2**63 to float64.
@@ -76,7 +80,7 @@ def _ternary_rows(seed: int, start: int, stop: int, output_dim: int, density: fl
     width = 2 * output_dim
     block_rows = max(1, min(stop - start, _BLOCK_DOUBLES // max(width, 1)))
     block = np.empty((block_rows, width), dtype=np.float64)
-    row_parts, col_parts, pos_parts = [], [], []
+    count_parts, col_parts, pos_parts = [], [], []
     for first in range(start, stop, block_rows):
         u = block[: min(block_rows, stop - first)]
         for r in range(u.shape[0]):
@@ -84,11 +88,11 @@ def _ternary_rows(seed: int, start: int, stop: int, output_dim: int, density: fl
             bitgen.state = state
             gen.random(out=u[r])
         rows, cols = np.nonzero(u[:, :output_dim] < density)
-        row_parts.append(rows + first)
+        count_parts.append(np.bincount(rows, minlength=u.shape[0]))
         col_parts.append(cols)
         pos_parts.append(u[:, output_dim:][rows, cols] < 0.5)
     return (
-        np.concatenate(row_parts),
+        np.concatenate(count_parts),
         np.concatenate(col_parts),
         np.concatenate(pos_parts),
     )
@@ -112,98 +116,70 @@ def ternary_row(seed: int, row_index: int, output_dim: int, density: float):
     return cols, np.where(positive, 1.0, -1.0)
 
 
-class SparseProjection:
-    """Immutable ternary projection matrix in triplet form.
+def _check_params(input_dim: int, output_dim: int, density: float) -> None:
+    if input_dim < 1 or output_dim < 1:
+        raise ValueError("projection dimensions must be >= 1")
+    if not 0.0 < density <= 1.0:
+        raise ValueError("density must be in (0, 1]")
 
-    Parameters
-    ----------
-    input_dim, output_dim : int
-        Shape of the (implicit) projection matrix.
-    density : float
-        Probability that an entry is nonzero; ``s = 1/density``.
-    seed : int
-        Seed of the counter-based generator.
-    rows, cols : int64 arrays
-        Triplet coordinates, sorted by (row, col) with no duplicates.
-    values : float64 array
-        Entries, each exactly +magnitude or -magnitude where
-        magnitude = sqrt(s / output_dim).
+
+class SparseProjection:
+    """Immutable ternary projection: a nonzero pattern and one sign per entry.
+
+    ``pattern`` is the (input_dim, output_dim) :class:`SparseBinaryMatrix`
+    of nonzero entries, whose constructor checks their range and order.
+    ``positive`` holds one boolean per stored entry, in pattern order, and
+    ``values`` the float64 entries built from it: +sqrt(s / output_dim)
+    where True, the negative where False, with ``s = 1/density``.  The
+    ``seed`` is that of the counter-based generator.
     """
 
-    __slots__ = (
-        "input_dim",
-        "output_dim",
-        "density",
-        "s",
-        "seed",
-        "rows",
-        "cols",
-        "values",
-        "_csr",
-    )
+    __slots__ = ("pattern", "positive", "density", "seed", "values", "_csr")
 
-    def __init__(self, input_dim, output_dim, density, seed, rows, cols, values):
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        cols = np.ascontiguousarray(cols, dtype=np.int64)
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        if not (rows.shape == cols.shape == values.shape) or rows.ndim != 1:
-            raise ValueError("rows, cols, values must be equal-length 1-D arrays")
-        if input_dim < 1 or output_dim < 1:
-            raise ValueError("projection dimensions must be >= 1")
-        if not 0.0 < density <= 1.0:
-            raise ValueError("density must be in (0, 1]")
-        s = 1.0 / density
-        magnitude = math.sqrt(s / output_dim)
-        if values.size:
-            if rows.min() < 0 or rows.max() >= input_dim:
-                raise ValueError("row index out of range")
-            if cols.min() < 0 or cols.max() >= output_dim:
-                raise ValueError("column index out of range")
-            if not np.all(np.abs(values) == magnitude):
-                raise ValueError(
-                    "every value must be exactly +/- sqrt(s/output_dim)"
-                )
-            key = rows * output_dim + cols
-            if np.any(np.diff(key) <= 0):
-                raise ValueError(
-                    "triplets must be sorted by (row, col) with no duplicates"
-                )
-        object.__setattr__(self, "input_dim", int(input_dim))
-        object.__setattr__(self, "output_dim", int(output_dim))
+    def __init__(self, pattern: SparseBinaryMatrix, positive, density, seed):
+        _check_params(pattern.n_rows, pattern.n_cols, density)
+        positive = np.ascontiguousarray(positive, dtype=bool)
+        if positive.shape != (pattern.nnz,):
+            raise ValueError("one sign per stored entry of the pattern required")
+        magnitude = math.sqrt((1.0 / density) / pattern.n_cols)
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "positive", positive)
         object.__setattr__(self, "density", float(density))
-        object.__setattr__(self, "s", s)
         object.__setattr__(self, "seed", int(seed))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", np.where(positive, magnitude, -magnitude))
         object.__setattr__(self, "_csr", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseProjection is immutable")
 
     @property
-    def magnitude(self) -> float:
-        return math.sqrt(self.s / self.output_dim)
+    def input_dim(self) -> int:
+        return self.pattern.n_rows
+
+    @property
+    def output_dim(self) -> int:
+        return self.pattern.n_cols
+
+    @property
+    def s(self) -> float:
+        return 1.0 / self.density
 
     @property
     def nnz(self) -> int:
-        return int(self.values.size)
+        return self.pattern.nnz
 
     def to_scipy(self) -> sp.csr_matrix:
         """CSR form of the projection matrix (cached)."""
         if self._csr is None:
             csr = sp.csr_matrix(
-                (self.values, (self.rows, self.cols)),
-                shape=(self.input_dim, self.output_dim),
+                (self.values, self.pattern.indices, self.pattern.indptr),
+                shape=self.pattern.shape,
             )
-            csr.sort_indices()
             object.__setattr__(self, "_csr", csr)
         return self._csr
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.input_dim, self.output_dim), dtype=np.float64)
-        out[self.rows, self.cols] = self.values
-        return out
+        return self.to_scipy().toarray()
 
     def metadata(self) -> dict:
         """The four values the projection is reproducible from."""
@@ -227,19 +203,18 @@ def make_projection(
 ) -> SparseProjection:
     """Generate the ternary projection for the given parameters.
 
-    ``density=None`` uses ``default_density(input_dim)``.  The result is a
-    deterministic function of (input_dim, output_dim, density, seed).
+    ``density=None`` uses ``default_density(input_dim)``; this is the one
+    place that default is resolved, and callers read it back as
+    ``.density``.  The result is a deterministic function of (input_dim,
+    output_dim, density, seed).
     """
-    if input_dim < 1 or output_dim < 1:
-        raise ValueError("projection dimensions must be >= 1")
     if density is None:
         density = default_density(input_dim)
-    if not 0.0 < density <= 1.0:
-        raise ValueError("density must be in (0, 1]")
-    magnitude = math.sqrt((1.0 / density) / output_dim)
-    rows, cols, positive = _ternary_rows(seed, 0, input_dim, output_dim, density)
-    values = np.where(positive, magnitude, -magnitude)
-    return SparseProjection(input_dim, output_dim, density, seed, rows, cols, values)
+    _check_params(input_dim, output_dim, density)
+    counts, cols, positive = _ternary_rows(seed, 0, input_dim, output_dim, density)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    pattern = SparseBinaryMatrix(indptr, cols, output_dim)
+    return SparseProjection(pattern, positive, density, seed)
 
 
 def apply_projection(X, P: SparseProjection) -> np.ndarray:

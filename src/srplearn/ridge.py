@@ -12,7 +12,8 @@ One private core, :func:`_spectral_press`, runs that grid for every
 caller from one symmetric eigendecomposition.  ``solve_ridge_press``
 decomposes the smaller Gram matrix: H'H (primal) when H has no more
 columns than rows, HH' (dual) otherwise, and then returns beta = H'alpha.
-Kernel ridge (``kernel.krr_fit``) passes its kernel to the same core.
+Kernel ridge (``kernel.krr_fit``) passes its kernel to the same core, and
+logistic regression shares its penalty choice, :func:`_select_penalty`.
 """
 
 from __future__ import annotations
@@ -60,6 +61,26 @@ class RidgeSolution:
         )
 
 
+def _select_penalty(lambda_grid, error, name):
+    """(grid, errors, winner's index) for the penalty minimizing ``error``.
+
+    The grid (nonempty, 1-D, finite, >= 0) is checked before ``error`` is
+    first called.  The smallest finite error wins, exact ties going to the
+    larger penalty; with none finite, DegenerateFitError names ``name``.
+    """
+    grid = np.asarray(lambda_grid, dtype=np.float64)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("lambda_grid must be a nonempty 1-D sequence")
+    if np.any(grid < 0) or not np.all(np.isfinite(grid)):
+        raise ValueError("lambda_grid entries must be finite and >= 0")
+    errors = np.array([error(lam) for lam in grid], dtype=np.float64)
+    finite = np.isfinite(errors)
+    if not np.any(finite):
+        raise DegenerateFitError(f"{name} is degenerate for every penalty in the grid")
+    candidates = np.flatnonzero(errors == np.min(errors[finite]))
+    return grid, errors, int(candidates[np.argmax(grid[candidates])])
+
+
 def _spectral_press(gram, Y, lambda_grid, H=None):
     """(selected penalty, its PRESS, its coefficients) for one Gram matrix.
 
@@ -74,16 +95,10 @@ def _spectral_press(gram, Y, lambda_grid, H=None):
 
     A penalty with w + l <= 1e-14 * max(1, max|w|), or with a leave-one-out
     denominator at or below 1e-12 (primal 1 - h) or 0 (dual), gets
-    infinite error.  The smallest PRESS wins, exact ties going to the
-    larger penalty; only the winner's coefficients are formed.  ``Y`` is
-    (n_samples, n_outputs).
+    infinite error.  The penalty is chosen by :func:`_select_penalty`;
+    only the winner's coefficients are formed.  ``Y`` is (n_samples,
+    n_outputs).
     """
-    grid = np.asarray(lambda_grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("lambda_grid must be a nonempty 1-D sequence")
-    if np.any(grid < 0) or not np.all(np.isfinite(grid)):
-        raise ValueError("lambda_grid entries must be finite and >= 0")
-
     w, Q = np.linalg.eigh(gram)
     B = Q if H is None else H @ Q
     C = B.T @ Y
@@ -91,11 +106,10 @@ def _spectral_press(gram, Y, lambda_grid, H=None):
     floor = _SPECTRAL_FLOOR * np.max(np.abs(w), initial=1.0)
     min_denom = 0.0 if H is None else _MIN_LOO_DENOM
 
-    press = np.full(grid.size, np.inf)
-    for gi, lam in enumerate(grid):
+    def press(lam):
         denom = w + lam
         if np.any(denom <= floor):
-            continue
+            return np.inf
         inv = 1.0 / denom
         fit = B @ (inv[:, None] * C)    # alpha (dual) or fitted values
         diag = B2 @ inv                 # diag((K + l I)^-1) or leverages
@@ -104,19 +118,13 @@ def _spectral_press(gram, Y, lambda_grid, H=None):
         else:
             resid_num, loo_denom = Y - fit, 1.0 - diag
         if np.any(loo_denom <= min_denom):
-            continue
+            return np.inf
         resid = resid_num / loo_denom[:, None]
-        press[gi] = float(np.sum(resid * resid))
+        return float(np.sum(resid * resid))
 
-    finite = np.isfinite(press)
-    if not np.any(finite):
-        raise DegenerateFitError(
-            "leave-one-out error is degenerate for every penalty in the grid"
-        )
-    candidates = np.flatnonzero(press == np.min(press[finite]))
-    best = int(candidates[np.argmax(grid[candidates])])
+    grid, errors, best = _select_penalty(lambda_grid, press, "leave-one-out error")
     inv = 1.0 / (w + grid[best])
-    return grid[best], press[best], Q @ (inv[:, None] * C)
+    return grid[best], errors[best], Q @ (inv[:, None] * C)
 
 
 def solve_ridge_press(H, Y, lambda_grid) -> RidgeSolution:

@@ -18,27 +18,29 @@ def _write_cfg(tmp_path, name, text):
 
 
 def _bench_cfg(tmp_path, out_name="out", extra=""):
-    return _write_cfg(
-        tmp_path,
-        f"cfg_{out_name}.txt",
-        f"""
-out_dir = {tmp_path / out_name}
-base_seed = 5
-n_runs = 3
-n_train = 60
-methods = elm-srp, knn-jaccard
-srp.dim = 40
-data.kind = synth
-data.n_features = 1500
-data.n_train_pool = 150
-data.n_test = 80
-data.signal_features = 100
-data.density = 0.01
-data.flip_prob = 0.0
-method.elm-srp.L = 32
-{extra}
-""",
-    )
+    """Small bench config; each ``key = value`` line of ``extra`` replaces
+    the base value of its key or adds the key (a key may appear once)."""
+    keys = {
+        "out_dir": tmp_path / out_name,
+        "base_seed": "5",
+        "n_runs": "3",
+        "n_train": "60",
+        "methods": "elm-srp, knn-jaccard",
+        "srp.dim": "40",
+        "data.kind": "synth",
+        "data.n_features": "1500",
+        "data.n_train_pool": "150",
+        "data.n_test": "80",
+        "data.signal_features": "100",
+        "data.density": "0.01",
+        "data.flip_prob": "0.0",
+        "method.elm-srp.L": "32",
+    }
+    for line in extra.splitlines():
+        key, value = line.split("=", 1)
+        keys[key.strip()] = value.strip()
+    text = "".join(f"{key} = {value}\n" for key, value in keys.items())
+    return _write_cfg(tmp_path, f"cfg_{out_name}.txt", text)
 
 
 class TestBench:

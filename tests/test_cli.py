@@ -61,6 +61,23 @@ class TestProject:
         expected = apply_projection(data.sparse, P)
         assert np.array_equal(read_matrix_csv(out), expected)
 
+    def test_default_density_is_resolved_by_make_projection(self, tmp_path):
+        from srplearn.datasets import read_svmlight
+
+        _, train_path, _ = _write_data(tmp_path)
+        out = str(tmp_path / "f.csv")
+        rc = main([
+            "project", "--in", train_path, "--dim", "10", "--seed", "5",
+            "--out", out,
+        ])
+        assert rc == 0
+        data = read_svmlight(train_path)
+        n = data.n_sparse_features
+        meta = read_keyvalues(out + ".meta")
+        assert float(meta["density"]) == 1.0 / np.sqrt(n)
+        P = make_projection(n, 10, None, 5)
+        assert np.array_equal(read_matrix_csv(out), apply_projection(data.sparse, P))
+
     def test_missing_input_fails_nonzero(self, tmp_path, capsys):
         rc = main([
             "project", "--in", str(tmp_path / "absent.txt"),
@@ -182,6 +199,23 @@ data.n_train_pool = 10
         rc = main(["bench", "--config", str(cfg)])
         assert rc == 1
         assert "data.n_train_pool" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_duplicate_key_fails_before_output(self, tmp_path, capsys):
+        # the second n_runs used to override the first silently
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            f"""
+out_dir = {tmp_path / "out"}
+n_runs = 100
+n_train = 40
+methods = knn-jaccard
+n_runs = 2
+"""
+        )
+        rc = main(["bench", "--config", str(cfg)])
+        assert rc == 1
+        assert "duplicate key 'n_runs'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):

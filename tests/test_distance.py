@@ -1,5 +1,7 @@
 """Tests for exact Jaccard and squared Euclidean distance matrices."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,27 @@ def test_block_size_does_not_change_values(monkeypatch, pairwise):
     monkeypatch.setattr(distance, "_BLOCK_BUDGET_MB", 0.01)
     tiny = pairwise(A, B).values
     assert np.array_equal(full, tiny)
+
+
+@pytest.mark.parametrize(
+    "pairwise", [jaccard_distance_matrix, squared_euclidean_distance_matrix]
+)
+def test_blocks_stay_within_budget(monkeypatch, pairwise):
+    # every pair intersects, so each block's count product is fully dense
+    rng = np.random.default_rng(12)
+    A = _random_sparse(rng, 1000, 500, 0.2)
+    B = _random_sparse(rng, 4000, 500, 0.2)
+    # the operands' cached CSR forms are not intermediates of the blocks
+    A.to_scipy(), B.to_scipy()
+    monkeypatch.setattr(distance, "_BLOCK_BUDGET_MB", 4.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        D = pairwise(A, B).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before - D.nbytes <= 4.0e6
 
 
 class TestSquaredEuclidean:

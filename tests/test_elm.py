@@ -15,7 +15,7 @@ from srplearn.elm import (
     rvfl_fit,
 )
 from srplearn.metrics import roc_auc
-from srplearn.projection import make_projection, ternary_row
+from srplearn.projection import default_density, make_projection, ternary_row
 from srplearn.ridge import default_lambda_grid
 from srplearn.sparse import SparseBinaryMatrix
 
@@ -46,9 +46,7 @@ class TestHiddenLayer:
         X = _random_sparse(rng, 12, 100, 0.1)
         W = make_projection(100, 9, 0.2, seed=3)
         bias = elm_bias(100, 9, 0.2, seed=3)
-        dense_W = np.zeros((100, 9))
-        dense_W[W.rows, W.cols] = W.values
-        expected = np.tanh(X.to_dense() @ dense_W + bias)
+        expected = np.tanh(X.to_dense() @ W.to_dense() + bias)
         assert np.allclose(elm_hidden(X, W, bias), expected, atol=1e-10)
 
     def test_values_within_open_interval_on_moderate_inputs(self):
@@ -77,6 +75,15 @@ class TestElmFit:
         s1 = model_predict(m1, X)
         s2 = model_predict(m2, X)
         assert np.array_equal(s1, s2)
+
+    def test_default_density_is_resolved_by_make_projection(self):
+        rng = np.random.default_rng(2)
+        X, y = _separable_data(rng, 60)
+        implicit = elm_fit(X, y, 32, seed=9)
+        explicit = elm_fit(X, y, 32, default_density(X.n_cols), seed=9)
+        assert implicit.W.density == explicit.W.density == default_density(X.n_cols)
+        assert np.array_equal(implicit.W.to_dense(), explicit.W.to_dense())
+        assert np.array_equal(implicit.bias, explicit.bias)
 
     def test_separable_task_high_auc(self):
         rng = np.random.default_rng(3)

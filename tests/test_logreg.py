@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from srplearn import logreg
 from srplearn.logreg import (
     _loss_grad,
     logreg_fit,
@@ -161,3 +162,16 @@ class TestSelectLambda:
         lam, losses = logreg_select_lambda(X, y, grid, seed=0, max_iter=50)
         assert losses[0] == losses[1]
         assert lam == 8.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_bad_grid_rejected_before_any_fit(self, monkeypatch, bad):
+        # the grid is checked as ridge checks it; a non-finite entry used to
+        # end in a divergence error, a negative one only when it was reached
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit attempted")
+
+        monkeypatch.setattr(logreg, "logreg_fit", no_fit)
+        X = np.zeros((20, 2))
+        y = np.array([1.0, -1.0] * 10)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            logreg_select_lambda(X, y, np.array([1.0, bad]), seed=0)

@@ -130,3 +130,9 @@ class TestKeyValues:
         (tmp_path / "kv.txt").write_text("justakey\n")
         with pytest.raises(ValueError):
             read_keyvalues(str(tmp_path / "kv.txt"))
+
+    def test_duplicate_key_rejected(self, tmp_path):
+        # a repeated key used to override the first value silently
+        (tmp_path / "kv.txt").write_text("n_runs = 100\n# note\nn_runs = 2\n")
+        with pytest.raises(ValueError, match=r"kv.txt:3: duplicate key 'n_runs'"):
+            read_keyvalues(str(tmp_path / "kv.txt"))

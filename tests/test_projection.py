@@ -51,19 +51,14 @@ def _assert_matches_oracle(seed, input_dim, output_dim, density):
     rows, cols, signs = _per_row_oracle(seed, input_dim, output_dim, density)
     P = make_projection(input_dim, output_dim, density, seed)
     magnitude = np.sqrt((1.0 / density) / output_dim)
-    assert np.array_equal(P.rows, rows)
-    assert np.array_equal(P.cols, cols)
+    row_ids = np.repeat(np.arange(input_dim), np.diff(P.pattern.indptr))
+    assert np.array_equal(row_ids, rows)
+    assert np.array_equal(P.pattern.indices, cols)
     assert np.array_equal(P.values, signs * magnitude)
     for r in {0, input_dim // 2, input_dim - 1}:
         c, s = ternary_row(seed, r, output_dim, density)
         assert np.array_equal(c, cols[rows == r])
         assert np.array_equal(s, signs[rows == r])
-
-
-def _densify(P):
-    dense = np.zeros((P.input_dim, P.output_dim))
-    dense[P.rows, P.cols] = P.values
-    return dense
 
 
 class TestTernaryRow:
@@ -202,13 +197,12 @@ class TestMakeProjection:
     def test_same_seed_same_matrix(self):
         P1 = make_projection(300, 10, 0.1, seed=8)
         P2 = make_projection(300, 10, 0.1, seed=8)
-        assert np.array_equal(P1.rows, P2.rows)
-        assert np.array_equal(P1.cols, P2.cols)
+        assert P1.pattern == P2.pattern
         assert np.array_equal(P1.values, P2.values)
 
     def test_row_slice_matches_ternary_row(self):
         P = make_projection(40, 16, 0.2, seed=5)
-        dense = _densify(P)
+        dense = P.to_dense()
         for r in [0, 7, 39]:
             cols, signs = ternary_row(5, r, 16, 0.2)
             expected = np.zeros(16)
@@ -244,7 +238,7 @@ class TestApplyProjection:
         X = _random_sparse(rng, 25, 120, 0.1)
         P = make_projection(120, 15, 0.15, seed=4)
         got = apply_projection(X, P)
-        expected = X.to_dense() @ _densify(P)
+        expected = X.to_dense() @ P.to_dense()
         assert got.shape == (25, 15)
         assert np.allclose(got, expected, atol=1e-10)
 
@@ -253,7 +247,7 @@ class TestApplyProjection:
         X = rng.standard_normal((12, 60))
         P = make_projection(60, 8, 0.2, seed=9)
         got = apply_projection(X, P)
-        assert np.allclose(got, X @ _densify(P), atol=1e-10)
+        assert np.allclose(got, X @ P.to_dense(), atol=1e-10)
 
     def test_linear_in_rows(self):
         # projecting stacked inputs equals stacking projected blocks
@@ -290,22 +284,23 @@ class TestApplyProjection:
 
 
 class TestProjectionValidation:
-    def test_rejects_wrong_magnitude(self):
-        P = make_projection(20, 5, 0.3, seed=0)
+    def test_rejects_unsorted_entries(self):
+        # the pattern's own constructor rejects triplets out of (row, col) order
+        P = make_projection(20, 5, 0.5, seed=1)
+        rows = np.repeat(np.arange(P.input_dim), np.diff(P.pattern.indptr))
+        assert rows.size >= 2
+        rows, cols = rows[::-1], P.pattern.indices[::-1]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=20))))
         with pytest.raises(ValueError):
             SparseProjection(
-                P.input_dim, P.output_dim, P.density, P.seed,
-                P.rows, P.cols, P.values * 1.001,
+                SparseBinaryMatrix(indptr, cols, P.output_dim),
+                P.positive[::-1], P.density, P.seed,
             )
 
-    def test_rejects_unsorted_entries(self):
+    def test_rejects_sign_count_mismatch(self):
         P = make_projection(20, 5, 0.5, seed=1)
-        assert P.rows.size >= 2
-        with pytest.raises(ValueError):
-            SparseProjection(
-                P.input_dim, P.output_dim, P.density, P.seed,
-                P.rows[::-1].copy(), P.cols[::-1].copy(), P.values[::-1].copy(),
-            )
+        with pytest.raises(ValueError, match="one sign per stored entry"):
+            SparseProjection(P.pattern, P.positive[:-1], P.density, P.seed)
 
 
 class TestMeanOverSeeds:
@@ -315,7 +310,7 @@ class TestMeanOverSeeds:
         vals = []
         for seed in range(400):
             P = make_projection(3, d, density, seed)
-            dense = _densify(P)
+            dense = P.to_dense()
             vals.append(dense[1, 4])
         mean = np.mean(vals)
         # per-entry variance is s/d * density = 1/d
