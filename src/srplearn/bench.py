@@ -335,7 +335,7 @@ def _evaluate(cfg: RunConfig, sweep: bool):
         )
     grid = cfg.lambda_grid()
     context = [
-        f"data: {pool.name or cfg.data.kind} "
+        f"data: {cfg.data.name or pool.name or cfg.data.kind} "
         f"(pool={pool.n_samples}, test={test.n_samples}, "
         f"sparse_features={pool.n_sparse_features}, "
         f"dense_features={pool.n_dense_features})",

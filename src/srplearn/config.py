@@ -4,10 +4,11 @@ Every key is declared once, in ``_KEYS``: its section, the attribute it
 sets and the parser that types its value.  Keys of the ``synth`` and
 ``svmlight`` sections apply only under that ``data.kind``.  Per-method
 hyperparameters use repeated ``method.<name>.<param>`` keys, typed by
-the parsers of the method table in :mod:`srplearn.bench`.  Every value
-is parsed when the file is read: unknown keys, keys of the other data
-kind and malformed values are rejected there, so typos fail loudly
-instead of silently running with defaults or failing run by run.
+the parsers of the method table in :mod:`srplearn.bench`; its density
+parser types ``srp.density`` too, so every density has one range rule.
+Every value is parsed when the file is read: unknown keys, keys of the
+other data kind and malformed values are rejected there, so typos fail
+loudly instead of silently running with defaults or failing run by run.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bench import BENCH_METHODS, METHODS, SWEEP_METHODS
+from .bench import _DENSITY, BENCH_METHODS, METHODS, SWEEP_METHODS
 from .matio import read_keyvalues
 
 __all__ = [
@@ -47,7 +48,7 @@ _KEYS = {
     "alpha": ("run", "alpha", float),
     "methods": ("run", "methods", _list),
     "srp.dim": ("run", "srp_dim", int),
-    "srp.density": ("run", "srp_density", float),
+    "srp.density": ("run", "srp_density", _DENSITY),
     "srp.seed": ("run", "srp_seed", int),
     "sweep.dims": ("run", "sweep_dims", _ints),
     "lambda.min_exp": ("run", "lambda_min_exp", int),

@@ -291,10 +291,12 @@ def write_svmlight(ds: Dataset, path: str, index_base: int = 1) -> None:
         dense_values = ds.dense[dense_rows, dense_cols].tolist()
     dense_text = map("{}:{:.17g}".format, (dense_cols + index_base).tolist(), dense_values)
     sparse = ds.sparse
+    # widened before the offset, which can overflow an int32 index array
+    sparse_cols = sparse.indices.astype(np.int64) + ds.n_dense_features + index_base
     groups = (
         token_buffer(np.where(ds.labels > 0, "+1", "-1").tolist()),
         token_buffer(list(dense_text)),
-        format_ints(sparse.indices + ds.n_dense_features + index_base, b":1"),
+        format_ints(sparse_cols, b":1"),
     )
     # label, then dense, then sparse entries: a stable sort by row keeps that order
     owner = np.concatenate(

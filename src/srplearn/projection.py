@@ -134,7 +134,7 @@ class SparseProjection:
     ``seed`` is that of the counter-based generator.
     """
 
-    __slots__ = ("pattern", "positive", "density", "seed", "values", "_csr")
+    __slots__ = ("pattern", "positive", "density", "seed", "values")
 
     def __init__(self, pattern: SparseBinaryMatrix, positive, density, seed):
         _check_params(pattern.n_rows, pattern.n_cols, density)
@@ -147,7 +147,6 @@ class SparseProjection:
         object.__setattr__(self, "density", float(density))
         object.__setattr__(self, "seed", int(seed))
         object.__setattr__(self, "values", np.where(positive, magnitude, -magnitude))
-        object.__setattr__(self, "_csr", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseProjection is immutable")
@@ -169,14 +168,12 @@ class SparseProjection:
         return self.pattern.nnz
 
     def to_scipy(self) -> sp.csr_matrix:
-        """CSR form of the projection matrix (cached)."""
-        if self._csr is None:
-            csr = sp.csr_matrix(
-                (self.values, self.pattern.indices, self.pattern.indptr),
-                shape=self.pattern.shape,
-            )
-            object.__setattr__(self, "_csr", csr)
-        return self._csr
+        """A fresh CSR over ``values`` and the pattern's index arrays, which
+        it shares (do not mutate); nothing is copied or cached."""
+        return sp.csr_matrix(
+            (self.values, self.pattern.indices, self.pattern.indptr),
+            shape=self.pattern.shape,
+        )
 
     def to_dense(self) -> np.ndarray:
         return self.to_scipy().toarray()
@@ -228,10 +225,7 @@ def apply_projection(X, P: SparseProjection) -> np.ndarray:
             raise ValueError(
                 f"feature dimensions differ: {X.n_cols} vs {P.input_dim}"
             )
-        if X.n_rows == 0:
-            return np.zeros((0, P.output_dim), dtype=np.float64)
-        product = X.to_scipy() @ P.to_scipy()
-        return np.asarray(product.todense(), dtype=np.float64)
+        return (X.to_scipy() @ P.to_scipy()).toarray()
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("dense input must be 2-D")
@@ -239,6 +233,4 @@ def apply_projection(X, P: SparseProjection) -> np.ndarray:
         raise ValueError(
             f"feature dimensions differ: {X.shape[1]} vs {P.input_dim}"
         )
-    if X.shape[0] == 0:
-        return np.zeros((0, P.output_dim), dtype=np.float64)
     return np.ascontiguousarray((P.to_scipy().T @ X.T).T)

@@ -1,11 +1,13 @@
 """Sparse binary matrices (samples as rows) and the arithmetic built on them.
 
 A :class:`SparseBinaryMatrix` stores, for every sample, the sorted set of
-active feature indices; the stored value is implicitly 1.  All heavy
-arithmetic is delegated to ``scipy.sparse`` CSR kernels, which are exact
-for 0/1 data and deterministic regardless of how many callers share the
-matrix concurrently.  Instances are immutable after construction and safe
-to use from multiple threads.
+active feature indices in two CSR index arrays: int32 when the row and
+column counts and nnz fit int32, int64 otherwise, the dtype scipy's CSR
+keeps as given.  ``to_scipy()`` wraps them in a fresh CSR on each call,
+with no copy and no cache.  All arithmetic, row gathers included, is
+delegated to ``scipy.sparse`` CSR kernels, which are exact for 0/1 data
+and deterministic however many callers share the matrix.  Instances are
+immutable after construction and safe to use from multiple threads.
 """
 
 from __future__ import annotations
@@ -22,25 +24,33 @@ __all__ = [
 ]
 
 
+def _index_array(values) -> np.ndarray:
+    """Contiguous int32 if ``values`` is int32, else contiguous int64."""
+    values = np.asarray(values)
+    return np.ascontiguousarray(values, np.int32 if values.dtype == np.int32 else np.int64)
+
+
 class SparseBinaryMatrix:
     """Immutable n_rows x n_cols binary matrix in CSR layout.
 
     Parameters
     ----------
-    indptr : array of int64, shape (n_rows + 1,)
+    indptr : array of ints, shape (n_rows + 1,)
         Row pointer array; row i occupies ``indices[indptr[i]:indptr[i+1]]``.
-    indices : array of int64, shape (nnz,)
+    indices : array of ints, shape (nnz,)
         Column indices of the active entries, strictly increasing within
         each row.
     n_cols : int
         Number of columns (features).
+
+    Both arrays are checked as given, then stored in the index dtype.
     """
 
-    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "_csr")
+    __slots__ = ("n_rows", "n_cols", "indptr", "indices")
 
     def __init__(self, indptr, indices, n_cols: int):
-        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        indices = np.ascontiguousarray(indices, dtype=np.int64)
+        indptr = _index_array(indptr)
+        indices = _index_array(indices)
         if indptr.ndim != 1 or indptr.size < 1:
             raise ValueError("indptr must be a 1-D array of length n_rows + 1")
         if indptr[0] != 0 or indptr[-1] != indices.size:
@@ -62,11 +72,13 @@ class SparseBinaryMatrix:
                     "row indices must be strictly increasing (duplicates are "
                     "rejected, not merged)"
                 )
+        # narrowed only after the checks, so no out-of-range value wraps
+        fits = max(indptr.size - 1, n_cols, indices.size) < 2**31
+        dtype = np.int32 if fits else np.int64
         object.__setattr__(self, "n_rows", int(indptr.size - 1))
         object.__setattr__(self, "n_cols", int(n_cols))
-        object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "_csr", None)
+        object.__setattr__(self, "indptr", indptr.astype(dtype, copy=False))
+        object.__setattr__(self, "indices", indices.astype(dtype, copy=False))
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseBinaryMatrix is immutable")
@@ -88,8 +100,9 @@ class SparseBinaryMatrix:
 
     @classmethod
     def from_scipy(cls, matrix) -> "SparseBinaryMatrix":
-        """Build from any scipy sparse matrix; every stored nonzero becomes 1."""
-        csr = sp.csr_matrix(matrix)
+        """Build from any scipy sparse matrix; every stored nonzero becomes 1.
+        The input is copied: never modified, nor shared with the result."""
+        csr = sp.csr_matrix(matrix, copy=True)
         csr.eliminate_zeros()
         csr.sort_indices()
         return cls(csr.indptr, csr.indices, csr.shape[1])
@@ -115,13 +128,10 @@ class SparseBinaryMatrix:
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n_rows):
             raise ValueError("row index out of range")
-        starts = self.indptr[idx]
-        lengths = self.indptr[idx + 1] - starts
-        indptr = np.concatenate(([0], np.cumsum(lengths)))
-        # output entry k of new row r is input entry starts[r] + k - indptr[r]
-        source = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
-        indices = self.indices[source]
-        return SparseBinaryMatrix(indptr, indices, self.n_cols)
+        # bool data: only the gathered indices are kept, and float64 ones cost 8x
+        ones = np.ones(self.nnz, dtype=bool)
+        rows = sp.csr_matrix((ones, self.indices, self.indptr), shape=self.shape)[idx]
+        return SparseBinaryMatrix(rows.indptr, rows.indices, self.n_cols)
 
     def widen(self, n_cols: int) -> "SparseBinaryMatrix":
         """Same rows with ``n_cols`` columns, for aligning two files' widths.
@@ -136,22 +146,14 @@ class SparseBinaryMatrix:
         return SparseBinaryMatrix(self.indptr, self.indices, n_cols)
 
     def to_scipy(self) -> sp.csr_matrix:
-        """CSR view with float64 ones as data (cached)."""
-        if self._csr is None:
-            data = np.ones(self.nnz, dtype=np.float64)
-            csr = sp.csr_matrix(
-                (data, self.indices, self.indptr),
-                shape=(self.n_rows, self.n_cols),
-            )
-            object.__setattr__(self, "_csr", csr)
-        return self._csr
+        """A fresh CSR on each call, sharing the index arrays (do not mutate);
+        only its float64 ones are allocated, and nothing is cached."""
+        data = np.ones(self.nnz, dtype=np.float64)
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
     def to_dense(self) -> np.ndarray:
         """Dense float64 copy (0.0 / 1.0 entries)."""
-        out = np.zeros((self.n_rows, self.n_cols), dtype=np.float64)
-        rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
-        out[rows, self.indices] = 1.0
-        return out
+        return self.to_scipy().toarray()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseBinaryMatrix):
@@ -179,11 +181,10 @@ def sparse_gram(a: SparseBinaryMatrix, b: SparseBinaryMatrix) -> np.ndarray:
         raise ValueError(
             f"column counts differ: {a.n_cols} vs {b.n_cols}"
         )
-    product = a.to_scipy() @ b.to_scipy().T
-    return np.asarray(product.todense(), dtype=np.float64)
+    return (a.to_scipy() @ b.to_scipy().T).toarray()
 
 
 def row_counts(a: SparseBinaryMatrix) -> np.ndarray:
-    """Number of active entries in each row, as an int64 vector."""
+    """Number of active entries in each row, in the matrix's index dtype."""
     return np.diff(a.indptr)
 

@@ -65,6 +65,18 @@ class TestBench:
             assert r[7] == ""
         assert set(report.methods) == {"elm-srp", "knn-jaccard"}
         assert report.best_set
+        # without data.name the report names the generated data
+        assert "\ndata: synth-n230-d1500-s100-seed5 (pool=150, test=80," in (
+            (out / "report.txt").read_text()
+        )
+
+    def test_report_names_configured_data(self, tmp_path):
+        cfg = parse_config(
+            _bench_cfg(tmp_path, "named", extra="data.name = tiny-synth\nn_runs = 1\n")
+        )
+        cmd_bench(cfg)
+        report_text = (tmp_path / "named" / "report.txt").read_text()
+        assert "\ndata: tiny-synth (pool=150, test=80," in report_text
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg1 = parse_config(_bench_cfg(tmp_path, "o1"))

@@ -181,6 +181,9 @@ method.knn-srp.k = 3
             "method.elm-srp.density = 0",
             "method.rvfl-srp.density = 1.5",
             "method.elm-srp.density = nan",
+            "srp.density = 0",
+            "srp.density = 1.5",
+            "srp.density = nan",
             "method.logreg-srp.max_iter = -1",
             "method.logreg-srp.tol = 0",
         ],

@@ -414,6 +414,20 @@ class TestWriteSvmlight:
         assert np.array_equal(back.dense, ds.dense)
         assert np.array_equal(back.labels, ds.labels)
 
+    def test_round_trip_index_past_int32(self, tmp_path):
+        # int32 storage, but the written index 2**31 + 1 does not fit int32
+        width = 2**31 - 1
+        sparse = SparseBinaryMatrix([0, 1], [width - 1], width)
+        assert sparse.indices.dtype == np.int32
+        ds = Dataset(sparse, np.array([[0.5, -1.25]]), np.array([1]), "t")
+        path = tmp_path / "out.txt"
+        write_svmlight(ds, str(path))
+        assert path.read_text() == f"+1 1:0.5 2:-1.25 {2**31 + 1}:1\n"
+        back = read_svmlight(str(path), dense_feature_count=2, n_features=width + 2)
+        assert back.sparse == ds.sparse
+        assert np.array_equal(back.dense, ds.dense)
+        assert np.array_equal(back.labels, ds.labels)
+
 
     @pytest.mark.parametrize("index_base", [0, 1])
     @pytest.mark.parametrize("n_dense", [0, 3])

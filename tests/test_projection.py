@@ -200,6 +200,17 @@ class TestMakeProjection:
         assert P1.pattern == P2.pattern
         assert np.array_equal(P1.values, P2.values)
 
+    def test_to_scipy_shares_pattern_and_values(self):
+        # the pattern's index arrays and the values are the only copy
+        P = make_projection(20000, 1000, seed=0)
+        csr = P.to_scipy()
+        assert P.pattern.indices.dtype == np.int32
+        assert np.shares_memory(csr.indices, P.pattern.indices)
+        assert np.shares_memory(csr.indptr, P.pattern.indptr)
+        assert np.shares_memory(csr.data, P.values)
+        assert P.to_scipy() is not csr
+        assert not hasattr(P, "_csr")
+
     def test_row_slice_matches_ternary_row(self):
         P = make_projection(40, 16, 0.2, seed=5)
         dense = P.to_dense()
@@ -248,6 +259,12 @@ class TestApplyProjection:
         P = make_projection(60, 8, 0.2, seed=9)
         got = apply_projection(X, P)
         assert np.allclose(got, X @ P.to_dense(), atol=1e-10)
+
+    def test_zero_rows(self):
+        P = make_projection(60, 8, 0.2, seed=9)
+        for X in (SparseBinaryMatrix([0], [], 60), np.zeros((0, 60))):
+            got = apply_projection(X, P)
+            assert got.shape == (0, 8) and got.dtype == np.float64
 
     def test_linear_in_rows(self):
         # projecting stacked inputs equals stacking projected blocks

@@ -83,6 +83,20 @@ class TestConstruction:
         assert m.row(0).tolist() == [1]
         assert m.row(1).tolist() == [0]
 
+    def test_from_scipy_copies_caller_matrix(self):
+        import scipy.sparse as sp
+
+        # an explicit zero and unsorted int32 indices: both are cleaned up
+        # in a copy, not in the caller's arrays
+        indices = np.array([2, 1, 0], dtype=np.int32)
+        raw = sp.csr_matrix(
+            ([0.0, 2.0, 3.0], indices, np.array([0, 2, 3], dtype=np.int32)), shape=(2, 3)
+        )
+        m = SparseBinaryMatrix.from_scipy(raw)
+        assert m.row_sets() == [{1}, {0}]
+        assert raw.nnz == 3 and indices.tolist() == [2, 1, 0]
+        assert not np.shares_memory(m.indices, raw.indices)
+
     def test_take_rows(self):
         m = SparseBinaryMatrix.from_rows([[0], [1, 2], [3]], n_cols=4)
         sub = m.take_rows([2, 0, 2])
@@ -106,6 +120,7 @@ class TestConstruction:
         )
         sub = m.take_rows(idx)
         assert sub.shape == (len(idx), m.n_cols)
+        assert sub.indices.dtype == sub.indptr.dtype == np.int32
         assert sub.row_sets() == [rows[i] for i in idx]
         for out_i, i in enumerate(idx):
             assert np.array_equal(sub.row(out_i), m.row(i))
@@ -129,6 +144,48 @@ class TestConstruction:
         assert not wide.to_dense()[:, 3:].any()
         with pytest.raises(ValueError):
             m.widen(2)
+
+
+class TestStorage:
+    """One set of index arrays per matrix, shared by every ``to_scipy()``."""
+
+    def test_to_scipy_shares_index_arrays(self):
+        m = random_binary(np.random.default_rng(3), 30, 40, 0.2)
+        assert m.indices.dtype == m.indptr.dtype == np.int32
+        csr = m.to_scipy()
+        assert np.shares_memory(csr.indices, m.indices)
+        assert np.shares_memory(csr.indptr, m.indptr)
+        assert np.array_equal(csr.data, np.ones(m.nnz))
+        # a fresh CSR per call; nothing is cached on the matrix
+        assert m.to_scipy() is not csr
+        assert not hasattr(m, "_csr")
+
+    def test_int32_input_kept_without_copy(self):
+        indptr = np.array([0, 1, 3], dtype=np.int32)
+        indices = np.array([4, 0, 2], dtype=np.int32)
+        m = SparseBinaryMatrix(indptr, indices, 5)
+        assert m.indptr is indptr and m.indices is indices
+
+    def test_columns_past_int32_keep_int64(self):
+        n_cols = 2**31 + 5
+        m = SparseBinaryMatrix([0, 2, 3], [7, 2**31 + 3, 2**31 + 4], n_cols)
+        assert m.indices.dtype == m.indptr.dtype == np.int64
+        csr = m.to_scipy()
+        assert csr.shape == (2, n_cols)
+        assert np.shares_memory(csr.indices, m.indices)
+        assert np.shares_memory(csr.indptr, m.indptr)
+        sub = m.take_rows([1, 0])
+        assert sub.indices.dtype == np.int64
+        assert sub.row_sets() == [{2**31 + 4}, {7, 2**31 + 3}]
+
+    def test_index_checked_before_narrowing(self):
+        # 2**32 + 3 narrowed to int32 would read as column 3
+        with pytest.raises(ValueError, match="n_cols"):
+            SparseBinaryMatrix(
+                np.array([0, 1], dtype=np.int64), np.array([2**32 + 3]), n_cols=10
+            )
+        with pytest.raises(ValueError, match="nnz"):
+            SparseBinaryMatrix(np.array([0, 2**32 + 1]), np.array([3]), n_cols=10)
 
 
 class TestGram:
@@ -181,4 +238,5 @@ class TestRowCounts:
     def test_empty_rows(self):
         a = SparseBinaryMatrix.from_rows([[], [0], []], n_cols=2)
         assert row_counts(a).tolist() == [0, 1, 0]
+        assert row_counts(a).dtype == a.indptr.dtype
 
