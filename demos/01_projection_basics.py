@@ -1,9 +1,9 @@
 """Walkthrough: ternary sparse random projection on sparse binary rows.
 
 Shows how the projection is generated feature by feature from a counter
-seed, why the same (seed, density) pair gives compatible projections for
-files of different widths, and how well pairwise distances survive the
-trip to low dimension.
+hash of (seed, feature index), why the same (seed, density) pair gives
+compatible projections for files of different widths, and how well
+pairwise distances survive the trip to low dimension.
 
 Run:  python3 demos/01_projection_basics.py
 """
@@ -20,6 +20,8 @@ from srplearn import (
 )
 
 # --- the generator is a pure function of (seed, feature index) -------------
+# Only the nonzeros are drawn: each hash word of the row's stream gives a
+# geometric gap to the next nonzero column, and a separate word its sign.
 
 seed, out_dim, density = 7, 8, 0.4
 cols, signs = ternary_row(seed, row_index=3, output_dim=out_dim, density=density)
@@ -39,7 +41,7 @@ P = make_projection(D, d, dens, seed=0)
 print(f"\nprojection {D} -> {d} at density {dens:.4f}")
 print(f"  stored nonzeros: {P.values.size} "
       f"({P.values.size / (D * d):.4%} of entries)")
-print(f"  metadata: {P.metadata()}")
+print(f"  metadata: {P.metadata()}")  # stream: the generator's version
 
 # --- distance preservation on synthetic sparse data ------------------------
 

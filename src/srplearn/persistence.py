@@ -2,7 +2,9 @@
 
 A model is stored as ``<prefix>.meta`` (key=value) plus CSV sidecars for
 its numeric arrays.  Random layers are not stored: they regenerate from
-the recorded (dimensions, density, seed), which reproduces them exactly.
+the recorded (dimensions, density, seed), which reproduces them exactly
+as long as the recorded projection ``stream`` is the one this version
+generates; a model from another stream is refused on load.
 All floats round-trip bit for bit, so a reloaded model predicts
 identically to the original.
 """
@@ -26,7 +28,7 @@ from .matio import (
     write_keyvalues,
     write_matrix_csv,
 )
-from .projection import make_projection
+from .projection import STREAM_VERSION, make_projection
 from .ridge import RidgeSolution
 from .sparse import SparseBinaryMatrix
 
@@ -72,6 +74,7 @@ def save_model(model, prefix: str) -> None:
             "hidden_width": model.W.output_dim,
             "density": model.W.density,
             "seed": model.W.seed,
+            "stream": STREAM_VERSION,
             "lambda": model.solution.lam,
             "press": model.solution.press_value,
             "lambda_grid": _grid_to_str(model.solution.lambda_grid),
@@ -138,6 +141,12 @@ def load_model(prefix: str):
         )
     if kind not in ("elm", "rvfl", "rbf"):
         raise ValueError(f"unknown model kind: {kind!r}")
+    if kind != "rbf" and meta.get("stream") != str(STREAM_VERSION):
+        found = meta.get("stream", "1 (no stream key)")
+        raise ValueError(
+            f"{prefix}.meta: saved with projection stream {found}; this "
+            f"version regenerates projection stream {STREAM_VERSION} only"
+        )
     solution = RidgeSolution(
         read_matrix_csv(prefix + ".beta.csv"),
         float(meta["lambda"]),

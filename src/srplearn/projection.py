@@ -10,18 +10,32 @@ independently
 
 with ``s = 1 / density``.  It is stored as its nonzero pattern, an
 (input_dim, output_dim) :class:`~srplearn.sparse.SparseBinaryMatrix` in
-CSR layout, plus one sign per stored entry; the values are the signs
-times the common magnitude.  Entries are generated by a counter-based
-stream keyed on (seed, input row), so any row can be produced out of
-order and regeneration from the same parameters is exact.
+CSR layout, plus one sign per stored entry; the values are the signs times
+the common magnitude.  Entries are generated by a counter-based stream
+keyed on (seed, input row), so any row can be produced out of order and
+regeneration from the same parameters is exact.
 
-Row ``i`` is the Philox stream with key ``(k0, i)`` started at counter 0:
-``2 * output_dim`` uniforms, the first half deciding which columns are
-nonzero and the second half their signs.  One Philox generator per call
-is rewound to each row's key in turn, and rows are drawn into a block of
-at most ``_BLOCK_DOUBLES`` doubles that is thresholded at once.  The
-result is bit-identical to a fresh ``Philox(key=[seed, row])`` per row,
-which is how the stream was first defined.
+The stream (version 2, recorded as ``stream`` in :meth:`metadata`) draws
+only the nonzeros.  Row ``i`` of seed ``seed`` has the key
+``mix(mix(seed mod 2**64) + (i + 1) G)`` and the words
+``w_k = mix(key + k G)``, k = 1, 2, ..., where ``mix`` is splitmix64's
+finalizer and ``G`` its increment.  All arithmetic is modulo 2**64 and
+``mix`` is a bijection, so seeds that differ modulo 2**64 give each row
+different keys (a negative seed acts as seed + 2**64).  Draw
+``j`` takes ``u = ((w_{2j+1} >> 11) + 1) / 2**53`` in (0, 1] and the gap
+``floor(log(u) / log1p(-density))``: the nonzero columns are the
+positions of a Bernoulli(density) process, each one gap plus one past the
+last (the first is its gap), and the row ends at the first position
+at or past ``output_dim``.  Entry ``j`` is positive when the top bit of
+``w_{2j+2}`` is clear.  At ``density = 1`` every gap is 0, so row ``i``
+holds every column and entry ``j`` is column ``j``.
+
+All rows of a block are drawn at once with a fixed budget of draws per
+row, :func:`_draw_budget`; the rare row that uses up its budget is
+extended by further passes, never truncated, so the budget changes no
+bit.  A block holds at most ``_BLOCK_DRAWS`` draws (a row whose budget is
+larger is a block of its own), which caps the memory of generation at a
+few slabs of that size beyond the output, whatever ``input_dim``.
 """
 
 from __future__ import annotations
@@ -31,7 +45,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .sparse import SparseBinaryMatrix
+from .sparse import SparseBinaryMatrix, _read_only
 
 __all__ = [
     "SparseProjection",
@@ -43,8 +57,15 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-# uniforms drawn per block of rows (2 MB); a wider row is a block of its own
-_BLOCK_DOUBLES = 1 << 18
+# version of the generator below, recorded in metadata and saved models
+STREAM_VERSION = 2
+# splitmix64: the counter increment and the two multipliers of the finalizer
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_TOP_BIT = np.uint64(1 << 63)
+# draws per block of rows (2 MB per uint64 slab)
+_BLOCK_DRAWS = 1 << 18
 
 
 def derive_seed(seed: int, stream: int) -> int:
@@ -64,6 +85,82 @@ def default_density(input_dim: int) -> float:
     return 1.0 / math.sqrt(input_dim)
 
 
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer, in place on a uint64 array."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _words(keys: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Word ``k`` of each row's stream, ``mix(key + k G)`` (broadcast)."""
+    return _mix64(keys + k * _GAMMA)
+
+
+def _row_keys(seed: int, start: int, stop: int) -> np.ndarray:
+    """Stream keys of rows ``start .. stop - 1``."""
+    base = _mix64(np.array([seed & _MASK64], dtype=np.uint64))
+    return _words(base, np.arange(start + 1, stop + 1, dtype=np.uint64))
+
+
+def _draw_budget(mean: float) -> int:
+    """Draws per row and pass: the mean nonzero count plus 8 standard
+    deviations and 8 more, so that a second pass is rarely needed."""
+    return int(mean + 8.0 * math.sqrt(mean)) + 8
+
+
+def _positions(keys, first, n, last, output_dim, log_q):
+    """Positions reached by draws ``first .. first + n - 1`` of each row,
+    the row's previous position being ``last``; shape (keys.size, n)."""
+    j = np.arange(first, first + n, dtype=np.uint64)
+    w = _words(keys[:, None], 2 * j + 1)
+    w >>= np.uint64(11)
+    u = w.astype(np.float64)
+    del w
+    u += 1.0
+    u *= 2.0**-53  # (0, 1], exactly
+    np.log(u, out=u)
+    u /= log_q
+    np.floor(u, out=u)
+    np.minimum(u, output_dim, out=u)  # a longer gap ends the row all the same
+    steps = u.astype(np.int64)
+    del u
+    steps += 1
+    np.cumsum(steps, axis=1, out=steps)
+    steps += last[:, None]
+    return steps
+
+
+def _row_entries(keys, output_dim, density, budget):
+    """(row, draw, col) of every nonzero of the rows with stream ``keys``,
+    rows in order and columns increasing inside each row.
+
+    Every row gets ``budget`` draws at once; rows whose last draw is
+    still inside get another pass, until every row has ended.
+    """
+    if density == 1.0:
+        row, col = np.divmod(np.arange(keys.size * output_dim), output_dim)
+        return row, col, col
+    log_q = math.log1p(-density)
+    rows = np.arange(keys.size)
+    last = np.full(keys.size, -1, dtype=np.int64)
+    first, parts = 0, []
+    while rows.size:
+        pos = _positions(keys[rows], first, budget, last, output_dim, log_q)
+        r, j = np.nonzero(pos < output_dim)
+        parts.append((rows[r], j + first, pos[r, j]))
+        more = pos[:, -1] < output_dim
+        rows, last, first = rows[more], pos[more, -1], first + budget
+    if len(parts) == 1:
+        return parts[0]
+    row, draw, col = (np.concatenate(p) for p in zip(*parts))
+    order = np.argsort(row, kind="stable")
+    return row[order], draw[order], col[order]
+
+
 def _ternary_rows(seed: int, start: int, stop: int, output_dim: int, density: float):
     """Nonzero pattern of projection rows ``start .. stop - 1``.
 
@@ -71,26 +168,17 @@ def _ternary_rows(seed: int, start: int, stop: int, output_dim: int, density: fl
     increasing column indices of each row in turn, and a boolean sign per
     entry.
     """
-    # Key word 0 comes from the key list exactly as the per-row stream
-    # built it, including numpy's rounding of seeds >= 2**63 to float64.
-    bitgen = np.random.Philox(key=[seed & _MASK64, 0])
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state  # counter 0, empty buffer
-    key = state["state"]["key"]
-    width = 2 * output_dim
-    block_rows = max(1, min(stop - start, _BLOCK_DOUBLES // max(width, 1)))
-    block = np.empty((block_rows, width), dtype=np.float64)
+    budget = _draw_budget(output_dim * density)
+    block_rows = max(1, _BLOCK_DRAWS // budget)
+    col_dtype = np.int32 if output_dim <= 2**31 else np.int64
     count_parts, col_parts, pos_parts = [], [], []
     for first in range(start, stop, block_rows):
-        u = block[: min(block_rows, stop - first)]
-        for r in range(u.shape[0]):
-            key[1] = first + r
-            bitgen.state = state
-            gen.random(out=u[r])
-        rows, cols = np.nonzero(u[:, :output_dim] < density)
-        count_parts.append(np.bincount(rows, minlength=u.shape[0]))
-        col_parts.append(cols)
-        pos_parts.append(u[:, output_dim:][rows, cols] < 0.5)
+        keys = _row_keys(seed, first, min(first + block_rows, stop))
+        row, draw, col = _row_entries(keys, output_dim, density, budget)
+        sign = _words(keys[row], 2 * draw.astype(np.uint64) + 2)
+        count_parts.append(np.bincount(row, minlength=keys.size))
+        col_parts.append(col.astype(col_dtype))
+        pos_parts.append(sign < _TOP_BIT)
     return (
         np.concatenate(count_parts),
         np.concatenate(col_parts),
@@ -102,14 +190,14 @@ def ternary_row(seed: int, row_index: int, output_dim: int, density: float):
     """Nonzero pattern of one projection row.
 
     Returns (cols, signs): the strictly increasing column indices of the
-    nonzero entries and their signs (+1.0 / -1.0).  Two fixed-length
-    uniform draws per row (zero mask, then signs) make every entry a pure
-    function of (seed, row_index, column).  This is the one-row case of
-    the block generator behind :func:`make_projection`, so it equals row
-    ``row_index`` of any projection with the same seed, width and density.
+    nonzero entries and their signs (+1.0 / -1.0).  The row is a pure
+    function of (seed, row_index, output_dim, density), drawn from its own
+    counter stream, so it equals row ``row_index`` of any projection with
+    the same seed, width and density.
     """
     if row_index < 0:
         raise ValueError("row_index must be >= 0")
+    _check_params(1, output_dim, density)
     _, cols, positive = _ternary_rows(
         seed, row_index, row_index + 1, output_dim, density
     )
@@ -130,8 +218,8 @@ class SparseProjection:
     of nonzero entries, whose constructor checks their range and order.
     ``positive`` holds one boolean per stored entry, in pattern order, and
     ``values`` the float64 entries built from it: +sqrt(s / output_dim)
-    where True, the negative where False, with ``s = 1/density``.  The
-    ``seed`` is that of the counter-based generator.
+    where True, the negative where False, with ``s = 1/density``; both are
+    read-only views.  The ``seed`` is that of the counter-based generator.
     """
 
     __slots__ = ("pattern", "positive", "density", "seed", "values")
@@ -142,11 +230,12 @@ class SparseProjection:
         if positive.shape != (pattern.nnz,):
             raise ValueError("one sign per stored entry of the pattern required")
         magnitude = math.sqrt((1.0 / density) / pattern.n_cols)
+        values = np.where(positive, magnitude, -magnitude)
         object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "positive", _read_only(positive))
         object.__setattr__(self, "density", float(density))
         object.__setattr__(self, "seed", int(seed))
-        object.__setattr__(self, "values", np.where(positive, magnitude, -magnitude))
+        object.__setattr__(self, "values", _read_only(values))
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseProjection is immutable")
@@ -169,7 +258,7 @@ class SparseProjection:
 
     def to_scipy(self) -> sp.csr_matrix:
         """A fresh CSR over ``values`` and the pattern's index arrays, which
-        it shares (do not mutate); nothing is copied or cached."""
+        it shares read-only; nothing is copied or cached."""
         return sp.csr_matrix(
             (self.values, self.pattern.indices, self.pattern.indptr),
             shape=self.pattern.shape,
@@ -179,12 +268,14 @@ class SparseProjection:
         return self.to_scipy().toarray()
 
     def metadata(self) -> dict:
-        """The four values the projection is reproducible from."""
+        """The values the projection is reproducible from, with the
+        version of the stream that generates it."""
         return {
             "input_dim": self.input_dim,
             "output_dim": self.output_dim,
             "density": self.density,
             "seed": self.seed,
+            "stream": STREAM_VERSION,
         }
 
     def __repr__(self) -> str:

@@ -7,7 +7,8 @@ keeps as given.  ``to_scipy()`` wraps them in a fresh CSR on each call,
 with no copy and no cache.  All arithmetic, row gathers included, is
 delegated to ``scipy.sparse`` CSR kernels, which are exact for 0/1 data
 and deterministic however many callers share the matrix.  Instances are
-immutable after construction and safe to use from multiple threads.
+immutable after construction, their index arrays read-only, and safe to
+use from multiple threads.
 """
 
 from __future__ import annotations
@@ -30,6 +31,13 @@ def _index_array(values) -> np.ndarray:
     return np.ascontiguousarray(values, np.int32 if values.dtype == np.int32 else np.int64)
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """A read-only view; the array it views keeps its own flag."""
+    view = values.view()
+    view.flags.writeable = False
+    return view
+
+
 class SparseBinaryMatrix:
     """Immutable n_rows x n_cols binary matrix in CSR layout.
 
@@ -43,7 +51,9 @@ class SparseBinaryMatrix:
     n_cols : int
         Number of columns (features).
 
-    Both arrays are checked as given, then stored in the index dtype.
+    Both arrays are checked as given, then stored in the index dtype as
+    read-only views, so neither the matrix nor a CSR from ``to_scipy()``
+    can write to them; the caller's arrays stay writable.
     """
 
     __slots__ = ("n_rows", "n_cols", "indptr", "indices")
@@ -77,8 +87,9 @@ class SparseBinaryMatrix:
         dtype = np.int32 if fits else np.int64
         object.__setattr__(self, "n_rows", int(indptr.size - 1))
         object.__setattr__(self, "n_cols", int(n_cols))
-        object.__setattr__(self, "indptr", indptr.astype(dtype, copy=False))
-        object.__setattr__(self, "indices", indices.astype(dtype, copy=False))
+        indptr, indices = (a.astype(dtype, copy=False) for a in (indptr, indices))
+        object.__setattr__(self, "indptr", _read_only(indptr))
+        object.__setattr__(self, "indices", _read_only(indices))
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseBinaryMatrix is immutable")
@@ -116,12 +127,8 @@ class SparseBinaryMatrix:
         return (self.n_rows, self.n_cols)
 
     def row(self, i: int) -> np.ndarray:
-        """Active column indices of row i (a view, do not mutate)."""
+        """Active column indices of row i (a read-only view)."""
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
-    def row_sets(self) -> list[set[int]]:
-        """Rows as Python sets; intended for small matrices and oracles."""
-        return [set(self.row(i).tolist()) for i in range(self.n_rows)]
 
     def take_rows(self, idx) -> "SparseBinaryMatrix":
         """New matrix with rows ``idx`` in the given order."""
@@ -146,8 +153,8 @@ class SparseBinaryMatrix:
         return SparseBinaryMatrix(self.indptr, self.indices, n_cols)
 
     def to_scipy(self) -> sp.csr_matrix:
-        """A fresh CSR on each call, sharing the index arrays (do not mutate);
-        only its float64 ones are allocated, and nothing is cached."""
+        """A fresh CSR on each call, sharing the read-only index arrays; only
+        its float64 ones are allocated, and nothing is cached."""
         data = np.ones(self.nnz, dtype=np.float64)
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 

@@ -36,6 +36,7 @@ class TestProject:
         assert meta["output_dim"] == "12"
         assert meta["density"] == "0.05"
         assert meta["seed"] == "9"
+        assert meta["stream"] == "2"
 
     def test_deterministic(self, tmp_path):
         _, train_path, _ = _write_data(tmp_path)

@@ -6,6 +6,7 @@ import pytest
 from srplearn.distance import KIND_JACCARD, KIND_SQEUCLIDEAN
 from srplearn.elm import RbfModel, elm_fit, model_predict, rbf_fit, rvfl_fit
 from srplearn.logreg import logreg_fit, logreg_predict
+from srplearn.matio import read_keyvalues, write_keyvalues
 from srplearn.persistence import load_model, save_model
 from srplearn.ridge import RidgeSolution
 from srplearn.sparse import SparseBinaryMatrix
@@ -61,6 +62,32 @@ class TestElmRoundTrip:
             handle.write("activation=tanh\n")
         back = load_model(prefix)
         assert np.array_equal(model_predict(model, X), model_predict(back, X))
+
+
+    @pytest.mark.parametrize("kind", ["elm", "rvfl"])
+    def test_stream_recorded(self, tmp_path, kind):
+        rng = np.random.default_rng(5)
+        X = _random_sparse(rng, 30, 120, 0.1)
+        fit = rvfl_fit if kind == "rvfl" else elm_fit
+        prefix = str(tmp_path / kind)
+        save_model(fit(X, _labels(rng, 30), 12, seed=2), prefix)
+        assert read_keyvalues(prefix + ".meta")["stream"] == "2"
+
+    @pytest.mark.parametrize("stream", [None, "1"])
+    def test_other_stream_refused(self, tmp_path, stream):
+        # a v1-era file has no stream key; its projection cannot be rebuilt
+        rng = np.random.default_rng(6)
+        X = _random_sparse(rng, 30, 120, 0.1)
+        prefix = str(tmp_path / "old")
+        save_model(elm_fit(X, _labels(rng, 30), 12, seed=2), prefix)
+        meta = read_keyvalues(prefix + ".meta")
+        if stream is None:
+            del meta["stream"]
+        else:
+            meta["stream"] = stream
+        write_keyvalues(prefix + ".meta", meta)
+        with pytest.raises(ValueError, match="projection stream 1"):
+            load_model(prefix)
 
 
 class TestRbfRoundTrip:

@@ -1,5 +1,10 @@
 """Tests for the ternary sparse random projection."""
 
+import itertools
+import math
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,39 +31,51 @@ def _random_sparse(rng, n_rows, n_cols, density):
 
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 ORACLE_SEEDS = [0, 5, -7, 2**63 + 5, 2**64 - 1]
-# numpy warns once per key list when a seed near 2**64 is rounded to float64
-_cast_warning = pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
 
 
-def _per_row_oracle(seed, input_dim, output_dim, density):
-    """The stream's definition: a fresh Philox generator for every row."""
-    rows, cols, signs = [], [], []
-    for i in range(input_dim):
-        rng = np.random.Generator(
-            np.random.Philox(key=[seed & _MASK64, i & _MASK64])
-        )
-        u_zero = rng.random(output_dim)
-        u_sign = rng.random(output_dim)
-        c = np.flatnonzero(u_zero < density)
-        rows.append(np.full(c.size, i, dtype=np.int64))
-        cols.append(c)
-        signs.append(np.where(u_sign[c] < 0.5, 1.0, -1.0))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(signs)
+def _mix(z):
+    """splitmix64's finalizer on a Python int."""
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _reference_row(seed, row, output_dim, density):
+    """Stream v2 from its definition, one draw at a time with Python ints:
+    (columns, signs) of projection row ``row``."""
+    key = _mix(_mix(seed & _MASK64) + (row + 1) * _GAMMA)
+
+    def word(k):
+        return _mix(key + k * _GAMMA)
+
+    cols, signs, pos = [], [], -1
+    for j in itertools.count():
+        if density == 1.0:
+            pos = j
+        else:
+            u = ((word(2 * j + 1) >> 11) + 1) / 2**53
+            pos += math.floor(math.log(u) / math.log1p(-density)) + 1
+        if pos >= output_dim:
+            return cols, signs
+        cols.append(pos)
+        signs.append(1.0 if word(2 * j + 2) >> 63 == 0 else -1.0)
 
 
 def _assert_matches_oracle(seed, input_dim, output_dim, density):
-    rows, cols, signs = _per_row_oracle(seed, input_dim, output_dim, density)
     P = make_projection(input_dim, output_dim, density, seed)
     magnitude = np.sqrt((1.0 / density) / output_dim)
-    row_ids = np.repeat(np.arange(input_dim), np.diff(P.pattern.indptr))
-    assert np.array_equal(row_ids, rows)
-    assert np.array_equal(P.pattern.indices, cols)
-    assert np.array_equal(P.values, signs * magnitude)
-    for r in {0, input_dim // 2, input_dim - 1}:
-        c, s = ternary_row(seed, r, output_dim, density)
-        assert np.array_equal(c, cols[rows == r])
-        assert np.array_equal(s, signs[rows == r])
+    indptr = P.pattern.indptr
+    for r in range(input_dim):
+        cols, signs = _reference_row(seed, r, output_dim, density)
+        entries = slice(indptr[r], indptr[r + 1])
+        assert P.pattern.indices[entries].tolist() == cols
+        assert np.array_equal(P.values[entries], np.multiply(signs, magnitude))
+        if r in {0, input_dim // 2, input_dim - 1}:
+            c, s = ternary_row(seed, r, output_dim, density)
+            assert c.tolist() == cols and s.tolist() == signs
 
 
 class TestTernaryRow:
@@ -101,35 +118,42 @@ class TestTernaryRow:
         sigma_sign = np.sqrt(nnz * 0.25)
         assert abs(pos - nnz / 2) < 4 * sigma_sign
 
+    @pytest.mark.parametrize("density", [0.0, 1.5, float("nan")])
+    def test_density_out_of_range_rejected(self, density):
+        with pytest.raises(ValueError, match="density"):
+            ternary_row(0, 0, 8, density)
+
     def test_density_one_gives_dense_signs(self):
         cols, signs = ternary_row(1, 0, 50, 1.0)
         assert cols.size == 50
         assert set(np.unique(signs)) <= {-1, 1}
 
 
-@_cast_warning
 class TestBlockGenerationMatchesPerRowStream:
+    """Blocked, vectorized generation against the one-row reference."""
+
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     @pytest.mark.parametrize(
         "input_dim, output_dim, density",
         [
-            (23, 5, 0.3),  # 6 rows per block, last block partial
-            (4, 40, 0.2),  # a row is wider than a block: one row per block
+            (23, 5, 0.3),  # budget 19: 3 rows per block, last block partial
+            (4, 40, 0.2),  # budget 38: one row per block
             (3, 9, 1.0),
             (1, 1, 1.0),
         ],
     )
     def test_small_blocks(self, monkeypatch, seed, input_dim, output_dim, density):
-        monkeypatch.setattr(projection, "_BLOCK_DOUBLES", 64)
+        monkeypatch.setattr(projection, "_BLOCK_DRAWS", 64)
         _assert_matches_oracle(seed, input_dim, output_dim, density)
 
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     def test_default_block_size(self, seed):
-        # 8192 rows of width 16 fill a block; 8195 leaves a partial one
-        _assert_matches_oracle(seed, 8195, 16, 0.05)
+        # three rows past the first block boundary
+        per_block = projection._BLOCK_DRAWS // projection._draw_budget(16 * 0.05)
+        _assert_matches_oracle(seed, per_block + 3, 16, 0.05)
 
     def test_row_wider_than_default_block(self):
-        _assert_matches_oracle(5, 3, (1 << 17) + 1, 0.01)
+        _assert_matches_oracle(5, 3, (1 << 18) + 1, 1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -142,25 +166,92 @@ class TestBlockGenerationMatchesPerRowStream:
     def test_property_any_seed_and_block(
         self, seed, input_dim, output_dim, density, block
     ):
-        old = projection._BLOCK_DOUBLES
-        projection._BLOCK_DOUBLES = block
+        old = projection._BLOCK_DRAWS
+        projection._BLOCK_DRAWS = block
         try:
             _assert_matches_oracle(seed, input_dim, output_dim, density)
         finally:
-            projection._BLOCK_DOUBLES = old
+            projection._BLOCK_DRAWS = old
+
+    @pytest.mark.parametrize(
+        "budget", [lambda mean: 1, lambda mean: int(mean)], ids=["one", "mean"]
+    )
+    def test_overrun_rows_are_extended_not_truncated(self, monkeypatch, budget):
+        expected = make_projection(300, 64, 0.3, seed=4)
+        monkeypatch.setattr(projection, "_draw_budget", budget)
+        monkeypatch.setattr(projection, "_BLOCK_DRAWS", 64)
+        got = make_projection(300, 64, 0.3, seed=4)
+        if budget(64 * 0.3) == 1:
+            # every row has an entry, so every row outruns its first pass
+            assert np.all(np.diff(got.pattern.indptr) >= 1)
+        for name in ("indptr", "indices"):
+            a, b = getattr(got.pattern, name), getattr(expected.pattern, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got.positive.tobytes() == expected.positive.tobytes()
+        assert got.values.tobytes() == expected.values.tobytes()
 
     def test_negative_row_index_rejected(self):
         with pytest.raises(ValueError):
             ternary_row(0, -1, 8, 0.5)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="seeds >= 2**63 are rounded to float64 in the Philox key list",
-    )
     def test_distinct_high_seeds_give_distinct_rows(self):
         c1, s1 = ternary_row(2**63 + 1, 0, 64, 0.5)
         c2, s2 = ternary_row(2**63 + 1000, 0, 64, 0.5)
         assert not (np.array_equal(c1, c2) and np.array_equal(s1, s2))
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_any_64_bit_seed_without_warning(self, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P = make_projection(6, 32, 0.5, seed)
+            cols, _ = ternary_row(seed, 6, 32, 0.5)
+        assert P.nnz > 0 and cols.size > 0
+
+    def test_seed_taken_modulo_2_64(self):
+        P = make_projection(5, 32, 0.5, -7)
+        Q = make_projection(5, 32, 0.5, 2**64 - 7)
+        assert P.pattern == Q.pattern
+        assert np.array_equal(P.positive, Q.positive)
+
+
+class TestStreamRates:
+    @pytest.mark.parametrize("density", [0.002, 0.05, 0.3, 0.9])
+    def test_pooled_over_seeds(self, density):
+        # each entry is independently nonzero with probability ``density``
+        # and positive with probability 1/2; column counts and the total are
+        # binomial, their chi-square has mean d and variance about 2d
+        n_rows, d, seeds = 2000, 50, range(100)
+        counts = np.zeros(d)
+        positive = 0
+        for seed in seeds:
+            P = make_projection(n_rows, d, density, seed)
+            counts += np.bincount(P.pattern.indices, minlength=d)
+            positive += int(np.sum(P.positive))
+        trials = n_rows * len(seeds)
+        z = (counts - trials * density) / np.sqrt(trials * density * (1 - density))
+        nnz = counts.sum()
+        assert abs(nnz - d * trials * density) < 4 * np.sqrt(
+            d * trials * density * (1 - density)
+        )
+        assert abs(np.sum(z**2) - d) < 4 * np.sqrt(2 * d)
+        assert abs(z[0]) < 4 and abs(z[-1]) < 4  # the ends of every row
+        assert abs(positive - nnz / 2) < 4 * np.sqrt(nnz / 4)
+
+
+def test_generation_stays_within_block_budget():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        P = make_projection(100000, 2000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = sum(
+        a.nbytes for a in (P.pattern.indptr, P.pattern.indices, P.positive, P.values)
+    )
+    # at most three 8-byte slabs of one block's draws beyond the output;
+    # drawing every row at once needs about 49 MB at this shape
+    assert peak - before - output <= 3 * projection._BLOCK_DRAWS * 8
 
 
 class TestDeriveSeed:
@@ -192,6 +283,7 @@ class TestMakeProjection:
             "output_dim": 20,
             "density": 0.05,
             "seed": 3,
+            "stream": 2,
         }
 
     def test_same_seed_same_matrix(self):
@@ -210,6 +302,18 @@ class TestMakeProjection:
         assert np.shares_memory(csr.data, P.values)
         assert P.to_scipy() is not csr
         assert not hasattr(P, "_csr")
+
+    def test_signs_and_values_read_only(self):
+        P = make_projection(50, 8, 0.3, seed=2)
+        positive = np.array(P.positive)
+        Q = SparseProjection(P.pattern, positive, P.density, P.seed)
+        with pytest.raises(ValueError, match="read-only"):
+            Q.to_scipy().data[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            Q.positive[0] = True
+        with pytest.raises(ValueError, match="read-only"):
+            Q.to_scipy().indices[0] = 0
+        assert positive.flags.writeable
 
     def test_row_slice_matches_ternary_row(self):
         P = make_projection(40, 16, 0.2, seed=5)

@@ -20,6 +20,11 @@ _matrices = st.lists(
 ).map(lambda rows: (SparseBinaryMatrix.from_rows(map(sorted, rows), 6), rows))
 
 
+def row_sets(m):
+    """Rows of ``m`` as Python sets, the oracles' view of a matrix."""
+    return [set(m.row(i).tolist()) for i in range(m.n_rows)]
+
+
 def random_binary(rng, n_rows, n_cols, density):
     rows = []
     for _ in range(n_rows):
@@ -93,7 +98,7 @@ class TestConstruction:
             ([0.0, 2.0, 3.0], indices, np.array([0, 2, 3], dtype=np.int32)), shape=(2, 3)
         )
         m = SparseBinaryMatrix.from_scipy(raw)
-        assert m.row_sets() == [{1}, {0}]
+        assert row_sets(m) == [{1}, {0}]
         assert raw.nnz == 3 and indices.tolist() == [2, 1, 0]
         assert not np.shares_memory(m.indices, raw.indices)
 
@@ -121,7 +126,7 @@ class TestConstruction:
         sub = m.take_rows(idx)
         assert sub.shape == (len(idx), m.n_cols)
         assert sub.indices.dtype == sub.indptr.dtype == np.int32
-        assert sub.row_sets() == [rows[i] for i in idx]
+        assert row_sets(sub) == [rows[i] for i in idx]
         for out_i, i in enumerate(idx):
             assert np.array_equal(sub.row(out_i), m.row(i))
 
@@ -164,7 +169,29 @@ class TestStorage:
         indptr = np.array([0, 1, 3], dtype=np.int32)
         indices = np.array([4, 0, 2], dtype=np.int32)
         m = SparseBinaryMatrix(indptr, indices, 5)
-        assert m.indptr is indptr and m.indices is indices
+        assert m.indptr.base is indptr and m.indices.base is indices
+
+    def test_index_arrays_read_only(self):
+        # the flag is set on the stored views, never on the caller's arrays
+        indptr = np.array([0, 2, 3], dtype=np.int32)
+        indices = np.array([1, 3, 0], dtype=np.int32)
+        m = SparseBinaryMatrix(indptr, indices, 4)
+        with pytest.raises(ValueError, match="read-only"):
+            m.to_scipy().indices[0] = 2
+        with pytest.raises(ValueError, match="read-only"):
+            m.indptr[1] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            m.row(0)[0] = 2
+        assert m.row(0).tolist() == [1, 3]
+        indices[0] = 2
+        assert indptr.flags.writeable and indices.flags.writeable
+        for built in (
+            SparseBinaryMatrix.from_rows([[1, 3], [0]], 4),
+            m.take_rows([1, 0]),
+            m.widen(6),
+        ):
+            assert not built.indices.flags.writeable
+            assert not built.indptr.flags.writeable
 
     def test_columns_past_int32_keep_int64(self):
         n_cols = 2**31 + 5
@@ -176,7 +203,7 @@ class TestStorage:
         assert np.shares_memory(csr.indptr, m.indptr)
         sub = m.take_rows([1, 0])
         assert sub.indices.dtype == np.int64
-        assert sub.row_sets() == [{2**31 + 4}, {7, 2**31 + 3}]
+        assert row_sets(sub) == [{2**31 + 4}, {7, 2**31 + 3}]
 
     def test_index_checked_before_narrowing(self):
         # 2**32 + 3 narrowed to int32 would read as column 3
@@ -201,8 +228,8 @@ class TestGram:
         a = random_binary(rng, 50, 200, 0.1)
         b = random_binary(rng, 30, 200, 0.1)
         g = sparse_gram(a, b)
-        sets_a = a.row_sets()
-        sets_b = b.row_sets()
+        sets_a = row_sets(a)
+        sets_b = row_sets(b)
         for i in range(50):
             for j in range(30):
                 assert g[i, j] == len(sets_a[i] & sets_b[j])
