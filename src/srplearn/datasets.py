@@ -10,8 +10,20 @@ strips the comment, splits on whitespace and parses the label; the
 ``index:value`` tokens of a block are converted and validated together
 with numpy (see :func:`read_svmlight` for the accepted syntax and the
 order in which errors are reported).  The writer assembles a whole file
-from the arrays, and synthetic rows are drawn in blocks, so no Python
-code runs per feature token in either direction.
+from the arrays, so no Python code runs per feature token in either
+direction.
+
+Synthetic rows come from the sampler of :mod:`srplearn.projection`, in
+time and memory proportional to their nonzeros.  Each row has two
+segments: the first ``signal_features`` columns, at a rate set by the
+row's true class, then the remaining columns at the base density.
+Segment ``k`` of row ``i`` is the Bernoulli positions of row ``i`` of the
+counter stream seeded ``derive_seed(derive_seed(seed, _DATA_STREAM), k)``:
+k = 0 for the signal segment, 1 for the background, and 2 for a
+one-column segment whose one entry flips the row's label.  So a row
+depends on (seed, row) alone, the features do not depend on the flip
+probability, and no stream a model derives from the same seed repeats
+the data's.
 """
 
 from __future__ import annotations
@@ -23,6 +35,7 @@ import numpy as np
 
 from .exceptions import SvmlightParseError
 from .matio import format_ints, join_lines, parse_ints, token_buffer
+from .projection import _bernoulli_rows, _row_blocks, derive_seed
 from .sparse import SparseBinaryMatrix
 
 __all__ = [
@@ -84,9 +97,10 @@ class Dataset:
 
 # Text read per block; a block is then completed to the end of its line.
 _BLOCK_BYTES = 1 << 22
-# Uniform draws per block of synthetic rows (2 MB); a row wider than this
-# is a block of its own.
-_SYNTH_BLOCK_DOUBLES = 1 << 18
+# Stream id of the synthetic data ("synth" in ASCII).  It is above 2**32,
+# so no stream id a model derives from its seed (elm's, or a method's
+# crc32 in bench) equals it, and data and models never share a stream.
+_DATA_STREAM = 0x73796E7468
 # Values of the form [+-]?[0-9]{1,15} are exact in float64 and converted
 # by integer arithmetic; every other value goes through numpy's float
 # parser, after this pattern (Python's float syntax without "_" digit
@@ -339,6 +353,17 @@ def synth_generate(
     i.i.d. at ``density``; the first ``signal_features`` features
     activate at ``density * 4`` for true class +1 and ``density / 4`` for
     true class -1.  Finally each label flips with ``flip_prob``.
+
+    With ``s = derive_seed(seed, _DATA_STREAM)``, row ``i``'s signal
+    columns are the Bernoulli positions in ``[0, signal_features)`` of row
+    ``i`` of stream ``derive_seed(s, 0)``; its background columns are
+    ``signal_features`` plus those in ``[0, n_features - signal_features)``
+    of stream ``derive_seed(s, 1)``; its label flips when stream
+    ``derive_seed(s, 2)`` puts an entry in ``[0, 1)`` at rate
+    ``flip_prob``.  The streams and the gap sampling are those of
+    projection rows (see :mod:`srplearn.projection`), drawn in blocks of
+    at most ``_BLOCK_DRAWS`` draws per segment; only the nonzeros are
+    drawn, so the work is O(nnz + n).
     """
     if n < 1 or n_features < 1:
         raise ValueError("n and n_features must be >= 1")
@@ -350,31 +375,31 @@ def synth_generate(
         raise ValueError("density must be in (0, 1]")
     if signal_features and density * 4.0 > 1.0:
         raise ValueError("density * 4 must not exceed 1 for signal features")
-    rng = np.random.default_rng(seed)
     true_labels = np.where(np.arange(n) % 2 == 0, 1, -1)
-    signal_rate = np.where(true_labels > 0, density * 4.0, density * 0.25)
-    block = min(n, max(1, _SYNTH_BLOCK_DOUBLES // n_features))
-    uniforms = np.empty((block, n_features), dtype=np.float64)
-    active = np.empty((block, n_features), dtype=bool)
-    counts, indices = [], []
-    for lo in range(0, n, block):
-        u, a = uniforms[: n - lo], active[: n - lo]
-        # a (rows, n_features) draw continues the stream exactly like one
-        # draw per row, so the rows match row-by-row generation
-        rng.random(out=u)
-        np.less(u, density, out=a)
-        np.less(
-            u[:, :signal_features],
-            signal_rate[lo : lo + len(u), None],
-            out=a[:, :signal_features],
+    # (width, rate per row) of the signal, background and flip segments
+    segments = [
+        (signal_features, np.where(true_labels > 0, density * 4.0, density * 0.25)),
+        (n_features - signal_features, np.full(n, density)),
+        (1, np.full(n, flip_prob)),
+    ]
+    data_seed = derive_seed(seed, _DATA_STREAM)
+    seeds = [derive_seed(data_seed, k) for k in range(len(segments))]
+    mean = sum(width * float(rate.max()) for width, rate in segments)
+    counts, cols, flips = [], [], []
+    for lo, hi in _row_blocks(0, n, mean):
+        (_, signal_row, _, signal_col), (_, row, _, col), (_, flip, _, _) = (
+            _bernoulli_rows(key, lo, hi, width, rate[lo:hi])
+            for key, (width, rate) in zip(seeds, segments)
         )
-        flat = np.flatnonzero(a)
-        rows = flat // n_features
-        counts.append(np.bincount(rows, minlength=len(u)))
-        indices.append(flat - rows * n_features)
-    flips = rng.random(n) < flip_prob
-    labels = np.where(flips, -true_labels, true_labels)
+        row = np.concatenate((signal_row, row))
+        # a stable sort keeps each row's signal columns before its background
+        order = np.argsort(row, kind="stable")
+        counts.append(np.bincount(row, minlength=hi - lo))
+        cols.append(np.concatenate((signal_col, col + signal_features))[order])
+        flips.append(flip + lo)
+    labels = true_labels.copy()
+    labels[np.concatenate(flips)] *= -1
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    sparse = SparseBinaryMatrix(indptr, np.concatenate(indices), n_features)
+    sparse = SparseBinaryMatrix(indptr, np.concatenate(cols), n_features)
     name = f"synth-n{n}-d{n_features}-s{signal_features}-seed{seed}"
     return Dataset(sparse, None, labels, name)

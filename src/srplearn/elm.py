@@ -198,19 +198,11 @@ def _squared_distances(X, centroids, distance_kind) -> np.ndarray:
     return d * d if distance_kind == KIND_JACCARD else d
 
 
-def _rbf_design(X, centroids, gammas, distance_kind) -> np.ndarray:
-    """RBF design exp(-gamma_j * d^2(x_i, c_j))."""
-    return np.exp(-gammas[None, :] * _squared_distances(X, centroids, distance_kind))
-
-
-def _pairwise_distance_median(centroids, distance_kind) -> float | None:
-    n = centroids.shape[0]
-    if n < 2:
-        return None  # no pairs to measure
-    d2 = _squared_distances(centroids, centroids, distance_kind)
-    dist = np.sqrt(np.maximum(d2, 0.0))  # for jaccard, d2 entries are J^2
-    iu = np.triu_indices(n, k=1)
-    return float(np.median(dist[iu]))
+def _rbf_design(d2, gammas) -> np.ndarray:
+    """RBF design exp(-gamma_j * d^2(x_i, c_j)), formed in place of the
+    squared distances ``d2``."""
+    d2 *= -gammas[None, :]
+    return np.exp(d2, out=d2)
 
 
 def rbf_fit(
@@ -239,19 +231,23 @@ def rbf_fit(
         if isinstance(X, SparseBinaryMatrix)
         else np.ascontiguousarray(np.asarray(X, dtype=np.float64)[idx])
     )
-    m = _pairwise_distance_median(centroids, distance_kind)
-    if m == 0.0:
-        warnings.warn(
-            "all centroids coincide; falling back to unit distance scale",
-            RuntimeWarning,
-        )
-        m = 1.0
-    elif m is None:
-        m = 1.0
+    # the centroids are rows ``idx``, so their pairwise distances are rows
+    # of the train-to-centroid distances the design is built from
+    d2 = _squared_distances(X, centroids, distance_kind)
+    m = 1.0  # no pairs to measure with one centroid
+    if L > 1:
+        dist = np.sqrt(np.maximum(d2[idx], 0.0))  # for jaccard, d2 entries are J^2
+        m = float(np.median(dist[np.triu_indices(L, k=1)]))
+        if m == 0.0:
+            warnings.warn(
+                "all centroids coincide; falling back to unit distance scale",
+                RuntimeWarning,
+            )
+            m = 1.0
     width_rng = np.random.default_rng(derive_seed(seed, _STREAM_GAMMAS))
     g = np.power(10.0, width_rng.uniform(-1.0, 1.0, size=L))
     gammas = g / (m * m)
-    H = _rbf_design(X, centroids, gammas, distance_kind)
+    H = _rbf_design(d2, gammas)
     solution = solve_ridge_press(H, y[:, None], lambda_grid)
     return RbfModel(centroids, gammas, distance_kind, solution, seed)
 
@@ -261,7 +257,8 @@ def model_predict(model, X) -> np.ndarray:
     if isinstance(model, ElmModel):
         H = _elm_design(X, model.W, model.bias, model.linear_part)
     elif isinstance(model, RbfModel):
-        H = _rbf_design(X, model.centroids, model.gammas, model.distance_kind)
+        d2 = _squared_distances(X, model.centroids, model.distance_kind)
+        H = _rbf_design(d2, model.gammas)
     else:
         raise TypeError(f"unsupported model type: {type(model).__name__}")
     return np.asarray(H @ model.solution.beta).ravel()

@@ -27,8 +27,10 @@ different keys (a negative seed acts as seed + 2**64).  Draw
 positions of a Bernoulli(density) process, each one gap plus one past the
 last (the first is its gap), and the row ends at the first position
 at or past ``output_dim``.  Entry ``j`` is positive when the top bit of
-``w_{2j+2}`` is clear.  At ``density = 1`` every gap is 0, so row ``i``
-holds every column and entry ``j`` is column ``j``.
+``w_{2j+2}`` is clear.  At ``density = 1``, ``log1p(-1)`` is -inf and
+every gap is 0, so row ``i`` holds every column and entry ``j`` is column
+``j``.  The same sampler, with one rate per row, draws the synthetic data
+of :func:`srplearn.datasets.synth_generate`.
 
 All rows of a block are drawn at once with a fixed budget of draws per
 row, :func:`_draw_budget`; the rare row that uses up its budget is
@@ -112,7 +114,7 @@ def _draw_budget(mean: float) -> int:
     return int(mean + 8.0 * math.sqrt(mean)) + 8
 
 
-def _positions(keys, first, n, last, output_dim, log_q):
+def _positions(keys, first, n, last, width, log_q):
     """Positions reached by draws ``first .. first + n - 1`` of each row,
     the row's previous position being ``last``; shape (keys.size, n)."""
     j = np.arange(first, first + n, dtype=np.uint64)
@@ -125,7 +127,7 @@ def _positions(keys, first, n, last, output_dim, log_q):
     np.log(u, out=u)
     u /= log_q
     np.floor(u, out=u)
-    np.minimum(u, output_dim, out=u)  # a longer gap ends the row all the same
+    np.minimum(u, width, out=u)  # a longer gap ends the row all the same
     steps = u.astype(np.int64)
     del u
     steps += 1
@@ -134,31 +136,56 @@ def _positions(keys, first, n, last, output_dim, log_q):
     return steps
 
 
-def _row_entries(keys, output_dim, density, budget):
-    """(row, draw, col) of every nonzero of the rows with stream ``keys``,
-    rows in order and columns increasing inside each row.
+def _log_q(rate, n):
+    """log1p(-rate) for each of ``n`` keys, -inf at rate 1.
 
-    Every row gets ``budget`` draws at once; rows whose last draw is
-    still inside get another pass, until every row has ended.
+    Taken by ``math.log1p`` once per distinct rate, since numpy's may
+    differ in the last bit.
     """
-    if density == 1.0:
-        row, col = np.divmod(np.arange(keys.size * output_dim), output_dim)
-        return row, col, col
-    log_q = math.log1p(-density)
-    rows = np.arange(keys.size)
-    last = np.full(keys.size, -1, dtype=np.int64)
+    if np.ndim(rate) == 0:
+        return np.full(n, math.log1p(-rate) if rate < 1.0 else -math.inf)
+    rates, inverse = np.unique(rate, return_inverse=True)
+    return np.array([_log_q(r, 1)[0] for r in rates.tolist()])[inverse]
+
+
+def _bernoulli_rows(seed, lo, hi, width, rate):
+    """(keys, row, draw, col): the keys of rows ``lo .. hi - 1`` of stream
+    ``seed``, and every Bernoulli(rate) position in ``[0, width)`` of these
+    rows, rows counted from ``lo``, in order, and columns increasing inside
+    each row.
+
+    ``rate`` is one rate or one per row.  At rate 1 every gap is 0, so
+    entry ``j`` is column ``j``; a row at rate 0 has no entries.  Every row
+    gets the budget of the largest rate at once, and never more than the
+    ``width + 1`` draws that end any row; rows whose last draw is still
+    inside get another pass, until every row has ended.
+    """
+    keys = _row_keys(seed, lo, hi)
+    budget = min(_draw_budget(width * float(np.max(rate))), width + 1)
+    log_q = _log_q(rate, keys.size)
+    rows = np.flatnonzero(log_q < 0.0)
+    last = np.full(rows.size, -1, dtype=np.int64)
     first, parts = 0, []
     while rows.size:
-        pos = _positions(keys[rows], first, budget, last, output_dim, log_q)
-        r, j = np.nonzero(pos < output_dim)
+        pos = _positions(keys[rows], first, budget, last, width, log_q[rows, None])
+        r, j = np.nonzero(pos < width)
         parts.append((rows[r], j + first, pos[r, j]))
-        more = pos[:, -1] < output_dim
+        more = pos[:, -1] < width
         rows, last, first = rows[more], pos[more, -1], first + budget
     if len(parts) == 1:
-        return parts[0]
-    row, draw, col = (np.concatenate(p) for p in zip(*parts))
+        return (keys, *parts[0])
+    none = (np.empty(0, dtype=np.int64),) * 3  # the result when every rate is 0
+    row, draw, col = (np.concatenate(p) for p in zip(none, *parts))
     order = np.argsort(row, kind="stable")
-    return row[order], draw[order], col[order]
+    return keys, row[order], draw[order], col[order]
+
+
+def _row_blocks(start, stop, mean):
+    """(lo, hi) of each block of rows ``start .. stop - 1`` with ``mean``
+    nonzeros expected per row: at most ``_BLOCK_DRAWS`` draws at the
+    budget of that mean, or one row."""
+    step = max(1, _BLOCK_DRAWS // _draw_budget(mean))
+    return [(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
 
 
 def _ternary_rows(seed: int, start: int, stop: int, output_dim: int, density: float):
@@ -168,15 +195,12 @@ def _ternary_rows(seed: int, start: int, stop: int, output_dim: int, density: fl
     increasing column indices of each row in turn, and a boolean sign per
     entry.
     """
-    budget = _draw_budget(output_dim * density)
-    block_rows = max(1, _BLOCK_DRAWS // budget)
     col_dtype = np.int32 if output_dim <= 2**31 else np.int64
     count_parts, col_parts, pos_parts = [], [], []
-    for first in range(start, stop, block_rows):
-        keys = _row_keys(seed, first, min(first + block_rows, stop))
-        row, draw, col = _row_entries(keys, output_dim, density, budget)
+    for lo, hi in _row_blocks(start, stop, output_dim * density):
+        keys, row, draw, col = _bernoulli_rows(seed, lo, hi, output_dim, density)
         sign = _words(keys[row], 2 * draw.astype(np.uint64) + 2)
-        count_parts.append(np.bincount(row, minlength=keys.size))
+        count_parts.append(np.bincount(row, minlength=hi - lo))
         col_parts.append(col.astype(col_dtype))
         pos_parts.append(sign < _TOP_BIT)
     return (

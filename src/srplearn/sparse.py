@@ -109,15 +109,6 @@ class SparseBinaryMatrix:
         )
         return cls(indptr, indices, n_cols)
 
-    @classmethod
-    def from_scipy(cls, matrix) -> "SparseBinaryMatrix":
-        """Build from any scipy sparse matrix; every stored nonzero becomes 1.
-        The input is copied: never modified, nor shared with the result."""
-        csr = sp.csr_matrix(matrix, copy=True)
-        csr.eliminate_zeros()
-        csr.sort_indices()
-        return cls(csr.indptr, csr.indices, csr.shape[1])
-
     @property
     def nnz(self) -> int:
         return int(self.indices.size)

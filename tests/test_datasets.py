@@ -1,5 +1,7 @@
 """Tests for dataset containers, the svmlight reader/writer, and synthesis."""
 
+import itertools
+import math
 import os
 import tempfile
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srplearn import datasets
+from srplearn import datasets, projection
 from srplearn.datasets import (
     Dataset,
     read_svmlight,
@@ -18,7 +20,9 @@ from srplearn.datasets import (
     write_svmlight,
 )
 from srplearn.exceptions import SvmlightParseError
+from srplearn.projection import derive_seed, make_projection
 from srplearn.sparse import SparseBinaryMatrix
+from test_projection import _GAMMA, _MASK64, _mix
 
 
 def _per_token_oracle(
@@ -116,21 +120,43 @@ def _per_entry_writer_oracle(ds: Dataset, path: str, index_base: int = 1) -> Non
             handle.write(" ".join(parts) + "\n")
 
 
-def _per_row_synth_oracle(n, n_features, density, signal_features, flip_prob, seed):
-    """(rows, labels) of the one-draw-per-row synth_generate loop, kept as reference."""
-    rng = np.random.default_rng(seed)
-    rates = {}
-    for cls, factor in ((1, 4.0), (-1, 0.25)):
-        r = np.full(n_features, density, dtype=np.float64)
-        r[:signal_features] = density * factor
-        rates[cls] = r
-    true_labels = np.where(np.arange(n) % 2 == 0, 1, -1)
-    rows = [
-        np.flatnonzero(rng.random(n_features) < rates[true_labels[i]])
-        for i in range(n)
-    ]
-    flips = rng.random(n) < flip_prob
-    return SparseBinaryMatrix.from_rows(rows, n_features), np.where(flips, -true_labels, true_labels)
+def _reference_positions(seed, row, width, rate):
+    """Bernoulli(rate) positions in [0, width) of row ``row`` of the stream
+    seeded ``seed``, from its definition with Python ints and ``math.log``."""
+    key = _mix(_mix(seed & _MASK64) + (row + 1) * _GAMMA)
+    cols, pos = [], -1
+    if rate == 0.0 or width == 0:
+        return cols
+    for j in itertools.count():
+        if rate == 1.0:
+            pos = j
+        else:
+            u = ((_mix(key + (2 * j + 1) * _GAMMA) >> 11) + 1) / 2**53
+            pos += math.floor(math.log(u) / math.log1p(-rate)) + 1
+        if pos >= width:
+            return cols
+        cols.append(pos)
+
+
+def _reference_synth(n, n_features, density, signal_features, flip_prob, seed):
+    """(rows, labels) of synth_generate drawn one row at a time: signal
+    segment on key 0, background on key 1, the flip on key 2."""
+    data_seed = derive_seed(seed, datasets._DATA_STREAM)
+    signal_key, background_key, flip_key = (derive_seed(data_seed, k) for k in range(3))
+    rows, labels = [], []
+    for i in range(n):
+        label = 1 if i % 2 == 0 else -1
+        rate = density * 4.0 if label > 0 else density * 0.25
+        background = _reference_positions(
+            background_key, i, n_features - signal_features, density
+        )
+        rows.append(
+            _reference_positions(signal_key, i, signal_features, rate)
+            + [signal_features + c for c in background]
+        )
+        flipped = _reference_positions(flip_key, i, 1, flip_prob) == [0]
+        labels.append(-label if flipped else label)
+    return SparseBinaryMatrix.from_rows(rows, n_features), np.array(labels)
 
 
 def _outcome(read, path, **kwargs):
@@ -567,7 +593,7 @@ class TestSynthGenerate:
         [
             (23, 5, 0.2, 2, 0.3),  # several rows per block, last block partial
             (4, 40, 0.1, 10, 0.0),  # a row wider than a small block
-            (9, 3, 0.25, 3, 0.1),  # every feature carries signal
+            (9, 3, 0.25, 3, 0.1),  # all signal; positive rows at rate 1
             (1, 1, 1.0, 0, 0.0),
             (301, 1000, 0.02, 100, 0.05),
         ],
@@ -575,14 +601,66 @@ class TestSynthGenerate:
     def test_blocks_match_per_row_oracle(
         self, monkeypatch, block, n, n_features, density, signal, flip
     ):
-        monkeypatch.setattr(datasets, "_SYNTH_BLOCK_DOUBLES", block)
         for seed in (0, 3):
+            expected = synth_generate(n, n_features, density, signal, flip, seed)
+            monkeypatch.setattr(projection, "_BLOCK_DRAWS", block)
             ds = synth_generate(n, n_features, density, signal, flip, seed)
-            rows, labels = _per_row_synth_oracle(n, n_features, density, signal, flip, seed)
+            monkeypatch.undo()
+            for name in ("indptr", "indices"):
+                a, b = getattr(ds.sparse, name), getattr(expected.sparse, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert ds.labels.tobytes() == expected.labels.tobytes()
+            rows, labels = _reference_synth(n, n_features, density, signal, flip, seed)
             assert ds.sparse == rows
-            # the labels are drawn after the rows, so they also check the
-            # generator state the block draws leave behind
             assert np.array_equal(ds.labels, labels)
+
+    def test_rows_independent_of_row_count(self):
+        # row i depends only on (seed, i), so a shorter run is a prefix
+        full = synth_generate(500, 800, 0.03, 80, 0.2, seed=6)
+        for m in (1, 137, 499):
+            prefix = synth_generate(m, 800, 0.03, 80, 0.2, seed=6)
+            assert full.sparse.take_rows(np.arange(m)) == prefix.sparse
+            assert np.array_equal(full.labels[:m], prefix.labels)
+
+    def test_rows_not_shared_with_model_streams(self):
+        # a model fitted with the data's seed derives its projections from
+        # that seed (elm's streams 1-3, e.g. rvfl's linear branch on
+        # derive_seed(seed, 1)); none of them may repeat the data's rows
+        n, D, density, seed = 30, 400, 0.05, 5
+        ds = synth_generate(n, D, density, 0, 0.0, seed)
+        for stream_seed in [seed] + [derive_seed(seed, k) for k in range(4)]:
+            pattern = make_projection(n, D, density, stream_seed).pattern
+            shared = [np.array_equal(pattern.row(i), ds.sparse.row(i)) for i in range(n)]
+            assert not any(shared)
+
+    def test_rates_pooled_over_seeds(self):
+        # every count is binomial; each class's signal and background
+        # totals must lie within 4 sigma of their means
+        n, D, density, S, seeds = 40, 400, 0.05, 100, range(100)
+        totals = np.zeros((2, 2))  # [class +1, class -1] x [signal, background]
+        for seed in seeds:
+            ds = synth_generate(n, D, density, S, 0.0, seed)
+            counts = np.diff(ds.sparse.indptr)
+            signal = np.add.reduceat(ds.sparse.indices < S, ds.sparse.indptr[:-1])
+            signal[counts == 0] = 0  # reduceat yields the next entry for empty rows
+            for c, label in enumerate((1, -1)):
+                rows = ds.labels == label
+                totals[c] += signal[rows].sum(), (counts - signal)[rows].sum()
+        rows_per_class = n // 2 * len(seeds)
+        for c, factor in enumerate((4.0, 0.25)):
+            for k, (width, rate) in enumerate(((S, density * factor), (D - S, density))):
+                trials = rows_per_class * width
+                sigma = np.sqrt(trials * rate * (1 - rate))
+                assert abs(totals[c, k] - trials * rate) < 4 * sigma
+
+    def test_rate_one_rows_hold_every_signal_column(self):
+        # density 0.25 puts the positive rows' signal segment at rate 1
+        ds = synth_generate(50, 200, 0.25, 40, 0.0, seed=2)
+        for i in range(0, 50, 2):
+            row = ds.sparse.row(i)
+            assert row[row < 40].tolist() == list(range(40))
+        negative_signal = [np.sum(ds.sparse.row(i) < 40) for i in range(1, 50, 2)]
+        assert max(negative_signal) < 40
 
     def test_deterministic(self):
         a = synth_generate(30, 300, 0.02, 30, 0.1, seed=7)

@@ -80,28 +80,6 @@ class TestConstruction:
         assert m.row(0).tolist() == [1, 3]
         assert m.row(1).tolist() == [1, 3]
 
-    def test_from_scipy_binarizes(self):
-        import scipy.sparse as sp
-
-        raw = sp.csr_matrix(np.array([[0.0, 2.5], [7.0, 0.0]]))
-        m = SparseBinaryMatrix.from_scipy(raw)
-        assert m.row(0).tolist() == [1]
-        assert m.row(1).tolist() == [0]
-
-    def test_from_scipy_copies_caller_matrix(self):
-        import scipy.sparse as sp
-
-        # an explicit zero and unsorted int32 indices: both are cleaned up
-        # in a copy, not in the caller's arrays
-        indices = np.array([2, 1, 0], dtype=np.int32)
-        raw = sp.csr_matrix(
-            ([0.0, 2.0, 3.0], indices, np.array([0, 2, 3], dtype=np.int32)), shape=(2, 3)
-        )
-        m = SparseBinaryMatrix.from_scipy(raw)
-        assert row_sets(m) == [{1}, {0}]
-        assert raw.nnz == 3 and indices.tolist() == [2, 1, 0]
-        assert not np.shares_memory(m.indices, raw.indices)
-
     def test_take_rows(self):
         m = SparseBinaryMatrix.from_rows([[0], [1, 2], [3]], n_cols=4)
         sub = m.take_rows([2, 0, 2])
