@@ -353,8 +353,13 @@ def _evaluate(cfg: RunConfig, sweep: bool):
         logreg_lambda = None
         if "logreg-srp" in methods:
             logreg_lambda = _tune_logreg(cfg, pool, F_pool, grid)
+            edge = ""
+            if logreg_lambda == grid[0]:
+                edge = " (bottom edge of the grid)"
+            elif logreg_lambda == grid[-1]:
+                edge = " (top edge of the grid)"
             context.append(
-                f"dim {dim}: logreg lambda={logreg_lambda:.6g}, tuned on "
+                f"dim {dim}: logreg lambda={logreg_lambda:.6g}{edge}, tuned on "
                 f"subsample seed {cfg.base_seed - 1}"
             )
         block = _run_block(cfg, pool, test, F_pool, F_test, methods, grid,

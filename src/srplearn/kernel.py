@@ -153,6 +153,17 @@ def knn_predict(D: DistanceMatrix | np.ndarray, labels, k: int) -> np.ndarray:
     if not np.all(np.isin(np.unique(labels), (-1, 1))):
         raise ValueError("labels must be -1 or +1")
     _check_k(k, n_train)
-    # stable sort keeps equal-distance neighbors in index order
-    order = np.argsort(values, axis=1, kind="stable")[:, :k]
-    return labels.astype(np.float64)[order].mean(axis=1)
+    if np.isnan(values).any():
+        raise ValueError("distance matrix contains NaN")
+    labels = labels.astype(np.float64)
+    if k == 1:
+        return labels[np.argmin(values, axis=1)]  # first minimum on ties
+    # every row below its k-th smallest distance is a neighbor; the rows
+    # tied at it fill the remaining places in index order
+    kth = np.partition(values, k - 1, axis=1)[:, k - 1 : k]
+    below = values < kth
+    tied = values == kth
+    room = k - np.count_nonzero(below, axis=1)
+    take = below | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
+    # labels are +-1, so the sum is exact in any order
+    return np.where(take, labels, 0.0).sum(axis=1) / k

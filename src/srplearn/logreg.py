@@ -4,6 +4,10 @@ Minimizes mean log-loss plus (lambda/2) ||w||^2 (intercept unpenalized)
 with full-batch gradient descent and Armijo backtracking.  The penalty
 is chosen on a grid by held-out log-loss, since the closed-form
 leave-one-out identity of the ridge models does not apply here.
+
+One loop, :func:`_descend`, runs the descent for any number of
+penalties at once: tuning advances the whole grid together, sharing
+each trial's matrix products, and a single fit is its one-penalty case.
 """
 
 from __future__ import annotations
@@ -61,14 +65,101 @@ def _check_inputs(X, y):
     return X, y
 
 
-def _loss_grad(X, y, w, b, lam):
-    margin = y * (X @ w + b)
-    loss = float(np.mean(np.logaddexp(0.0, -margin)) + 0.5 * lam * (w @ w))
-    p = expit(-margin)  # d loss_i / d margin_i = -p
-    yp = y * p
-    grad_w = -(X.T @ yp) / y.size + lam * w
-    grad_b = -float(np.mean(yp))
+def _check_stopping(max_iter, tol):
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
+
+
+def _row_dots(A):
+    """Each row's dot product with itself, as a (1, d) @ (d, 1) product per
+    row: the same BLAS dot as ``a @ a`` for one row ``a``."""
+    return (A[:, None, :] @ A[:, :, None])[:, 0, 0]
+
+
+def _loss_grads(X, y, W, b, lams):
+    """Loss and gradient of one problem per row of ``W``.
+
+    Row ``j`` is the weight vector of penalty ``lams[j]`` and ``b[j]`` its
+    intercept.  Every row is reduced on its own (pairwise sums, one dot
+    product per row), so each row of the result has the bits of the
+    one-problem computation; only the matrix products group the rows.
+    """
+    n = y.size
+    neg_margin = -y * (W @ X.T + b[:, None])
+    loss = np.logaddexp(0.0, neg_margin).sum(axis=1) / n + 0.5 * lams * _row_dots(W)
+    yp = y * expit(neg_margin)  # d loss_i / d margin_i = -p
+    grad_w = (yp @ X) / -n + lams[:, None] * W
+    grad_b = yp.sum(axis=1) / -n
     return loss, grad_w, grad_b
+
+
+def _loss_grad(X, y, w, b, lam):
+    """Loss and gradient at one point: the one-row case of :func:`_loss_grads`."""
+    loss, grad_w, grad_b = _loss_grads(X, y, w[None, :], np.array([b]), np.array([lam]))
+    return float(loss[0]), grad_w[0], float(grad_b[0])
+
+
+def _descend(X, y, lams, max_iter, tol):
+    """Gradient descent from the zero start, one column per penalty.
+
+    Each penalty follows its own path: Armijo backtracking from a step
+    that doubles (up to 1e6) after every accepted step and halves after
+    every rejected trial, stopping when the gradient infinity-norm drops
+    below ``tol``, after ``max_iter`` accepted steps, or when the step
+    falls below ``_MIN_STEP``.  The penalties still descending share each
+    trial's two matrix products.  Returns (weights (G, d), intercepts,
+    converged flags, accepted-step counts), one entry per penalty.
+    """
+    G = lams.size
+    W_out = np.zeros((G, X.shape[1]), dtype=np.float64)
+    b_out = np.zeros(G, dtype=np.float64)
+    converged = np.zeros(G, dtype=bool)
+    iterations = np.zeros(G, dtype=np.int64)
+
+    # state of the penalties still descending, in grid order
+    cols, lam, W, b = np.arange(G), lams, W_out.copy(), b_out.copy()
+    loss, grad_w, grad_b = _loss_grads(X, y, W, b, lam)
+    step = np.ones(G, dtype=np.float64)
+    iters = np.zeros(G, dtype=np.int64)
+    while True:
+        finite = np.isfinite(loss)
+        if np.count_nonzero(finite) < finite.size:
+            raise NumericalDivergenceError("loss is not finite", int(iters[~finite][0]))
+        grad_norm = np.maximum(np.abs(grad_w).max(axis=1, initial=0.0), np.abs(grad_b))
+        conv = grad_norm < tol
+        # a step below _MIN_STEP means no acceptable step remains: the
+        # gradient is effectively flat
+        done = conv | (iters >= max_iter) | (step < _MIN_STEP)
+        if np.count_nonzero(done):
+            ended = cols[done]
+            W_out[ended], b_out[ended] = W[done], b[done]
+            converged[ended], iterations[ended] = conv[done], iters[done]
+            keep = ~done
+            if not np.count_nonzero(keep):
+                return W_out, b_out, converged, iterations
+            cols, lam, W, b = cols[keep], lam[keep], W[keep], b[keep]
+            loss, grad_w, grad_b = loss[keep], grad_w[keep], grad_b[keep]
+            step, iters = step[keep], iters[keep]
+
+        sq = _row_dots(grad_w) + grad_b * grad_b
+        w_new = W - step[:, None] * grad_w
+        b_new = b - step * grad_b
+        loss_new, gw_new, gb_new = _loss_grads(X, y, w_new, b_new, lam)
+        ok = loss_new <= loss - _ARMIJO_C * step * sq
+        # step * 0.5 never exceeds the cap, so one minimum serves both
+        step = np.minimum(step * np.where(ok, 2.0, 0.5), 1e6)
+        iters = iters + ok
+        accepted = np.count_nonzero(ok)
+        if accepted == ok.size:
+            W, b, loss, grad_w, grad_b = w_new, b_new, loss_new, gw_new, gb_new
+        elif accepted:
+            W = np.where(ok[:, None], w_new, W)
+            grad_w = np.where(ok[:, None], gw_new, grad_w)
+            b = np.where(ok, b_new, b)
+            loss = np.where(ok, loss_new, loss)
+            grad_b = np.where(ok, gb_new, grad_b)
 
 
 def logreg_fit(
@@ -77,46 +168,17 @@ def logreg_fit(
     """Gradient descent with backtracking line search from the zero start.
 
     Stops when the gradient infinity-norm drops below ``tol`` or after
-    ``max_iter`` accepted steps, whichever comes first.
+    ``max_iter`` accepted steps, whichever comes first.  This is the
+    one-penalty case of the descent that tunes the penalty.
     """
     X, y = _check_inputs(X, y)
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 0:
-        raise ValueError("max_iter must be >= 0")
-
-    w = np.zeros(X.shape[1], dtype=np.float64)
-    b = 0.0
-    loss, grad_w, grad_b = _loss_grad(X, y, w, b, lam)
-    step = 1.0
-    iterations = 0
-    converged = False
-    for iterations in range(max_iter + 1):
-        if not np.isfinite(loss):
-            raise NumericalDivergenceError("loss is not finite", iterations)
-        grad_norm = max(float(np.max(np.abs(grad_w))) if grad_w.size else 0.0,
-                        abs(grad_b))
-        if grad_norm < tol:
-            converged = True
-            break
-        if iterations == max_iter:
-            break
-        sq = float(grad_w @ grad_w) + grad_b * grad_b
-        while step >= _MIN_STEP:
-            w_new = w - step * grad_w
-            b_new = b - step * grad_b
-            loss_new, gw_new, gb_new = _loss_grad(X, y, w_new, b_new, lam)
-            if loss_new <= loss - _ARMIJO_C * step * sq:
-                break
-            step *= 0.5
-        else:
-            break  # no acceptable step remains; gradient is effectively flat
-        w, b = w_new, b_new
-        loss, grad_w, grad_b = loss_new, gw_new, gb_new
-        step = min(step * 2.0, 1e6)
-    return LogRegModel(w, b, lam, converged, iterations)
+    _check_stopping(max_iter, tol)
+    W, b, converged, iterations = _descend(
+        X, y, np.array([lam], dtype=np.float64), max_iter, tol
+    )
+    return LogRegModel(W[0], b[0], lam, converged[0], iterations[0])
 
 
 def logreg_predict(model: LogRegModel, X) -> np.ndarray:
@@ -131,11 +193,6 @@ def logreg_predict(model: LogRegModel, X) -> np.ndarray:
     return expit(X @ model.weights + model.intercept)
 
 
-def _heldout_logloss(model: LogRegModel, X, y) -> float:
-    margin = y * (X @ model.weights + model.intercept)
-    return float(np.mean(np.logaddexp(0.0, -margin)))
-
-
 def logreg_select_lambda(
     X,
     y,
@@ -146,12 +203,15 @@ def logreg_select_lambda(
 ):
     """Pick the penalty with the best held-out log-loss.
 
-    Rows are shuffled once (seeded) and split; each grid value is fit on
-    the larger part and scored on the holdout.  Exact ties go to the
-    larger penalty, as for ridge (:func:`srplearn.ridge._select_penalty`).
+    Rows are shuffled once (seeded) and split; the whole grid is fit on
+    the larger part in one descent, one column per penalty, each column
+    taking the steps :func:`logreg_fit` takes at its penalty, and every
+    fit is scored on the holdout.  Exact ties go to the larger penalty,
+    as for ridge (:func:`srplearn.ridge._select_penalty`).
     Returns (best_lambda, losses aligned with the grid).
     """
     X, y = _check_inputs(X, y)
+    _check_stopping(max_iter, tol)
     n = X.shape[0]
     n_hold = max(1, int(round(n * _HOLDOUT_FRACTION)))
     if n_hold >= n:
@@ -159,9 +219,10 @@ def logreg_select_lambda(
     perm = np.random.default_rng(seed).permutation(n)
     hold, train = perm[:n_hold], perm[n_hold:]
 
-    def heldout_loss(lam):
-        model = logreg_fit(X[train], y[train], float(lam), max_iter, tol)
-        return _heldout_logloss(model, X[hold], y[hold])
+    def heldout_losses(grid):
+        W, b, _, _ = _descend(X[train], y[train], grid, max_iter, tol)
+        margin = y[hold] * (W @ X[hold].T + b[:, None])
+        return np.mean(np.logaddexp(0.0, -margin), axis=1)
 
-    grid, losses, best = _select_penalty(lambda_grid, heldout_loss, "held-out log-loss")
+    grid, losses, best = _select_penalty(lambda_grid, heldout_losses, "held-out log-loss")
     return float(grid[best]), losses

@@ -61,11 +61,12 @@ class RidgeSolution:
         )
 
 
-def _select_penalty(lambda_grid, error, name):
-    """(grid, errors, winner's index) for the penalty minimizing ``error``.
+def _select_penalty(lambda_grid, errors_of, name):
+    """(grid, errors, winner's index) for the penalty minimizing the error.
 
-    The grid (nonempty, 1-D, finite, >= 0) is checked before ``error`` is
-    first called.  The smallest finite error wins, exact ties going to the
+    The grid (nonempty, 1-D, finite, >= 0) is checked before ``errors_of``
+    is called, once, with the whole checked grid; it returns one error per
+    penalty.  The smallest finite error wins, exact ties going to the
     larger penalty; with none finite, DegenerateFitError names ``name``.
     """
     grid = np.asarray(lambda_grid, dtype=np.float64)
@@ -73,7 +74,7 @@ def _select_penalty(lambda_grid, error, name):
         raise ValueError("lambda_grid must be a nonempty 1-D sequence")
     if np.any(grid < 0) or not np.all(np.isfinite(grid)):
         raise ValueError("lambda_grid entries must be finite and >= 0")
-    errors = np.array([error(lam) for lam in grid], dtype=np.float64)
+    errors = np.asarray(errors_of(grid), dtype=np.float64)
     finite = np.isfinite(errors)
     if not np.any(finite):
         raise DegenerateFitError(f"{name} is degenerate for every penalty in the grid")
@@ -122,7 +123,9 @@ def _spectral_press(gram, Y, lambda_grid, H=None):
         resid = resid_num / loo_denom[:, None]
         return float(np.sum(resid * resid))
 
-    grid, errors, best = _select_penalty(lambda_grid, press, "leave-one-out error")
+    grid, errors, best = _select_penalty(
+        lambda_grid, lambda grid: [press(lam) for lam in grid], "leave-one-out error"
+    )
     inv = 1.0 / (w + grid[best])
     return grid[best], errors[best], Q @ (inv[:, None] * C)
 

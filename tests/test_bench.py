@@ -134,6 +134,24 @@ method.logreg-srp.max_iter = 40
             assert 0 < int(r[5]) <= 40
             assert r[6] in ("0", "1")
 
+    @pytest.mark.parametrize(
+        "exp, note",
+        [(-3, " (bottom edge of the grid)"), (3, " (top edge of the grid)"), (0, "")],
+    )
+    def test_report_says_when_logreg_lambda_at_grid_edge(
+        self, tmp_path, monkeypatch, exp, note
+    ):
+        monkeypatch.setattr(
+            bench, "logreg_select_lambda", lambda *args, **kwargs: (2.0**exp, None)
+        )
+        extra = (
+            "methods = logreg-srp\nn_runs = 1\nlambda.min_exp = -3\n"
+            "lambda.max_exp = 3\nmethod.logreg-srp.max_iter = 20"
+        )
+        cmd_bench(parse_config(_bench_cfg(tmp_path, extra=extra)))
+        lines = (tmp_path / "out" / "report.txt").read_text().splitlines()
+        assert f"dim 40: logreg lambda={2.0**exp:.6g}{note}, tuned on subsample seed 4" in lines
+
     def test_timings_never_in_csv(self, tmp_path):
         cfg = parse_config(_bench_cfg(tmp_path, "not"))
         cmd_bench(cfg)

@@ -204,6 +204,23 @@ class TestKnn:
                 got = knn_predict(D, labels, k)
                 assert np.array_equal(got, self._oracle(D, labels, k))
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_matches_stable_argsort_on_heavy_ties(self, k):
+        # few distinct distances, so most rows have ties at their k-th value
+        rng = np.random.default_rng(17)
+        D = rng.integers(0, 4, size=(200, 60)).astype(np.float64) / 4.0
+        D[:5] = 0.5  # rows that are one tie
+        D[5, :] = np.inf
+        D[6, ::2] = -np.inf
+        labels = np.where(rng.random(60) > 0.4, 1.0, -1.0)
+        order = np.argsort(D, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(knn_predict(D, labels, k), labels[order].mean(axis=1))
+
+    def test_nan_distance_rejected(self):
+        D = np.array([[0.1, np.nan, 0.3]])
+        with pytest.raises(ValueError, match="NaN"):
+            knn_predict(D, np.array([1.0, -1.0, 1.0]), 1)
+
     def test_k_one_takes_nearest_label(self):
         D = np.array([[0.5, 0.1, 0.9], [0.2, 0.3, 0.05]])
         labels = np.array([1.0, -1.0, 1.0])

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from srplearn import logreg
+from srplearn.exceptions import NumericalDivergenceError
 from srplearn.logreg import (
+    _descend,
     _loss_grad,
     logreg_fit,
     logreg_predict,
@@ -115,6 +117,57 @@ class TestFit:
             logreg_fit(X, y[:3], 0.1)
 
 
+class TestDescend:
+    """Each column of the grid descent takes the path of its own fit."""
+
+    @staticmethod
+    def _assert_columns_match_fits(X, y, grid, max_iter, tol):
+        W, b, converged, iterations = _descend(X, y, grid, max_iter, tol)
+        for j, lam in enumerate(grid):
+            model = logreg_fit(X, y, lam, max_iter=max_iter, tol=tol)
+            assert iterations[j] == model.iterations
+            assert converged[j] == model.converged
+            scale = max(np.max(np.abs(model.weights)), abs(model.intercept), 1e-300)
+            assert np.max(np.abs(W[j] - model.weights)) <= 1e-10 * scale
+            assert abs(b[j] - model.intercept) <= 1e-10 * scale
+        return converged, iterations
+
+    def test_grid_columns_match_single_fits(self):
+        rng = np.random.default_rng(10)
+        X, y = _make_problem(rng, n=80, p=6, noise=1.5)
+        grid = np.array([0.0, 2.0**-8, 2.0**-2, 1.0, 2.0**4, 2.0**8])
+        converged, iterations = self._assert_columns_match_fits(X, y, grid, 60, 1e-6)
+        # lambda = 0 converges; the stiff large penalties stop at the cap
+        assert np.all(converged[:4])
+        assert not np.any(converged[4:]) and np.all(iterations[4:] == 60)
+
+    def test_columns_converged_at_the_start(self):
+        # the gradient at the zero start does not depend on the penalty, so
+        # step-0 convergence holds for every column or none: rows repeated
+        # with opposite labels have no gradient there
+        A = np.random.default_rng(11).standard_normal((5, 3))
+        X = np.vstack([A, A])
+        y = np.concatenate([np.ones(5), -np.ones(5)])
+        grid = np.array([0.0, 1.0, 2.0**6])
+        converged, iterations = self._assert_columns_match_fits(X, y, grid, 50, 1e-6)
+        assert np.all(converged) and np.all(iterations == 0)
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_feature_raises(self, bad):
+        rng = np.random.default_rng(13)
+        X, y = _make_problem(rng, n=40, p=4)
+        X[:, 2] = bad  # every row, so the tuning split's training part too
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalDivergenceError) as fit_err:
+                logreg_fit(X, y, 0.1)
+            with pytest.raises(NumericalDivergenceError) as select_err:
+                logreg_select_lambda(X, y, np.array([0.0, 1.0]), seed=0)
+        assert fit_err.value.iteration == 0
+        assert select_err.value.iteration == 0
+
+
 class TestPredict:
     def test_matches_sigmoid_recomputation(self):
         rng = np.random.default_rng(6)
@@ -163,14 +216,21 @@ class TestSelectLambda:
         assert losses[0] == losses[1]
         assert lam == 8.0
 
+    @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"max_iter": -1}])
+    def test_bad_stopping_rule_rejected(self, kwargs):
+        X = np.zeros((20, 2))
+        y = np.array([1.0, -1.0] * 10)
+        with pytest.raises(ValueError):
+            logreg_select_lambda(X, y, np.array([1.0]), seed=0, **kwargs)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_bad_grid_rejected_before_any_fit(self, monkeypatch, bad):
-        # the grid is checked as ridge checks it; a non-finite entry used to
-        # end in a divergence error, a negative one only when it was reached
+        # the grid is checked as ridge checks it, before the descent that
+        # fits the whole grid starts
         def no_fit(*args, **kwargs):
             raise AssertionError("fit attempted")
 
-        monkeypatch.setattr(logreg, "logreg_fit", no_fit)
+        monkeypatch.setattr(logreg, "_descend", no_fit)
         X = np.zeros((20, 2))
         y = np.array([1.0, -1.0] * 10)
         with pytest.raises(ValueError, match="finite and >= 0"):
