@@ -2,7 +2,7 @@
 
 Every pairwise distance between rows of two sparse binary matrices is
 computed for all pairs at once from intersection counts, which come from
-one sparse matrix product per row block of B:
+one sparse matrix product per row block of A:
 
     J(a, b)    = 1 - |a & b| / (|a| + |b| - |a & b|)
     |a - b|^2  = |a| + |b| - 2 |a & b|
@@ -65,9 +65,11 @@ class DistanceMatrix:
 def _from_counts(A, B, combine) -> np.ndarray:
     """``combine(|a&b|, |a|, |b|)`` for every row a of A and row b of B.
 
-    Both operands must be sparse binary matrices of equal width.  B is
+    Both operands must be sparse binary matrices of equal width.  A is
     processed in row blocks sized from ``_BLOCK_BUDGET_MB`` so the
-    intermediates of one block stay within budget; the counts are exact
+    intermediates of one block stay within budget; B is never sliced, so
+    every block, and every later call with the same B, reuses the column
+    form B keeps (see :mod:`srplearn.sparse`).  The counts are exact
     integers, so block size does not affect the result.  ``combine`` may
     overwrite the count slab it is given.
     """
@@ -77,16 +79,20 @@ def _from_counts(A, B, combine) -> np.ndarray:
         raise ValueError(f"column counts differ: {A.n_cols} vs {B.n_cols}")
     counts_a = row_counts(A).astype(np.float64)[:, None]
     counts_b = row_counts(B).astype(np.float64)[None, :]
-    out = np.empty((A.n_rows, B.n_rows), dtype=np.float64)
-    # a block peaks at 2.8 float64 (n_rows(A), block) slabs (tracemalloc,
-    # every pair intersecting): the sparse product and its dense copy
+    # a block peaks at 2.5-2.8 float64 (block, n_rows(B)) slabs (tracemalloc,
+    # every pair intersecting, B's column form built beforehand): the sparse
+    # product and its dense copy, plus the gathered rows of small blocks
     budget_entries = int(_BLOCK_BUDGET_MB * 1e6 / 8.0)
-    block = max(1, budget_entries // (3 * max(1, A.n_rows)))
-    for start in range(0, B.n_rows, block):
-        stop = min(start + block, B.n_rows)
-        part = B if block >= B.n_rows else B.take_rows(np.arange(start, stop))
-        out[:, start:stop] = combine(
-            sparse_gram(A, part), counts_a, counts_b[:, start:stop]
+    block = max(1, budget_entries // (3 * max(1, B.n_rows)))
+    if block >= A.n_rows:
+        # one block: its slab is the result, with no output array to copy into
+        return combine(sparse_gram(A, B), counts_a, counts_b)
+    out = np.empty((A.n_rows, B.n_rows), dtype=np.float64)
+    for start in range(0, A.n_rows, block):
+        stop = min(start + block, A.n_rows)
+        part = A.take_rows(np.arange(start, stop))
+        out[start:stop] = combine(
+            sparse_gram(part, B), counts_a[start:stop], counts_b
         )
     return out
 

@@ -84,7 +84,8 @@ def kernel_matrix(kind: str, rows_a, rows_b) -> np.ndarray:
             )
         return a @ b.T
     if kind == KERNEL_JACCARD:
-        return 1.0 - jaccard_distance_matrix(rows_a, rows_b).values
+        D = jaccard_distance_matrix(rows_a, rows_b).values
+        return np.subtract(1.0, D, out=D)  # in place: no second n x m array
     raise ValueError(f"unknown kernel kind: {kind!r}")
 
 

@@ -9,6 +9,16 @@ delegated to ``scipy.sparse`` CSR kernels, which are exact for 0/1 data
 and deterministic however many callers share the matrix.  Instances are
 immutable after construction, their index arrays read-only, and safe to
 use from multiple threads.
+
+A row-by-row sparse product needs its right operand feature-major, so
+:func:`sparse_gram` keeps one derived form on its right operand: the
+column form, the CSR of the transpose (index arrays plus float64 ones,
+about 12 bytes per stored entry plus an ``n_cols + 1`` pointer array).
+It is built the first time the matrix is the right operand of
+:func:`sparse_gram` and kept on the matrix, so a matrix scored against
+again and again is transposed once; a matrix that is only ever a left
+operand never holds one.  Its arrays are read-only.  Two threads may
+race to build it; both build identical arrays and either may be kept.
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ class SparseBinaryMatrix:
     can write to them; the caller's arrays stay writable.
     """
 
-    __slots__ = ("n_rows", "n_cols", "indptr", "indices")
+    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "_columns")
 
     def __init__(self, indptr, indices, n_cols: int):
         indptr = _index_array(indptr)
@@ -90,6 +100,7 @@ class SparseBinaryMatrix:
         indptr, indices = (a.astype(dtype, copy=False) for a in (indptr, indices))
         object.__setattr__(self, "indptr", _read_only(indptr))
         object.__setattr__(self, "indices", _read_only(indices))
+        object.__setattr__(self, "_columns", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseBinaryMatrix is immutable")
@@ -149,6 +160,13 @@ class SparseBinaryMatrix:
         data = np.ones(self.nnz, dtype=np.float64)
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
+    def _column_form(self) -> sp.csr_matrix:
+        """The (n_cols, n_rows) CSR of the transpose, built on first use and
+        kept; its arrays are read-only."""
+        if self._columns is None:
+            object.__setattr__(self, "_columns", _transpose(self))
+        return self._columns
+
     def to_dense(self) -> np.ndarray:
         """Dense float64 copy (0.0 / 1.0 entries)."""
         return self.to_scipy().toarray()
@@ -169,17 +187,30 @@ class SparseBinaryMatrix:
         )
 
 
+def _transpose(m: SparseBinaryMatrix) -> sp.csr_matrix:
+    """CSR of ``m``'s transpose: index arrays plus float64 ones, read-only."""
+    # bool data: the transpose moves one byte per entry, not eight
+    ones = np.ones(m.nnz, dtype=bool)
+    csc = sp.csr_matrix((ones, m.indices, m.indptr), shape=m.shape).tocsc()
+    data = _read_only(np.ones(m.nnz, dtype=np.float64))
+    return sp.csr_matrix(
+        (data, _read_only(csc.indices), _read_only(csc.indptr)),
+        shape=(m.n_cols, m.n_rows),
+    )
+
+
 def sparse_gram(a: SparseBinaryMatrix, b: SparseBinaryMatrix) -> np.ndarray:
     """Pairwise intersection sizes between the rows of two binary matrices.
 
     Returns a dense (a.n_rows, b.n_rows) float64 matrix whose (i, j) entry
-    is the exact integer ``|row_i(a) & row_j(b)|``.
+    is the exact integer ``|row_i(a) & row_j(b)|``.  ``b`` keeps its column
+    form for later calls (see the module docstring).
     """
     if a.n_cols != b.n_cols:
         raise ValueError(
             f"column counts differ: {a.n_cols} vs {b.n_cols}"
         )
-    return (a.to_scipy() @ b.to_scipy().T).toarray()
+    return (a.to_scipy() @ b._column_form()).toarray()
 
 
 def row_counts(a: SparseBinaryMatrix) -> np.ndarray:

@@ -109,9 +109,16 @@ def test_block_size_does_not_change_values(monkeypatch, pairwise):
     B = _random_sparse(rng, 35, 60, 0.1)
     monkeypatch.setattr(distance, "_BLOCK_BUDGET_MB", 1024.0)
     full = pairwise(A, B).values
-    # budget small enough to force many blocks of B
+    # budget small enough to split A into blocks: 1250 entries over 3 slabs
+    # of B's 35 columns is 11 rows, so 4 blocks of A, the last one shorter
     monkeypatch.setattr(distance, "_BLOCK_BUDGET_MB", 0.01)
+    blocks = []
+    gram = distance.sparse_gram
+    monkeypatch.setattr(
+        distance, "sparse_gram", lambda a, b: blocks.append(a.n_rows) or gram(a, b)
+    )
     tiny = pairwise(A, B).values
+    assert blocks == [11, 11, 11, 7]
     assert np.array_equal(full, tiny)
 
 
@@ -123,8 +130,12 @@ def test_blocks_stay_within_budget(monkeypatch, pairwise):
     rng = np.random.default_rng(12)
     A = _random_sparse(rng, 1000, 500, 0.2)
     B = _random_sparse(rng, 4000, 500, 0.2)
-    # the operands' cached CSR forms are not intermediates of the blocks
-    A.to_scipy(), B.to_scipy()
+    # B's kept column form outlives the call, so it is not an intermediate
+    # of the blocks: build it before the window
+    columns = B._column_form()
+    kept = columns.data.nbytes + columns.indices.nbytes
+    assert kept <= 12 * B.nnz
+    assert columns.indptr.nbytes <= 8 * (B.n_cols + 1)
     monkeypatch.setattr(distance, "_BLOCK_BUDGET_MB", 4.0)
     tracemalloc.start()
     try:

@@ -7,6 +7,7 @@ import pytest
 
 from srplearn.distance import KIND_JACCARD, KIND_SQEUCLIDEAN
 from srplearn.elm import (
+    RbfModel,
     elm_bias,
     elm_fit,
     elm_hidden,
@@ -200,6 +201,21 @@ class TestRbf:
         model = rbf_fit(X, y, 60, KIND_JACCARD, seed=6)
         auc = roc_auc(model_predict(model, X_test), y_test)
         assert auc > 0.9
+
+    def test_jaccard_batches_match_fresh_centroids(self):
+        # the centroids keep their column form from fit to every batch
+        rng = np.random.default_rng(19)
+        X, y = _separable_data(rng, 80)
+        model = rbf_fit(X, y, 20, KIND_JACCARD, seed=7)
+        for _ in range(3):
+            batch, _ = _separable_data(rng, 12)
+            c = model.centroids
+            fresh = RbfModel(
+                SparseBinaryMatrix(c.indptr.copy(), c.indices.copy(), c.n_cols),
+                model.gammas, model.distance_kind, model.solution, model.seed,
+            )
+            expected = model_predict(fresh, batch)
+            assert model_predict(model, batch).tobytes() == expected.tobytes()
 
     def test_jaccard_requires_sparse(self):
         rng = np.random.default_rng(15)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from srplearn import sparse
 from srplearn.distance import jaccard_distance_matrix
 from srplearn.exceptions import DegenerateFitError
 from srplearn.kernel import (
@@ -21,6 +22,18 @@ from srplearn.sparse import SparseBinaryMatrix
 def _random_sparse(rng, n_rows, n_cols, density):
     rows = [np.flatnonzero(rng.random(n_cols) < density) for _ in range(n_rows)]
     return SparseBinaryMatrix.from_rows(rows, n_cols)
+
+
+def _fresh_copy(m):
+    """The same rows in new arrays, holding no column form."""
+    return SparseBinaryMatrix(m.indptr.copy(), m.indices.copy(), m.n_cols)
+
+
+def _jaccard_krr(rng, n_train=40, n_cols=60):
+    X = _random_sparse(rng, n_train, n_cols, 0.15)
+    y = np.where(np.arange(n_train) % 2 == 0, 1.0, -1.0)
+    K = kernel_matrix(KERNEL_JACCARD, X, X)
+    return krr_fit(K, y, default_lambda_grid(-4, 4), KERNEL_JACCARD, X)
 
 
 class TestKernelMatrix:
@@ -183,6 +196,35 @@ class TestKrr:
         model = krr_fit(np.eye(3), np.array([1.0, -1.0, 1.0]), np.array([1.0]))
         with pytest.raises(ValueError):
             krr_predict(model, np.zeros((2, 3)))
+
+
+class TestKrrPredictReusesTrainingRows:
+    """``krr_predict`` scores batch after batch against one set of training
+    rows, which keep their column form from the first batch on."""
+
+    def test_successive_batches_match_fresh_training_rows(self):
+        rng = np.random.default_rng(30)
+        model = _jaccard_krr(rng)
+        for _ in range(3):
+            batch = _random_sparse(rng, 9, 60, 0.15)
+            fresh = _fresh_copy(model.training_rows)
+            expected = krr_predict_kernel(
+                model, kernel_matrix(KERNEL_JACCARD, batch, fresh)
+            )
+            assert krr_predict(model, batch).tobytes() == expected.tobytes()
+
+    def test_column_form_built_once(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        model = _jaccard_krr(rng)
+        model.training_rows = _fresh_copy(model.training_rows)
+        built = []
+        transpose = sparse._transpose
+        monkeypatch.setattr(
+            sparse, "_transpose", lambda m: built.append(m) or transpose(m)
+        )
+        for _ in range(2):
+            krr_predict(model, _random_sparse(rng, 5, 60, 0.15))
+        assert built == [model.training_rows]
 
 
 class TestKnn:

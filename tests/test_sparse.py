@@ -1,6 +1,8 @@
 """Tests for the sparse binary matrix type and its arithmetic."""
 
 import collections.abc
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +25,11 @@ _matrices = st.lists(
 def row_sets(m):
     """Rows of ``m`` as Python sets, the oracles' view of a matrix."""
     return [set(m.row(i).tolist()) for i in range(m.n_rows)]
+
+
+def fresh_copy(m):
+    """The same rows in new arrays, holding no column form."""
+    return SparseBinaryMatrix(m.indptr.copy(), m.indices.copy(), m.n_cols)
 
 
 def random_binary(rng, n_rows, n_cols, density):
@@ -191,6 +198,71 @@ class TestStorage:
             )
         with pytest.raises(ValueError, match="nnz"):
             SparseBinaryMatrix(np.array([0, 2**32 + 1]), np.array([3]), n_cols=10)
+
+
+class TestColumnForm:
+    """The CSR of the transpose, kept on a right operand of ``sparse_gram``."""
+
+    def test_is_the_transpose_and_kept(self):
+        rng = np.random.default_rng(5)
+        m = random_binary(rng, 30, 40, 0.2)
+        columns = m._column_form()
+        assert columns.shape == (40, 30)
+        assert columns.indices.dtype == columns.indptr.dtype == m.indices.dtype
+        assert np.array_equal(columns.toarray(), m.to_dense().T)
+        assert m._column_form() is columns
+        sparse_gram(random_binary(rng, 5, 40, 0.2), m)
+        assert m._column_form() is columns
+
+    def test_arrays_read_only(self):
+        columns = random_binary(np.random.default_rng(6), 20, 30, 0.2)._column_form()
+        for array in (columns.data, columns.indices, columns.indptr):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_left_operand_holds_none(self):
+        rng = np.random.default_rng(7)
+        a = random_binary(rng, 10, 30, 0.2)
+        sparse_gram(a, random_binary(rng, 8, 30, 0.2))
+        assert a._columns is None
+
+    def test_threads_racing_to_build_agree(self):
+        rng = np.random.default_rng(9)
+        lefts = [random_binary(rng, 6, 50, 0.2) for _ in range(8)]
+        shared = random_binary(rng, 40, 50, 0.2)
+        expected = [sparse_gram(a, fresh_copy(shared)) for a in lefts]
+        results = [None] * len(lefts)
+
+        def work(i):
+            results[i] = sparse_gram(lefts[i], shared)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, expected):
+            assert np.array_equal(got, want)
+        assert np.array_equal(shared._column_form().toarray(), shared.to_dense().T)
+
+    def test_derived_matrices_build_their_own(self):
+        # a widened or gathered matrix has another shape, so it never
+        # reuses the column form of its source
+        m = random_binary(np.random.default_rng(8), 12, 20, 0.3)
+        source = m._column_form()
+        for derived in (m.widen(25), m.take_rows([3, 1, 1]), m.take_rows(range(12))):
+            assert derived._columns is None
+            columns = derived._column_form()
+            assert columns is not source
+            assert columns.shape == derived.shape[::-1]
+            assert np.array_equal(columns.toarray(), derived.to_dense().T)
 
 
 class TestGram:
