@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import checks
 from .datasets import Dataset, read_svmlight, subsample_indices, synth_generate
 from .distance import KIND_JACCARD, KIND_SQEUCLIDEAN, distance_matrix
 from .elm import elm_fit, model_predict, rbf_fit, rvfl_fit
@@ -123,26 +124,12 @@ def _logreg(kind, X_train, X_test, fit):
     return logreg_predict(model, X_test), 0.5, model.iterations, model.converged
 
 
-def _ranged(parse, holds, requirement):
-    """A parameter parser that also checks the range a config alone decides."""
-    def parser(text):
-        value = parse(text)
-        if not holds(value):
-            raise ValueError(f"must be {requirement}, got {value!r}")
-        return value
-    return parser
-
-
-_WIDTH = _ranged(int, lambda v: v >= 1, ">= 1")
-_DENSITY = _ranged(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
-_K = _ranged(int, lambda v: v >= 1 and v % 2 == 1, "an odd integer >= 1")
-_MAX_ITER = _ranged(int, lambda v: v >= 0, ">= 0")
-_TOL = _ranged(float, lambda v: v > 0.0, "> 0")
-
-# name -> (input, family, kind, {parameter: parser}); the config reader
-# types and range-checks each ``method.<name>.<parameter>`` value with its
-# parser.  Ranges that depend on the data (k or L against n_train) are
-# checked by the library when a run starts.
+# name -> (input, family, kind, {parameter: rule}); the config reader
+# checks each ``method.<name>.<parameter>`` value with the rule of
+# :mod:`srplearn.checks` that the library applies to that argument.
+# Ranges that depend on the data (k or L against n_train) are checked by
+# the library when a run starts.
+_WIDTH, _DENSITY, _K = checks.width, checks.density, checks.neighbors
 METHODS = {
     "elm-srp": (_ROWS, _hidden_layer, _ELM, {"L": _WIDTH, "density": _DENSITY}),
     "rvfl-srp": (
@@ -151,7 +138,9 @@ METHODS = {
     "rbf-srp": (_FEATURES, _rbf, KIND_SQEUCLIDEAN, {"L": _WIDTH}),
     "krr-srp": (_FEATURES, _krr, KERNEL_LINEAR, {}),
     "knn-srp": (_FEATURES, _knn, KIND_SQEUCLIDEAN, {"k": _K}),
-    "logreg-srp": (_FEATURES, _logreg, None, {"max_iter": _MAX_ITER, "tol": _TOL}),
+    "logreg-srp": (
+        _FEATURES, _logreg, None, {"max_iter": checks.max_iter, "tol": checks.tol}
+    ),
     "rbf-jaccard": (_ROWS, _rbf, KIND_JACCARD, {"L": _WIDTH}),
     "krr-jaccard": (_ROWS, _krr, KERNEL_JACCARD, {}),
     "knn-jaccard": (_ROWS, _knn, KIND_JACCARD, {"k": _K}),
@@ -172,9 +161,6 @@ def _method_seed(run_seed: int, name: str) -> int:
 def _resolve_methods(cfg: RunConfig, defaults) -> list:
     """The configured methods, checked before any data is generated."""
     methods = cfg.resolved_methods(defaults)
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}")
     if "logreg-srp" in methods and cfg.base_seed < 1:
         raise ValueError(
             "base_seed must be >= 1 when logreg-srp runs (its penalty is "
@@ -416,6 +402,14 @@ def _aggregate(rows, methods, n_runs, alpha):
     return report, acc_runs
 
 
+def _failure_lines(rows):
+    """The report's count of failed runs, then one line per failure."""
+    failures = [r for r in rows if r["error"]]
+    return [f"failures: {len(failures) or 'none'}"] + [
+        f"  dim {r['dim']} run {r['run']} {r['method']}: {r['error']}" for r in failures
+    ]
+
+
 def _write_bench_artifacts(out_dir, rows, report, acc_runs, context):
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "runs.csv"), _RUN_COLUMNS, rows)
@@ -459,13 +453,7 @@ def _write_bench_artifacts(out_dir, rows, report, acc_runs, context):
             f"logreg iterations: min={min(iters)} max={max(iters)}; "
             f"converged {conv}/{len(logreg_rows)} runs"
         )
-    failures = [r for r in rows if r["error"]]
-    if failures:
-        body.append(f"failures: {len(failures)}")
-        for r in failures:
-            body.append(f"  run {r['run']} {r['method']}: {r['error']}")
-    else:
-        body.append("failures: none")
+    body += _failure_lines(rows)
     _write_report(out_dir, "benchmark report", context, body)
 
 
@@ -482,7 +470,9 @@ def cmd_sweep(cfg: RunConfig):
 
     The swept dimension doubles as the hidden width of ELM and RVFL; the
     feature-based methods get the projected representation recomputed at
-    each dimension.  Returns the per-run rows written to sweep.csv.
+    each dimension.  Returns the per-run rows written to sweep.csv;
+    ``report.txt`` marks a cell averaged over fewer than ``n_runs`` runs,
+    e.g. ``(3/5 runs)``, and lists every failed run.
     """
     methods, rows, context = _evaluate(cfg, sweep=True)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -500,6 +490,8 @@ def cmd_sweep(cfg: RunConfig):
                 continue
             auc_mean = float(np.mean([r["auc"] for r in ok]))
             t_mean = float(np.mean([r["seconds"] for r in ok]))
-            table.append(f"{dim:>6}  {m:<14} {auc_mean:9.4f} {t_mean:8.3f}")
+            partial = f"  ({len(ok)}/{cfg.n_runs} runs)" if len(ok) < cfg.n_runs else ""
+            table.append(f"{dim:>6}  {m:<14} {auc_mean:9.4f} {t_mean:8.3f}{partial}")
+    table += ["", *_failure_lines(rows)]
     _write_report(cfg.out_dir, "sweep report", context, table)
     return rows

@@ -3,9 +3,12 @@
 Every key is declared once, in ``_KEYS``: its section, the attribute it
 sets and the parser that types its value.  Keys of the ``synth`` and
 ``svmlight`` sections apply only under that ``data.kind``.  Per-method
-hyperparameters use repeated ``method.<name>.<param>`` keys, typed by
-the parsers of the method table in :mod:`srplearn.bench`; its density
-parser types ``srp.density`` too, so every density has one range rule.
+hyperparameters use repeated ``method.<name>.<param>`` keys.  A width,
+density, k, ``max_iter`` or ``tol`` is read as an int when it spells one
+and as a float otherwise, then checked by the rule of
+:mod:`srplearn.checks` that the library applies to the same argument
+(the method table of :mod:`srplearn.bench` names each parameter's rule),
+so the config reader and the library accept and reject the same values.
 Every value is parsed when the file is read: unknown keys, keys of the
 other data kind and malformed values are rejected there, so typos fail
 loudly instead of silently running with defaults or failing run by run.
@@ -17,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bench import _DENSITY, BENCH_METHODS, METHODS, SWEEP_METHODS
+from . import checks
+from .bench import BENCH_METHODS, METHODS, SWEEP_METHODS
 from .matio import read_keyvalues
 
 __all__ = [
@@ -34,8 +38,21 @@ def _list(text: str) -> list:
     return [t.strip() for t in text.split(",") if t.strip()]
 
 
-def _ints(text: str) -> list:
-    return [int(t) for t in _list(text)]
+def _number(text: str):
+    """An int when ``text`` spells one, else a float, for a rule to check."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def _checked(rule):
+    """A parser that reads a number and applies ``rule`` to it."""
+    return lambda text: rule(_number(text))
+
+
+def _widths(text: str) -> list:
+    return [checks.width(_number(t)) for t in _list(text)]
 
 
 # key -> (section, attribute, parser).  "run" keys set RunConfig, the
@@ -47,10 +64,10 @@ _KEYS = {
     "n_train": ("run", "n_train", int),
     "alpha": ("run", "alpha", float),
     "methods": ("run", "methods", _list),
-    "srp.dim": ("run", "srp_dim", int),
-    "srp.density": ("run", "srp_density", _DENSITY),
+    "srp.dim": ("run", "srp_dim", _checked(checks.width)),
+    "srp.density": ("run", "srp_density", _checked(checks.density)),
     "srp.seed": ("run", "srp_seed", int),
-    "sweep.dims": ("run", "sweep_dims", _ints),
+    "sweep.dims": ("run", "sweep_dims", _widths),
     "lambda.min_exp": ("run", "lambda_min_exp", int),
     "lambda.max_exp": ("run", "lambda_max_exp", int),
     "data.kind": ("data", "kind", str),
@@ -131,10 +148,10 @@ def _method_key(path: str, key: str) -> tuple:
     _, name, param = parts
     if name not in METHODS:
         raise ValueError(f"{path}: unknown method {name!r}; known: {sorted(METHODS)}")
-    parsers = METHODS[name][3]
-    if param not in parsers:
+    rules = METHODS[name][3]
+    if param not in rules:
         raise ValueError(f"{path}: method {name!r} has no parameter {param!r}")
-    return name, param, parsers[param]
+    return name, param, _checked(rules[param])
 
 
 def _parsed(path: str, key: str, parse, text: str):
@@ -175,8 +192,6 @@ def parse_config(path: str) -> RunConfig:
         raise ValueError("n_train must be >= 1")
     if not 0.0 < cfg.alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    if cfg.srp_dim < 1:
-        raise ValueError("srp.dim must be >= 1")
     if cfg.lambda_max_exp < cfg.lambda_min_exp:
         raise ValueError("lambda.max_exp must be >= lambda.min_exp")
     if cfg.methods is not None:
@@ -190,8 +205,6 @@ def parse_config(path: str) -> RunConfig:
     dims = cfg.sweep_dims
     if not dims:
         raise ValueError("sweep.dims must be nonempty")
-    if any(v < 1 for v in dims):
-        raise ValueError("sweep.dims entries must be >= 1")
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise ValueError("sweep.dims must be strictly increasing")
 

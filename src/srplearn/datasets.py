@@ -33,6 +33,7 @@ import re
 
 import numpy as np
 
+from . import checks
 from .exceptions import SvmlightParseError
 from .matio import format_ints, join_lines, parse_ints, token_buffer
 from .projection import _bernoulli_rows, _row_blocks, derive_seed
@@ -54,11 +55,7 @@ class Dataset:
     __slots__ = ("sparse", "dense", "labels", "name")
 
     def __init__(self, sparse: SparseBinaryMatrix, dense, labels, name: str = ""):
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.ndim != 1 or labels.size != sparse.n_rows:
-            raise ValueError("one label per row required")
-        if labels.size and not np.all(np.isin(np.unique(labels), (-1, 1))):
-            raise ValueError("labels must be -1 or +1")
+        labels = checks.labels(labels, sparse.n_rows, np.int64, empty_ok=True)
         if dense is not None:
             dense = np.asarray(dense, dtype=np.float64)
             if dense.ndim != 2 or dense.shape[0] != sparse.n_rows:
@@ -371,8 +368,7 @@ def synth_generate(
         raise ValueError("signal_features must be in [0, n_features]")
     if not 0.0 <= flip_prob < 0.5:
         raise ValueError("flip_prob must be in [0, 0.5)")
-    if not 0.0 < density <= 1.0:
-        raise ValueError("density must be in (0, 1]")
+    checks.density(density)
     if signal_features and density * 4.0 > 1.0:
         raise ValueError("density * 4 must not exceed 1 for signal features")
     true_labels = np.where(np.arange(n) % 2 == 0, 1, -1)

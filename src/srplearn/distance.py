@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import checks
 from .sparse import SparseBinaryMatrix, row_counts, sparse_gram
 
 __all__ = [
@@ -75,8 +76,6 @@ def _from_counts(A, B, combine) -> np.ndarray:
     """
     if not (isinstance(A, SparseBinaryMatrix) and isinstance(B, SparseBinaryMatrix)):
         raise TypeError("sparse distances need two sparse binary matrices")
-    if A.n_cols != B.n_cols:
-        raise ValueError(f"column counts differ: {A.n_cols} vs {B.n_cols}")
     counts_a = row_counts(A).astype(np.float64)[:, None]
     counts_b = row_counts(B).astype(np.float64)[None, :]
     # a block peaks at 2.5-2.8 float64 (block, n_rows(B)) slabs (tracemalloc,
@@ -137,14 +136,8 @@ def squared_euclidean_distance_matrix(A, B) -> DistanceMatrix:
     if isinstance(A, SparseBinaryMatrix) or isinstance(B, SparseBinaryMatrix):
         d2 = _from_counts(A, B, _sqeuclidean)
         return DistanceMatrix(d2, KIND_SQEUCLIDEAN)
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    if A.ndim != 2 or B.ndim != 2:
-        raise ValueError("dense inputs must be 2-D")
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(
-            f"column counts differ: {A.shape[1]} vs {B.shape[1]}"
-        )
+    A = checks.rows(A)
+    B = checks.rows(B, A.shape[1])
     sq_a = np.einsum("ij,ij->i", A, A)
     sq_b = np.einsum("ij,ij->i", B, B)
     d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (A @ B.T)

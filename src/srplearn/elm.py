@@ -23,6 +23,7 @@ import warnings
 
 import numpy as np
 
+from . import checks
 from .distance import KIND_JACCARD, KIND_SQEUCLIDEAN, KINDS, distance_matrix
 from .projection import (
     SparseProjection,
@@ -52,19 +53,9 @@ _STREAM_GAMMAS = 3
 
 def _check_fit(X, y, lambda_grid):
     """Labels as float64 and the penalty grid, checked against ``X.shape``."""
-    y = np.asarray(y)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("y must be a nonempty 1-D vector")
-    if not np.all(np.isin(np.unique(y), (-1, 1))):
-        raise ValueError("labels must be -1 or +1")
-    n = X.shape[0]
-    if n == 0:
-        raise ValueError("X must be nonempty")
-    if n != y.size:
-        raise ValueError(f"row counts differ: {n} vs {y.size}")
     if lambda_grid is None:
         lambda_grid = default_lambda_grid()
-    return y.astype(np.float64), lambda_grid
+    return checks.labels(y, X.shape[0]), lambda_grid
 
 
 def elm_bias(input_dim: int, L: int, density: float, seed: int) -> np.ndarray:
@@ -147,8 +138,7 @@ def _fit_hidden(X, y, L, d_lin, density, seed, lambda_grid) -> ElmModel:
     ``d_lin=None`` gives the branch min(input dimension, L) columns.
     """
     y, lambda_grid = _check_fit(X, y, lambda_grid)
-    if L < 1:
-        raise ValueError("hidden width L must be >= 1")
+    L = checks.width(L, "L")
     input_dim = X.shape[1]
     if d_lin is None:
         d_lin = min(input_dim, L)
@@ -188,8 +178,8 @@ def rvfl_fit(
 
     ``d_lin`` defaults to min(input dimension, L).
     """
-    if d_lin is not None and d_lin < 1:
-        raise ValueError("linear branch width d_lin must be >= 1")
+    if d_lin is not None:
+        d_lin = checks.width(d_lin, "d_lin")
     return _fit_hidden(X, y, L, d_lin, density, seed, lambda_grid)
 
 
@@ -220,10 +210,7 @@ def rbf_fit(
     """
     y, lambda_grid = _check_fit(X, y, lambda_grid)
     n = X.shape[0]
-    if L < 1:
-        raise ValueError("centroid count L must be >= 1")
-    if L > n:
-        raise ValueError(f"centroid count {L} exceeds sample count {n}")
+    L = checks.width(L, "L", most=n)
     pick = np.random.default_rng(derive_seed(seed, _STREAM_CENTROIDS))
     idx = pick.choice(n, size=L, replace=False)
     centroids = (

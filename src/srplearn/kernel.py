@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import checks
 from .distance import DistanceMatrix, jaccard_distance_matrix
 from .ridge import _spectral_press, default_lambda_grid
 
@@ -59,13 +60,6 @@ class KrrModel:
         )
 
 
-def _check_k(k: int, n_train: int) -> None:
-    if k % 2 == 0:
-        raise ValueError("k must be odd")
-    if not 1 <= k <= n_train:
-        raise ValueError(f"k must be in [1, {n_train}], got {k}")
-
-
 def kernel_matrix(kind: str, rows_a, rows_b) -> np.ndarray:
     """Kernel values between all rows of A and all rows of B.
 
@@ -74,15 +68,8 @@ def kernel_matrix(kind: str, rows_a, rows_b) -> np.ndarray:
     nonempty rows, 0 on disjoint ones); other rows raise ``TypeError``.
     """
     if kind == KERNEL_LINEAR:
-        a = np.asarray(rows_a, dtype=np.float64)
-        b = np.asarray(rows_b, dtype=np.float64)
-        if a.ndim != 2 or b.ndim != 2:
-            raise ValueError("linear kernel expects 2-D feature arrays")
-        if a.shape[1] != b.shape[1]:
-            raise ValueError(
-                f"feature dimensions differ: {a.shape[1]} vs {b.shape[1]}"
-            )
-        return a @ b.T
+        a = checks.rows(rows_a)
+        return a @ checks.rows(rows_b, a.shape[1]).T
     if kind == KERNEL_JACCARD:
         D = jaccard_distance_matrix(rows_a, rows_b).values
         return np.subtract(1.0, D, out=D)  # in place: no second n x m array
@@ -120,12 +107,7 @@ def krr_fit(
 
 def krr_predict_kernel(model: KrrModel, K_cross) -> np.ndarray:
     """Scores from an explicit (n_test, n_train) cross-kernel."""
-    K_cross = np.asarray(K_cross, dtype=np.float64)
-    if K_cross.ndim != 2 or K_cross.shape[1] != model.n_train:
-        raise ValueError(
-            f"cross-kernel must have {model.n_train} columns"
-        )
-    return K_cross @ model.alpha
+    return checks.rows(K_cross, model.n_train) @ model.alpha
 
 
 def krr_predict(model: KrrModel, X_test) -> np.ndarray:
@@ -144,19 +126,11 @@ def knn_predict(D: DistanceMatrix | np.ndarray, labels, k: int) -> np.ndarray:
     Neighbors are taken by ascending distance; equal distances resolve to
     the lower training index.  Scores lie in [-1, 1]; class is sign(score).
     """
-    values = D.values if isinstance(D, DistanceMatrix) else np.asarray(D, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValueError("distance matrix must be 2-D")
-    labels = np.asarray(labels)
-    n_test, n_train = values.shape
-    if labels.shape != (n_train,):
-        raise ValueError("one label per training row required")
-    if not np.all(np.isin(np.unique(labels), (-1, 1))):
-        raise ValueError("labels must be -1 or +1")
-    _check_k(k, n_train)
+    values = checks.rows(D.values if isinstance(D, DistanceMatrix) else D)
+    labels = checks.labels(labels, values.shape[1])
+    k = checks.neighbors(k, values.shape[1])
     if np.isnan(values).any():
         raise ValueError("distance matrix contains NaN")
-    labels = labels.astype(np.float64)
     if k == 1:
         return labels[np.argmin(values, axis=1)]  # first minimum on ties
     # every row below its k-th smallest distance is a neighbor; the rows

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
+from . import checks
 from .exceptions import NumericalDivergenceError
 from .ridge import _select_penalty
 
@@ -53,23 +54,10 @@ class LogRegModel:
         )
 
 
-def _check_inputs(X, y):
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("X must be a nonempty 2-D array")
-    if y.shape != (X.shape[0],):
-        raise ValueError("y must have one entry per row of X")
-    if not np.all(np.isin(np.unique(y), (-1.0, 1.0))):
-        raise ValueError("labels must be -1 or +1")
-    return X, y
-
-
-def _check_stopping(max_iter, tol):
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 0:
-        raise ValueError("max_iter must be >= 0")
+def _check_fit(X, y, max_iter, tol):
+    """Nonempty dense rows, their labels and the stopping rule, checked."""
+    X = checks.rows(X)
+    return X, checks.labels(y, X.shape[0]), checks.max_iter(max_iter), checks.tol(tol)
 
 
 def _row_dots(A):
@@ -171,10 +159,8 @@ def logreg_fit(
     ``max_iter`` accepted steps, whichever comes first.  This is the
     one-penalty case of the descent that tunes the penalty.
     """
-    X, y = _check_inputs(X, y)
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    _check_stopping(max_iter, tol)
+    X, y, max_iter, tol = _check_fit(X, y, max_iter, tol)
+    lam = checks.penalty(lam)
     W, b, converged, iterations = _descend(
         X, y, np.array([lam], dtype=np.float64), max_iter, tol
     )
@@ -183,13 +169,7 @@ def logreg_fit(
 
 def logreg_predict(model: LogRegModel, X) -> np.ndarray:
     """Probabilities of the +1 class; class decision is score > 0.5."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("X must be 2-D")
-    if X.shape[1] != model.weights.size:
-        raise ValueError(
-            f"feature dimensions differ: {X.shape[1]} vs {model.weights.size}"
-        )
+    X = checks.rows(X, model.weights.size)
     return expit(X @ model.weights + model.intercept)
 
 
@@ -210,8 +190,7 @@ def logreg_select_lambda(
     as for ridge (:func:`srplearn.ridge._select_penalty`).
     Returns (best_lambda, losses aligned with the grid).
     """
-    X, y = _check_inputs(X, y)
-    _check_stopping(max_iter, tol)
+    X, y, max_iter, tol = _check_fit(X, y, max_iter, tol)
     n = X.shape[0]
     n_hold = max(1, int(round(n * _HOLDOUT_FRACTION)))
     if n_hold >= n:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betainc
 
+from . import checks
 __all__ = [
     "roc_auc",
     "accuracy",
@@ -26,18 +27,13 @@ __all__ = [
 ]
 
 def _check_pair(scores, labels):
+    """Nonempty 1-D scores, none NaN (+-inf rank as usual), one label each."""
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if scores.ndim != 1 or labels.ndim != 1:
-        raise ValueError("scores and labels must be 1-D")
-    if scores.size != labels.size:
-        raise ValueError(
-            f"lengths differ: {scores.size} vs {labels.size}"
-        )
-    if scores.size == 0:
-        raise ValueError("need at least one sample")
-    if not np.all(np.isin(np.unique(labels), (-1, 1))):
-        raise ValueError("labels must be -1 or +1")
+    if scores.ndim != 1:
+        raise ValueError("scores must be 1-D")
+    labels = checks.labels(labels, scores.size)
+    if np.isnan(scores).any():
+        raise ValueError("scores contain NaN")
     return scores, labels
 
 

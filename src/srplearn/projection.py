@@ -47,6 +47,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from . import checks
 from .sparse import SparseBinaryMatrix, _read_only
 
 __all__ = [
@@ -82,9 +83,7 @@ def default_density(input_dim: int) -> float:
     Keeps the expected work per input row low while the projected output
     stays dense with few exact zeros.
     """
-    if input_dim < 1:
-        raise ValueError("input_dim must be >= 1")
-    return 1.0 / math.sqrt(input_dim)
+    return 1.0 / math.sqrt(checks.width(input_dim, "input_dim"))
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -229,10 +228,9 @@ def ternary_row(seed: int, row_index: int, output_dim: int, density: float):
 
 
 def _check_params(input_dim: int, output_dim: int, density: float) -> None:
-    if input_dim < 1 or output_dim < 1:
-        raise ValueError("projection dimensions must be >= 1")
-    if not 0.0 < density <= 1.0:
-        raise ValueError("density must be in (0, 1]")
+    checks.width(input_dim, "input_dim")
+    checks.width(output_dim, "output_dim")
+    checks.density(density)
 
 
 class SparseProjection:
@@ -336,16 +334,7 @@ def apply_projection(X, P: SparseProjection) -> np.ndarray:
     give identical bits.
     """
     if isinstance(X, SparseBinaryMatrix):
-        if X.n_cols != P.input_dim:
-            raise ValueError(
-                f"feature dimensions differ: {X.n_cols} vs {P.input_dim}"
-            )
+        checks.same_width(X.n_cols, P.input_dim)
         return (X.to_scipy() @ P.to_scipy()).toarray()
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("dense input must be 2-D")
-    if X.shape[1] != P.input_dim:
-        raise ValueError(
-            f"feature dimensions differ: {X.shape[1]} vs {P.input_dim}"
-        )
+    X = checks.rows(X, P.input_dim)
     return np.ascontiguousarray((P.to_scipy().T @ X.T).T)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import checks
 from .exceptions import DegenerateFitError
 
 __all__ = ["RidgeSolution", "solve_ridge_press", "default_lambda_grid"]
@@ -143,16 +144,11 @@ def solve_ridge_press(H, Y, lambda_grid) -> RidgeSolution:
     infinite error rather than failing; if that happens for the whole
     grid a DegenerateFitError is raised.
     """
-    H = np.asarray(H, dtype=np.float64)
+    H = checks.rows(H)
     Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if H.ndim != 2 or Y.ndim != 2:
-        raise ValueError("H and Y must be 2-D")
+    Y = checks.rows(Y[:, None] if Y.ndim == 1 else Y)
     if H.shape[0] != Y.shape[0]:
-        raise ValueError(
-            f"row counts differ: {H.shape[0]} vs {Y.shape[0]}"
-        )
+        raise ValueError(f"row counts differ: {H.shape[0]} vs {Y.shape[0]}")
     if H.shape[1] <= H.shape[0]:
         lam, press, beta = _spectral_press(H.T @ H, Y, lambda_grid, H)
     else:

@@ -28,6 +28,8 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from . import checks
+
 __all__ = [
     "SparseBinaryMatrix",
     "sparse_gram",
@@ -206,10 +208,7 @@ def sparse_gram(a: SparseBinaryMatrix, b: SparseBinaryMatrix) -> np.ndarray:
     is the exact integer ``|row_i(a) & row_j(b)|``.  ``b`` keeps its column
     form for later calls (see the module docstring).
     """
-    if a.n_cols != b.n_cols:
-        raise ValueError(
-            f"column counts differ: {a.n_cols} vs {b.n_cols}"
-        )
+    checks.same_width(a.n_cols, b.n_cols)
     return (a.to_scipy() @ b._column_form()).toarray()
 
 

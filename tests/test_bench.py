@@ -441,3 +441,33 @@ data.signal_features = 600
             "p = 0 from a constant nonzero AUC difference (zero variance): "
             "knn-srp vs krr-jaccard" in text
         )
+
+
+class TestSweepReportPartialCells:
+    def test_partial_cell_marked_and_failure_listed(self, tmp_path, monkeypatch):
+        # one ELM fit of three fails; the report's mean covers the other
+        # two and says so, and sweep.csv keeps the failed run's row
+        real_fit = bench.elm_fit
+        calls = []
+
+        def fails_on_second_call(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ValueError("injected failure")
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "elm_fit", fails_on_second_call)
+        cfg = parse_config(
+            _bench_cfg(tmp_path, "sweep", "methods = elm-srp\nsweep.dims = 16")
+        )
+        with pytest.warns(RuntimeWarning, match="failed on run 1"):
+            rows = cmd_sweep(cfg)
+        _, csv_rows = read_table_csv(str(tmp_path / "sweep" / "sweep.csv"))
+        assert [r[8] for r in csv_rows] == ["", "injected failure", ""]
+        lines = (tmp_path / "sweep" / "report.txt").read_text().splitlines()
+        cell = next(l for l in lines if l.split()[:2] == ["16", "elm-srp"])
+        assert cell.endswith("(2/3 runs)")
+        completed = [r["auc"] for r in rows if not r["error"]]
+        assert float(cell.split()[2]) == pytest.approx(np.mean(completed), abs=5e-5)
+        assert "failures: 1" in lines
+        assert "  dim 16 run 1 elm-srp: injected failure" in lines

@@ -239,3 +239,59 @@ class TestDataKindSections:
         for base in (MINIMAL.replace("data.n_features = 1000\n", ""), SVMLIGHT):
             cfg = parse_config(_write(tmp_path, base + shared))
             assert cfg.data.name == "d" and cfg.data.n_features == 50
+
+
+class TestParityWithLibrary:
+    """The config reader and the library accept and reject the same values,
+    since both apply the one rule of ``srplearn.checks``."""
+
+    EDGES = [0, 1, -1, 0.5, 2, float("nan"), float("inf")]
+
+    @staticmethod
+    def _library_calls():
+        from srplearn.datasets import synth_generate
+        from srplearn.elm import elm_fit, rvfl_fit
+        from srplearn.kernel import knn_predict
+        from srplearn.logreg import logreg_fit
+        from srplearn.projection import make_projection
+
+        ds = synth_generate(12, 30, 0.2, 0, 0.0, seed=0)
+        X, y = ds.sparse, ds.labels.astype(np.float64)
+        F = np.random.default_rng(0).normal(size=(12, 3))
+        D = np.random.default_rng(1).random((4, 12))
+        return {
+            "method.elm-srp.L": lambda v: elm_fit(X, y, v),
+            "method.rvfl-srp.d_lin": lambda v: rvfl_fit(X, y, 2, d_lin=v),
+            "method.elm-srp.density": lambda v: elm_fit(X, y, 2, density=v),
+            "srp.density": lambda v: make_projection(30, 4, v),
+            "method.knn-srp.k": lambda v: knn_predict(D, y, v),
+            "method.logreg-srp.max_iter": lambda v: logreg_fit(F, y, 1.0, max_iter=v),
+            "method.logreg-srp.tol": lambda v: logreg_fit(F, y, 1.0, 20, tol=v),
+        }
+
+    def test_edge_values_accepted_alike(self, tmp_path):
+        accepted = {}
+        for key, call in self._library_calls().items():
+            for value in self.EDGES:
+                try:
+                    parse_config(_write(tmp_path, MINIMAL + f"{key} = {value}\n"))
+                    by_config = True
+                except ValueError:
+                    by_config = False
+                try:
+                    call(value)
+                    by_library = True
+                except ValueError:
+                    by_library = False
+                assert by_config == by_library, (key, value)
+                if by_library:
+                    accepted.setdefault(key, []).append(value)
+        assert accepted == {
+            "method.elm-srp.L": [1, 2],
+            "method.rvfl-srp.d_lin": [1, 2],
+            "method.elm-srp.density": [1, 0.5],
+            "srp.density": [1, 0.5],
+            "method.knn-srp.k": [1],
+            "method.logreg-srp.max_iter": [0, 1, 2],
+            "method.logreg-srp.tol": [1, 0.5, 2, float("inf")],
+        }

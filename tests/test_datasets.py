@@ -506,6 +506,16 @@ class TestDataset:
                 "t",
             )
 
+    def test_fractional_labels_rejected_not_truncated(self):
+        # checked as given: casting first would store [1, -1]
+        with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+            Dataset(
+                SparseBinaryMatrix.from_rows([[0], [1]], 2),
+                None,
+                np.array([1.7, -1.2]),
+                "t",
+            )
+
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Dataset(

@@ -263,6 +263,13 @@ class TestKnn:
         with pytest.raises(ValueError, match="NaN"):
             knn_predict(D, np.array([1.0, -1.0, 1.0]), 1)
 
+    @pytest.mark.parametrize("k", [3.0, 2, 0, 5])
+    def test_bad_k_rejected(self, k):
+        # a float k used to reach np.partition, which raised TypeError
+        D = np.array([[0.1, 0.2, 0.3]])
+        with pytest.raises(ValueError, match="k must be"):
+            knn_predict(D, np.array([1.0, -1.0, 1.0]), k)
+
     def test_k_one_takes_nearest_label(self):
         D = np.array([[0.5, 0.1, 0.9], [0.2, 0.3, 0.05]])
         labels = np.array([1.0, -1.0, 1.0])

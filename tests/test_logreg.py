@@ -117,6 +117,21 @@ class TestFit:
             logreg_fit(X, y[:3], 0.1)
 
 
+    def test_nan_penalty_rejected(self):
+        X = np.zeros((4, 2))
+        y = np.array([1.0, -1.0, 1.0, -1.0])
+        with pytest.raises(ValueError, match="penalty"):
+            logreg_fit(X, y, np.nan)
+
+    def test_nan_tol_rejected(self):
+        # NaN compares false with every gradient norm, so a fit would run
+        # to max_iter and report that it did not converge
+        X = np.zeros((4, 2))
+        y = np.array([1.0, -1.0, 1.0, -1.0])
+        with pytest.raises(ValueError, match="tol"):
+            logreg_fit(X, y, 0.1, tol=np.nan)
+
+
 class TestDescend:
     """Each column of the grid descent takes the path of its own fit."""
 
@@ -216,7 +231,9 @@ class TestSelectLambda:
         assert losses[0] == losses[1]
         assert lam == 8.0
 
-    @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"max_iter": -1}])
+    @pytest.mark.parametrize(
+        "kwargs", [{"tol": 0.0}, {"max_iter": -1}, {"tol": np.nan}, {"max_iter": 2.5}]
+    )
     def test_bad_stopping_rule_rejected(self, kwargs):
         X = np.zeros((20, 2))
         y = np.array([1.0, -1.0] * 10)

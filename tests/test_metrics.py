@@ -86,6 +86,15 @@ class TestRocAuc:
         assert out == 0.5
         assert any("class" in str(w.message) for w in caught)
 
+    def test_nan_score_rejected(self):
+        # a NaN sorts last, so it used to count as the top-ranked score
+        with pytest.raises(ValueError, match="NaN"):
+            roc_auc([0.1, np.nan, 0.3], [1, -1, 1])
+
+    def test_infinite_scores_rank_normally(self):
+        assert roc_auc([-np.inf, 0.0, np.inf], [-1, 1, 1]) == 1.0
+        assert roc_auc([np.inf, 0.0, -np.inf], [-1, 1, 1]) == 0.0
+
 
 class TestAccuracy:
     def test_recount_oracle(self):
@@ -101,6 +110,11 @@ class TestAccuracy:
         labels = np.array([-1, -1, 1, 1])
         assert accuracy(scores, labels, threshold=0.5) == 1.0
         assert accuracy(scores, labels, threshold=0.0) == 0.5
+
+    def test_nan_score_rejected(self):
+        # NaN > threshold is False, so it used to count as a negative decision
+        with pytest.raises(ValueError, match="NaN"):
+            accuracy([0.1, np.nan, 0.3], [1, -1, 1])
 
     def test_step_size_is_one_over_n(self):
         scores = np.array([1.0, -1.0, 1.0])
