@@ -29,7 +29,6 @@ from .elm import ElmModel, RbfModel, elm_fit, elm_hidden, model_predict, rbf_fit
 from .exceptions import DegenerateFitError, NumericalDivergenceError, SvmlightParseError
 from .kernel import (
     KERNEL_JACCARD,
-    KERNEL_LINEAR,
     KrrModel,
     kernel_matrix,
     knn_predict,
@@ -67,7 +66,6 @@ __all__ = [
     "ElmModel",
     "EvalReport",
     "KERNEL_JACCARD",
-    "KERNEL_LINEAR",
     "KIND_JACCARD",
     "KIND_SQEUCLIDEAN",
     "KrrModel",

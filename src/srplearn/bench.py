@@ -34,7 +34,6 @@ from .elm import elm_fit, model_predict, rbf_fit, rvfl_fit
 from .exceptions import DegenerateFitError, NumericalDivergenceError
 from .kernel import (
     KERNEL_JACCARD,
-    KERNEL_LINEAR,
     kernel_matrix,
     knn_predict,
     krr_fit,
@@ -44,6 +43,7 @@ from .logreg import logreg_fit, logreg_predict, logreg_select_lambda
 from .matio import read_matrix_csv, write_table_csv
 from .metrics import EvalReport, accuracy, format_report, roc_auc, summarize
 from .projection import apply_projection, derive_seed, make_projection
+from .ridge import solve_ridge_press
 
 __all__ = ["BENCH_METHODS", "METHODS", "SWEEP_METHODS", "cmd_bench", "cmd_sweep"]
 
@@ -106,6 +106,12 @@ def _rbf(kind, X_train, X_test, fit):
     return model_predict(model, X_test), 0.0, 0, True
 
 
+def _ridge(kind, X_train, X_test, fit):
+    """Ridge on the features themselves, primal or dual by their shape."""
+    solution = solve_ridge_press(X_train, fit.y_train, fit.grid)
+    return X_test @ solution.beta[:, 0], 0.0, 0, True
+
+
 def _krr(kind, X_train, X_test, fit):
     K = kernel_matrix(kind, X_train, X_train)
     model = krr_fit(K, fit.y_train, fit.grid, kind)
@@ -136,7 +142,7 @@ METHODS = {
         _ROWS, _hidden_layer, _RVFL, {"L": _WIDTH, "d_lin": _WIDTH, "density": _DENSITY}
     ),
     "rbf-srp": (_FEATURES, _rbf, KIND_SQEUCLIDEAN, {"L": _WIDTH}),
-    "krr-srp": (_FEATURES, _krr, KERNEL_LINEAR, {}),
+    "krr-srp": (_FEATURES, _ridge, None, {}),
     "knn-srp": (_FEATURES, _knn, KIND_SQEUCLIDEAN, {"k": _K}),
     "logreg-srp": (
         _FEATURES, _logreg, None, {"max_iter": checks.max_iter, "tol": checks.tol}
@@ -383,23 +389,7 @@ def _aggregate(rows, methods, n_runs, alpha):
         times[m] = [r["seconds"] for r in ok]
     if not auc_runs:
         raise DegenerateFitError("every method failed; nothing to summarize")
-    if n_runs >= 2:
-        report = summarize(auc_runs, alpha, times)
-    else:
-        names = list(auc_runs.keys())
-        means = {m: float(np.mean(auc_runs[m])) for m in names}
-        best = max(names, key=lambda m: means[m])
-        report = EvalReport(
-            methods=names,
-            auc_mean=means,
-            auc_std={m: 0.0 for m in names},
-            run_aucs={m: list(auc_runs[m]) for m in names},
-            p_values=np.ones((0, 0)),
-            best_set=[best],
-            alpha=alpha,
-            time_mean_s={m: float(np.mean(times[m])) for m in names},
-        )
-    return report, acc_runs
+    return summarize(auc_runs, alpha, times), acc_runs
 
 
 def _failure_lines(rows):

@@ -76,6 +76,16 @@ def density(value) -> float:
 
 
 def penalty(value) -> float:
-    if not value >= 0:
-        raise ValueError(f"penalty must be >= 0, got {value!r}")
+    if not 0 <= value < np.inf:
+        raise ValueError(f"penalty must be finite and >= 0, got {value!r}")
     return float(value)
+
+
+def index_base(value) -> int:
+    """The svmlight index of the first feature: 0 or 1."""
+    return _integer(value, "index_base", 0, 1)
+
+
+def dense_features(value) -> int:
+    """The width of an svmlight file's leading dense block: an integer >= 0."""
+    return _integer(value, "dense_feature_count", 0)

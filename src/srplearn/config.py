@@ -4,11 +4,12 @@ Every key is declared once, in ``_KEYS``: its section, the attribute it
 sets and the parser that types its value.  Keys of the ``synth`` and
 ``svmlight`` sections apply only under that ``data.kind``.  Per-method
 hyperparameters use repeated ``method.<name>.<param>`` keys.  A width,
-density, k, ``max_iter`` or ``tol`` is read as an int when it spells one
-and as a float otherwise, then checked by the rule of
-:mod:`srplearn.checks` that the library applies to the same argument
-(the method table of :mod:`srplearn.bench` names each parameter's rule),
-so the config reader and the library accept and reject the same values.
+density, k, ``max_iter``, ``tol``, svmlight index base or dense-block
+width is read as an int when it spells one and as a float otherwise,
+then checked by the rule of :mod:`srplearn.checks` that the library
+applies to the same argument (the method table of :mod:`srplearn.bench`
+names each parameter's rule), so the config reader and the library
+accept and reject the same values.
 Every value is parsed when the file is read: unknown keys, keys of the
 other data kind and malformed values are rejected there, so typos fail
 loudly instead of silently running with defaults or failing run by run.
@@ -81,8 +82,8 @@ _KEYS = {
     "data.flip_prob": ("synth", "flip_prob", float),
     "data.train": ("svmlight", "train_path", str),
     "data.test": ("svmlight", "test_path", str),
-    "data.dense_features": ("svmlight", "dense_features", int),
-    "data.index_base": ("svmlight", "index_base", int),
+    "data.dense_features": ("svmlight", "dense_features", _checked(checks.dense_features)),
+    "data.index_base": ("svmlight", "index_base", _checked(checks.index_base)),
     "data.train_features": ("svmlight", "train_features", str),
     "data.test_features": ("svmlight", "test_features", str),
 }

@@ -149,10 +149,8 @@ def read_svmlight(
     beyond the width that ``n_features`` implies is reported after the
     whole file is read, at line 0.
     """
-    if index_base not in (0, 1):
-        raise ValueError("index_base must be 0 or 1")
-    if dense_feature_count < 0:
-        raise ValueError("dense_feature_count must be >= 0")
+    index_base = checks.index_base(index_base)
+    dense_feature_count = checks.dense_features(dense_feature_count)
     # a zero-row block gives the empty file its shapes
     blocks = [_parse_block(path, [], 1, dense_feature_count, index_base)]
     line_no = 1
@@ -291,8 +289,7 @@ def write_svmlight(ds: Dataset, path: str, index_base: int = 1) -> None:
     file's bytes are assembled from the arrays in one pass; only the
     dense values are formatted one by one.
     """
-    if index_base not in (0, 1):
-        raise ValueError("index_base must be 0 or 1")
+    index_base = checks.index_base(index_base)
     n = ds.n_samples
     if ds.dense is None:
         dense_rows = dense_cols = np.empty(0, dtype=np.int64)

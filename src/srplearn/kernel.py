@@ -1,8 +1,9 @@
 """Kernel ridge regression and k-nearest-neighbor classification.
 
-KRR is solved in the dual, (K + lambda I) alpha = y, with the penalty
-chosen by leave-one-out error (PRESS) in the dual form of the spectral
-core shared with the ridge solver, ``ridge._spectral_press``.
+KRR is solved in the dual, (K + lambda I) alpha = y, over a precomputed
+kernel such as the Jaccard similarity of :func:`kernel_matrix`, with the
+penalty chosen by leave-one-out error (PRESS) in the dual form of the
+spectral core shared with the ridge solver, ``ridge._spectral_press``.
 
 kNN consumes a precomputed distance matrix and depends on distance ranks
 only, so any strictly monotone transform of the distances is equivalent.
@@ -25,7 +26,6 @@ __all__ = [
     "knn_predict",
 ]
 
-KERNEL_LINEAR = "linear-srp"
 KERNEL_JACCARD = "jaccard-similarity"
 
 
@@ -63,13 +63,11 @@ class KrrModel:
 def kernel_matrix(kind: str, rows_a, rows_b) -> np.ndarray:
     """Kernel values between all rows of A and all rows of B.
 
-    "linear-srp": plain inner products of dense feature rows.
-    "jaccard-similarity": 1 - J on sparse binary rows (1 on identical
-    nonempty rows, 0 on disjoint ones); other rows raise ``TypeError``.
+    The one kind, "jaccard-similarity", is 1 - J on sparse binary rows (1
+    on identical nonempty rows, 0 on disjoint ones); other rows raise
+    ``TypeError``.  Ridge on dense features needs no kernel:
+    ``ridge.solve_ridge_press`` takes the feature rows themselves.
     """
-    if kind == KERNEL_LINEAR:
-        a = checks.rows(rows_a)
-        return a @ checks.rows(rows_b, a.shape[1]).T
     if kind == KERNEL_JACCARD:
         D = jaccard_distance_matrix(rows_a, rows_b).values
         return np.subtract(1.0, D, out=D)  # in place: no second n x m array

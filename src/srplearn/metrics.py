@@ -143,7 +143,9 @@ def summarize(runs, alpha: float = 0.05, times=None) -> EvalReport:
     """Mean/std per method plus the set statistically tied with the best.
 
     ``runs`` maps method name to its per-run metric list; all lists must
-    be equally long (>= 2) because the t-test pairs runs by index.
+    be equally long because the t-test pairs runs by index.  One run per
+    method admits no t-test: the std is 0, ``p_values`` is (0, 0) and the
+    best set holds the best method alone.
     """
     if not runs:
         raise ValueError("no methods to summarize")
@@ -152,14 +154,14 @@ def summarize(runs, alpha: float = 0.05, times=None) -> EvalReport:
     methods = list(runs.keys())
     lengths = {m: len(runs[m]) for m in methods}
     n = lengths[methods[0]]
-    if n < 2:
-        raise ValueError("need at least two runs per method")
+    if n < 1:
+        raise ValueError("need at least one run per method")
     if any(v != n for v in lengths.values()):
         raise ValueError(f"run counts differ between methods: {lengths}")
     arrays = {m: np.asarray(runs[m], dtype=np.float64) for m in methods}
     auc_mean = {m: float(np.mean(arrays[m])) for m in methods}
-    auc_std = {m: float(np.std(arrays[m], ddof=1)) for m in methods}
-    k = len(methods)
+    auc_std = {m: float(np.std(arrays[m], ddof=1)) if n > 1 else 0.0 for m in methods}
+    k = len(methods) if n > 1 else 0  # the methods tested pairwise
     p = np.ones((k, k), dtype=np.float64)
     degenerate = []
     for i in range(k):
@@ -179,7 +181,7 @@ def summarize(runs, alpha: float = 0.05, times=None) -> EvalReport:
     best_set = [
         m
         for mi, m in enumerate(methods)
-        if m == best or p[mi, bi] > alpha
+        if m == best or k and p[mi, bi] > alpha
     ]
     time_mean = {}
     if times is not None:

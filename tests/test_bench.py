@@ -8,7 +8,12 @@ import pytest
 from srplearn import bench
 from srplearn.bench import cmd_bench, cmd_sweep
 from srplearn.config import BENCH_METHODS, SWEEP_METHODS, parse_config
+from srplearn.datasets import synth_generate
+from srplearn.kernel import krr_fit, krr_predict_kernel
 from srplearn.matio import read_table_csv
+from srplearn.metrics import roc_auc
+from srplearn.projection import apply_projection, make_projection
+from srplearn.ridge import default_lambda_grid
 
 
 def _write_cfg(tmp_path, name, text):
@@ -201,6 +206,49 @@ method.logreg-srp.tol = 1e-4
             assert r[7] == "", (r[2], r[7])
             assert 0.0 <= float(r[3]) <= 1.0
         assert report.methods == BENCH_METHODS
+
+
+class TestKrrSrpIsRidge:
+    """krr-srp fits ridge on the projected features F through bench's binding
+    of ``solve_ridge_press``; that is kernel ridge on the linear kernel F F'."""
+
+    N_TRAIN = 60
+
+    @pytest.mark.parametrize("dim", [150, 24], ids=["dual", "primal"])
+    def test_matches_krr_on_linear_kernel(self, monkeypatch, dim):
+        n = self.N_TRAIN
+        ds = synth_generate(n + 80, 1500, 0.02, 300, 0.0, seed=11)
+        F = apply_projection(ds.sparse, make_projection(1500, dim, seed=12))
+        F_train, F_test = F[:n], F[n:]
+        y = ds.labels[:n].astype(np.float64)
+        grid = default_lambda_grid()
+
+        solutions = []
+        solve = bench.solve_ridge_press
+
+        def recorded(*args):
+            solutions.append(solve(*args))
+            return solutions[-1]
+
+        monkeypatch.setattr(bench, "solve_ridge_press", recorded)
+        _, family, kind, _ = bench.METHODS["krr-srp"]
+        fit = bench._Fit(y, grid, 0, {}, None, None)
+        scores, threshold, _, _ = family(kind, F_train, F_test, fit)
+        (solution,) = solutions
+
+        model = krr_fit(F_train @ F_train.T, y, grid)
+        reference = krr_predict_kernel(model, F_test @ F_train.T)
+        assert threshold == 0.0
+        assert grid[0] < solution.lam < grid[-1]  # an interior choice
+        assert solution.lam == model.lam
+        if dim > n:  # dual: the same kernel, decomposed alike
+            assert solution.press_value == model.press_value
+        else:
+            assert solution.press_value == pytest.approx(model.press_value, rel=1e-10)
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(scores - reference)) <= 1e-10 * scale
+        test_labels = ds.labels[n:]
+        assert roc_auc(scores, test_labels) == roc_auc(reference, test_labels)
 
 
 class TestBaseSeed:

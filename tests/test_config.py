@@ -241,6 +241,26 @@ class TestDataKindSections:
             assert cfg.data.name == "d" and cfg.data.n_features == 50
 
 
+class TestSvmlightKeys:
+    """``data.index_base`` and ``data.dense_features`` are checked when the
+    file is read, not when a run loads its data."""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "data.index_base = 2",
+            "data.index_base = -1",
+            "data.index_base = 0.5",
+            "data.dense_features = -1",
+            "data.dense_features = 1.5",
+        ],
+    )
+    def test_bad_value_rejected(self, tmp_path, line):
+        with pytest.raises(ValueError) as exc:
+            parse_config(_write(tmp_path, SVMLIGHT + line + "\n"))
+        assert line.split(" = ")[0] in str(exc.value)
+
+
 class TestParityWithLibrary:
     """The config reader and the library accept and reject the same values,
     since both apply the one rule of ``srplearn.checks``."""
@@ -248,8 +268,9 @@ class TestParityWithLibrary:
     EDGES = [0, 1, -1, 0.5, 2, float("nan"), float("inf")]
 
     @staticmethod
-    def _library_calls():
-        from srplearn.datasets import synth_generate
+    def _library_calls(tmp_path):
+        """config key -> (config it is added to, library calls taking it)."""
+        from srplearn.datasets import read_svmlight, synth_generate, write_svmlight
         from srplearn.elm import elm_fit, rvfl_fit
         from srplearn.kernel import knn_predict
         from srplearn.logreg import logreg_fit
@@ -259,32 +280,44 @@ class TestParityWithLibrary:
         X, y = ds.sparse, ds.labels.astype(np.float64)
         F = np.random.default_rng(0).normal(size=(12, 3))
         D = np.random.default_rng(1).random((4, 12))
+        svm = tmp_path / "d.svm"
+        svm.write_text("+1 1:0.5 3:1\n-1 2:1\n")
         return {
-            "method.elm-srp.L": lambda v: elm_fit(X, y, v),
-            "method.rvfl-srp.d_lin": lambda v: rvfl_fit(X, y, 2, d_lin=v),
-            "method.elm-srp.density": lambda v: elm_fit(X, y, 2, density=v),
-            "srp.density": lambda v: make_projection(30, 4, v),
-            "method.knn-srp.k": lambda v: knn_predict(D, y, v),
-            "method.logreg-srp.max_iter": lambda v: logreg_fit(F, y, 1.0, max_iter=v),
-            "method.logreg-srp.tol": lambda v: logreg_fit(F, y, 1.0, 20, tol=v),
+            "method.elm-srp.L": (MINIMAL, [lambda v: elm_fit(X, y, v)]),
+            "method.rvfl-srp.d_lin": (MINIMAL, [lambda v: rvfl_fit(X, y, 2, d_lin=v)]),
+            "method.elm-srp.density": (MINIMAL, [lambda v: elm_fit(X, y, 2, density=v)]),
+            "srp.density": (MINIMAL, [lambda v: make_projection(30, 4, v)]),
+            "method.knn-srp.k": (MINIMAL, [lambda v: knn_predict(D, y, v)]),
+            "method.logreg-srp.max_iter": (
+                MINIMAL, [lambda v: logreg_fit(F, y, 1.0, max_iter=v)]
+            ),
+            "method.logreg-srp.tol": (MINIMAL, [lambda v: logreg_fit(F, y, 1.0, 20, tol=v)]),
+            "data.index_base": (SVMLIGHT, [
+                lambda v: read_svmlight(str(svm), index_base=v),
+                lambda v: write_svmlight(ds, str(tmp_path / "w.svm"), index_base=v),
+            ]),
+            "data.dense_features": (
+                SVMLIGHT, [lambda v: read_svmlight(str(svm), dense_feature_count=v)]
+            ),
         }
 
     def test_edge_values_accepted_alike(self, tmp_path):
         accepted = {}
-        for key, call in self._library_calls().items():
+        for key, (base, calls) in self._library_calls(tmp_path).items():
             for value in self.EDGES:
                 try:
-                    parse_config(_write(tmp_path, MINIMAL + f"{key} = {value}\n"))
+                    parse_config(_write(tmp_path, base + f"{key} = {value}\n"))
                     by_config = True
                 except ValueError:
                     by_config = False
-                try:
-                    call(value)
-                    by_library = True
-                except ValueError:
-                    by_library = False
-                assert by_config == by_library, (key, value)
-                if by_library:
+                for call in calls:
+                    try:
+                        call(value)
+                        by_library = True
+                    except ValueError:
+                        by_library = False
+                    assert by_config == by_library, (key, value)
+                if by_config:
                     accepted.setdefault(key, []).append(value)
         assert accepted == {
             "method.elm-srp.L": [1, 2],
@@ -294,4 +327,6 @@ class TestParityWithLibrary:
             "method.knn-srp.k": [1],
             "method.logreg-srp.max_iter": [0, 1, 2],
             "method.logreg-srp.tol": [1, 0.5, 2, float("inf")],
+            "data.index_base": [0, 1],
+            "data.dense_features": [0, 1, 2],
         }

@@ -8,7 +8,6 @@ from srplearn.distance import jaccard_distance_matrix
 from srplearn.exceptions import DegenerateFitError
 from srplearn.kernel import (
     KERNEL_JACCARD,
-    KERNEL_LINEAR,
     kernel_matrix,
     knn_predict,
     krr_fit,
@@ -37,13 +36,6 @@ def _jaccard_krr(rng, n_train=40, n_cols=60):
 
 
 class TestKernelMatrix:
-    def test_linear_matches_dense_product(self):
-        rng = np.random.default_rng(0)
-        A = rng.standard_normal((8, 5))
-        B = rng.standard_normal((6, 5))
-        K = kernel_matrix(KERNEL_LINEAR, A, B)
-        assert np.allclose(K, A @ B.T, atol=1e-12)
-
     def test_jaccard_similarity_complements_distance(self):
         rng = np.random.default_rng(1)
         A = _random_sparse(rng, 10, 30, 0.2)

@@ -123,6 +123,16 @@ class TestFit:
         with pytest.raises(ValueError, match="penalty"):
             logreg_fit(X, y, np.nan)
 
+    def test_infinite_penalty_rejected_like_the_grid(self):
+        # refused by the penalty rule before any arithmetic, as the tuning
+        # grid refuses it, not by a diverging first loss
+        X = np.zeros((4, 2))
+        y = np.array([1.0, -1.0, 1.0, -1.0])
+        with pytest.raises(ValueError, match="penalty must be finite"):
+            logreg_fit(X, y, np.inf)
+        with pytest.raises(ValueError, match="finite"):
+            logreg_select_lambda(X, y, [1.0, np.inf])
+
     def test_nan_tol_rejected(self):
         # NaN compares false with every gradient norm, so a fit would run
         # to max_iter and report that it did not converge

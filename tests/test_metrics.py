@@ -199,9 +199,23 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize({"a": [0.5, 0.6], "b": [0.5]})
 
-    def test_requires_two_runs(self):
+    def test_single_run_has_no_t_tests(self):
+        runs = {"a": [0.6], "b": [0.7], "c": [0.7]}
+        times = {"a": [1.0], "b": [2.0], "c": [3.0]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = summarize(runs, times=times)
+        assert report.auc_mean == {"a": 0.6, "b": 0.7, "c": 0.7}
+        assert report.auc_std == {"a": 0.0, "b": 0.0, "c": 0.0}
+        assert report.p_values.shape == (0, 0)
+        # the best method alone, the first of a tie, with no test to add others
+        assert report.best_set == ["b"]
+        assert report.degenerate_pairs == []
+        assert report.time_mean_s == {"a": 1.0, "b": 2.0, "c": 3.0}
+
+    def test_requires_a_run(self):
         with pytest.raises(ValueError):
-            summarize({"a": [0.5]})
+            summarize({"a": []})
 
     def test_times_recorded(self):
         runs = {"a": [0.5, 0.6, 0.7], "b": [0.4, 0.5, 0.6]}
