@@ -24,6 +24,7 @@ import numpy as np
 from . import checks
 from .bench import BENCH_METHODS, METHODS, SWEEP_METHODS
 from .matio import read_keyvalues
+from .ridge import default_lambda_grid
 
 __all__ = [
     "RunConfig",
@@ -133,8 +134,6 @@ class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
 
     def lambda_grid(self) -> np.ndarray:
-        from .ridge import default_lambda_grid
-
         return default_lambda_grid(self.lambda_min_exp, self.lambda_max_exp)
 
     def resolved_methods(self, default_list) -> list:
@@ -193,8 +192,7 @@ def parse_config(path: str) -> RunConfig:
         raise ValueError("n_train must be >= 1")
     if not 0.0 < cfg.alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    if cfg.lambda_max_exp < cfg.lambda_min_exp:
-        raise ValueError("lambda.max_exp must be >= lambda.min_exp")
+    cfg.lambda_grid()  # ridge's rule on the exponents, checked at parse time
     if cfg.methods is not None:
         if not cfg.methods:
             raise ValueError("methods list must be nonempty")

@@ -40,27 +40,24 @@ _BLOCK_BUDGET_MB = 256.0
 class DistanceMatrix:
     """Dense (n_rows(A), n_rows(B)) matrix of pairwise distances.
 
-    ``kind`` is "jaccard" (entries in [0, 1]) or "squared-euclidean"
-    (entries >= 0, already squared).
+    The function that built it names the distance: Jaccard (entries in
+    [0, 1]) or squared Euclidean (entries >= 0, already squared).
     """
 
-    __slots__ = ("values", "kind")
+    __slots__ = ("values",)
 
-    def __init__(self, values: np.ndarray, kind: str):
-        if kind not in KINDS:
-            raise ValueError(f"unknown distance kind: {kind!r}")
+    def __init__(self, values: np.ndarray):
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2:
             raise ValueError("distance matrix must be 2-D")
         self.values = values
-        self.kind = kind
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
     def __repr__(self) -> str:
-        return f"DistanceMatrix(shape={self.shape}, kind={self.kind!r})"
+        return f"DistanceMatrix(shape={self.shape})"
 
 
 def _from_counts(A, B, combine) -> np.ndarray:
@@ -123,7 +120,7 @@ def jaccard_distance_matrix(A: SparseBinaryMatrix, B: SparseBinaryMatrix) -> Dis
     Both must be sparse binary matrices (``TypeError`` otherwise) of
     equal width (``ValueError`` otherwise).
     """
-    return DistanceMatrix(_from_counts(A, B, _jaccard), KIND_JACCARD)
+    return DistanceMatrix(_from_counts(A, B, _jaccard))
 
 
 def squared_euclidean_distance_matrix(A, B) -> DistanceMatrix:
@@ -134,15 +131,14 @@ def squared_euclidean_distance_matrix(A, B) -> DistanceMatrix:
     operand with one dense one raises ``TypeError``.
     """
     if isinstance(A, SparseBinaryMatrix) or isinstance(B, SparseBinaryMatrix):
-        d2 = _from_counts(A, B, _sqeuclidean)
-        return DistanceMatrix(d2, KIND_SQEUCLIDEAN)
+        return DistanceMatrix(_from_counts(A, B, _sqeuclidean))
     A = checks.rows(A)
     B = checks.rows(B, A.shape[1])
     sq_a = np.einsum("ij,ij->i", A, A)
     sq_b = np.einsum("ij,ij->i", B, B)
     d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (A @ B.T)
     np.maximum(d2, 0.0, out=d2)
-    return DistanceMatrix(d2, KIND_SQEUCLIDEAN)
+    return DistanceMatrix(d2)
 
 
 def distance_matrix(kind: str, A, B) -> DistanceMatrix:

@@ -67,26 +67,28 @@ def elm_bias(input_dim: int, L: int, density: float, seed: int) -> np.ndarray:
 
 
 class ElmModel:
-    """Fitted ELM or RVFL (when ``linear_part`` is set)."""
+    """Fitted ELM or RVFL (when ``linear_part`` is set).
+
+    The hidden bias is row ``W.input_dim`` of W's stream, so the model
+    derives it from ``W`` and takes no bias argument: a model rebuilt from
+    W's (dimensions, density, seed) has the same bias.
+    """
 
     __slots__ = ("W", "bias", "linear_part", "solution")
 
     def __init__(
         self,
         W: SparseProjection,
-        bias: np.ndarray,
         linear_part: SparseProjection | None,
         solution: RidgeSolution,
     ):
-        if bias.shape != (W.output_dim,):
-            raise ValueError("bias length must equal hidden width")
         expected_rows = W.output_dim + (
             linear_part.output_dim if linear_part is not None else 0
         )
         if solution.beta.shape[0] != expected_rows:
             raise ValueError("output weight row count does not match design")
         self.W = W
-        self.bias = bias
+        self.bias = elm_bias(W.input_dim, W.output_dim, W.density, W.seed)
         self.linear_part = linear_part
         self.solution = solution
 
@@ -98,8 +100,8 @@ class RbfModel:
 
     def __init__(self, centroids, gammas, distance_kind, solution, seed=0):
         gammas = np.asarray(gammas, dtype=np.float64)
-        if np.any(gammas <= 0):
-            raise ValueError("kernel widths must be positive")
+        if not np.all((0 < gammas) & (gammas < np.inf)):  # NaN fails too
+            raise ValueError("kernel widths must be finite and > 0")
         n_centroids = centroids.shape[0]
         if gammas.shape != (n_centroids,):
             raise ValueError("one kernel width per centroid required")
@@ -150,7 +152,7 @@ def _fit_hidden(X, y, L, d_lin, density, seed, lambda_grid) -> ElmModel:
             input_dim, d_lin, W.density, derive_seed(seed, _STREAM_LINEAR)
         )
     H = _elm_design(X, W, bias, linear)
-    return ElmModel(W, bias, linear, solve_ridge_press(H, y[:, None], lambda_grid))
+    return ElmModel(W, linear, solve_ridge_press(H, y[:, None], lambda_grid))
 
 
 def elm_fit(

@@ -30,23 +30,19 @@ KERNEL_JACCARD = "jaccard-similarity"
 
 
 class KrrModel:
-    """Dual-form ridge model over a precomputed kernel."""
+    """Dual-form ridge model over a precomputed kernel.
 
-    __slots__ = (
-        "alpha",
-        "lam",
-        "press_value",
-        "lambda_grid",
-        "kernel_kind",
-        "training_rows",
-    )
+    ``training_rows``, when set, are the sparse binary rows of a Jaccard
+    kernel, the one kernel :func:`krr_predict` can rebuild.
+    """
 
-    def __init__(self, alpha, lam, press_value, lambda_grid, kernel_kind, training_rows):
+    __slots__ = ("alpha", "lam", "press_value", "lambda_grid", "training_rows")
+
+    def __init__(self, alpha, lam, press_value, lambda_grid, training_rows):
         self.alpha = np.asarray(alpha, dtype=np.float64)
         self.lam = float(lam)
         self.press_value = float(press_value)
         self.lambda_grid = np.asarray(lambda_grid, dtype=np.float64)
-        self.kernel_kind = kernel_kind
         self.training_rows = training_rows
 
     @property
@@ -54,10 +50,7 @@ class KrrModel:
         return self.alpha.shape[0]
 
     def __repr__(self) -> str:
-        return (
-            f"KrrModel(n_train={self.n_train}, lam={self.lam:g}, "
-            f"kernel={self.kernel_kind!r})"
-        )
+        return f"KrrModel(n_train={self.n_train}, lam={self.lam:g})"
 
 
 def kernel_matrix(kind: str, rows_a, rows_b) -> np.ndarray:
@@ -85,7 +78,14 @@ def krr_fit(
 
     ``training_rows`` (optional) lets :func:`krr_predict` rebuild test
     kernels later; prediction from an explicit cross-kernel never needs it.
+    Only a Jaccard kernel can be rebuilt, so rows given with any
+    ``kernel_kind`` but ``KERNEL_JACCARD`` raise ``ValueError``.
     """
+    if training_rows is not None and kernel_kind != KERNEL_JACCARD:
+        raise ValueError(
+            f"training rows rebuild only a {KERNEL_JACCARD!r} kernel, "
+            f"not {kernel_kind!r}"
+        )
     K = np.asarray(K, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -100,7 +100,7 @@ def krr_fit(
     if lambda_grid is None:
         lambda_grid = default_lambda_grid()
     lam, press, alpha = _spectral_press((K + K.T) / 2.0, y[:, None], lambda_grid)
-    return KrrModel(alpha[:, 0], lam, press, lambda_grid, kernel_kind, training_rows)
+    return KrrModel(alpha[:, 0], lam, press, lambda_grid, training_rows)
 
 
 def krr_predict_kernel(model: KrrModel, K_cross) -> np.ndarray:
@@ -109,12 +109,13 @@ def krr_predict_kernel(model: KrrModel, K_cross) -> np.ndarray:
 
 
 def krr_predict(model: KrrModel, X_test) -> np.ndarray:
-    """Scores for test rows; rebuilds the cross-kernel from training rows."""
+    """Scores for test rows; rebuilds the Jaccard cross-kernel from the
+    training rows."""
     if model.training_rows is None:
         raise ValueError(
             "model stores no training rows; use krr_predict_kernel"
         )
-    K_cross = kernel_matrix(model.kernel_kind, X_test, model.training_rows)
+    K_cross = kernel_matrix(KERNEL_JACCARD, X_test, model.training_rows)
     return krr_predict_kernel(model, K_cross)
 
 

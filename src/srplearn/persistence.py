@@ -4,7 +4,9 @@ A model is stored as ``<prefix>.meta`` (key=value) plus CSV sidecars for
 its numeric arrays.  Random layers are not stored: they regenerate from
 the recorded (dimensions, density, seed), which reproduces them exactly
 as long as the recorded projection ``stream`` is the one this version
-generates; a model from another stream is refused on load.
+generates; a model from another stream is refused on load.  Nor is the
+ELM bias: :class:`~srplearn.elm.ElmModel` derives it from its hidden
+projection, on load as at fit.
 All floats round-trip bit for bit, so a reloaded model predicts
 identically to the original.
 """
@@ -15,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from .elm import ElmModel, RbfModel, elm_bias
+from .elm import ElmModel, RbfModel
 from .logreg import LogRegModel
 from .matio import (
     format_float,
@@ -165,11 +167,9 @@ def load_model(prefix: str):
             centroids, gammas, meta["distance_kind"], solution, int(meta["seed"])
         )
     input_dim = int(meta["input_dim"])
-    width = int(meta["hidden_width"])
-    density = float(meta["density"])
-    seed = int(meta["seed"])
-    W = make_projection(input_dim, width, density, seed)
-    bias = elm_bias(input_dim, width, density, seed)
+    W = make_projection(
+        input_dim, int(meta["hidden_width"]), float(meta["density"]), int(meta["seed"])
+    )
     linear = None
     if kind == "rvfl":
         linear = make_projection(
@@ -178,4 +178,4 @@ def load_model(prefix: str):
             float(meta["linear_density"]),
             int(meta["linear_seed"]),
         )
-    return ElmModel(W, bias, linear, solution)
+    return ElmModel(W, linear, solution)

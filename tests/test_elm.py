@@ -7,6 +7,7 @@ import pytest
 
 from srplearn.distance import KIND_JACCARD, KIND_SQEUCLIDEAN
 from srplearn.elm import (
+    ElmModel,
     RbfModel,
     elm_bias,
     elm_fit,
@@ -17,7 +18,7 @@ from srplearn.elm import (
 )
 from srplearn.metrics import roc_auc
 from srplearn.projection import default_density, make_projection, ternary_row
-from srplearn.ridge import default_lambda_grid
+from srplearn.ridge import RidgeSolution, default_lambda_grid
 from srplearn.sparse import SparseBinaryMatrix
 
 
@@ -131,6 +132,27 @@ class TestElmFit:
         assert np.allclose(full, parts, atol=1e-10)
 
 
+class TestBiasDerived:
+    """A model's hidden bias is derived from its projection, never given."""
+
+    @pytest.mark.parametrize("fit", [elm_fit, rvfl_fit])
+    def test_fitted_bias_is_elm_bias_of_w(self, fit):
+        rng = np.random.default_rng(20)
+        X, y = _separable_data(rng, 30)
+        model = fit(X, y, 12, seed=4)
+        W = model.W
+        expected = elm_bias(W.input_dim, W.output_dim, W.density, W.seed)
+        assert np.array_equal(model.bias, expected)
+
+    def test_model_built_from_parts_derives_bias(self):
+        rng = np.random.default_rng(21)
+        X, y = _separable_data(rng, 30)
+        model = elm_fit(X, y, 12, seed=4)
+        rebuilt = ElmModel(model.W, model.linear_part, model.solution)
+        assert np.array_equal(rebuilt.bias, model.bias)
+        assert np.array_equal(model_predict(rebuilt, X), model_predict(model, X))
+
+
 class TestRvfl:
     def test_beta_width_includes_linear_branch(self):
         rng = np.random.default_rng(8)
@@ -193,6 +215,14 @@ class TestRbf:
         assert np.all(m1.gammas > 0)
         assert np.array_equal(m1.gammas, m2.gammas)
         assert np.array_equal(m1.centroids, m2.centroids)
+
+    @pytest.mark.parametrize(
+        "gammas", [[np.nan, 1.0], [np.inf, 1.0], [0.0, 1.0], [-1.0, 1.0]]
+    )
+    def test_widths_must_be_finite_and_positive(self, gammas):
+        solution = RidgeSolution(np.zeros((2, 1)), 1.0, 0.0, np.array([1.0]))
+        with pytest.raises(ValueError):
+            RbfModel(np.zeros((2, 3)), gammas, KIND_SQEUCLIDEAN, solution)
 
     def test_jaccard_variant_on_sparse_rows(self):
         rng = np.random.default_rng(14)

@@ -184,6 +184,18 @@ class TestKrr:
         rebuilt = krr_predict(model, B)
         assert np.array_equal(direct, rebuilt)
 
+    def test_training_rows_need_jaccard_kind(self):
+        # only a Jaccard kernel can be rebuilt from the rows, so another
+        # kind is refused at fit, not at the first prediction
+        rng = np.random.default_rng(7)
+        X = _random_sparse(rng, 6, 20, 0.3)
+        K = kernel_matrix(KERNEL_JACCARD, X, X)
+        y = np.array([1.0, -1.0] * 3)
+        with pytest.raises(ValueError):
+            krr_fit(K, y, training_rows=X)  # default kind "precomputed"
+        with pytest.raises(ValueError):
+            krr_fit(K, y, None, "linear-srp", X)
+
     def test_predict_without_training_rows_rejected(self):
         model = krr_fit(np.eye(3), np.array([1.0, -1.0, 1.0]), np.array([1.0]))
         with pytest.raises(ValueError):
