@@ -51,16 +51,7 @@ __all__ = ["BENCH_METHODS", "METHODS", "SWEEP_METHODS", "cmd_bench", "cmd_sweep"
 # reader imports this module's method table, so importing it back would
 # be circular.
 
-_RUN_COLUMNS = [
-    "run",
-    "seed",
-    "method",
-    "auc",
-    "accuracy",
-    "iterations",
-    "converged",
-    "error",
-]
+_RUN_COLUMNS = ["run", "seed", "method", "auc", "accuracy", "iterations", "converged", "error"]
 
 
 @dataclass(frozen=True)
@@ -135,7 +126,7 @@ def _logreg(kind, X_train, X_test, fit):
 # :mod:`srplearn.checks` that the library applies to that argument.
 # Ranges that depend on the data (k or L against n_train) are checked by
 # the library when a run starts.
-_WIDTH, _DENSITY, _K = checks.width, checks.density, checks.neighbors
+_WIDTH, _DENSITY, _K = checks.count, checks.density, checks.neighbors
 METHODS = {
     "elm-srp": (_ROWS, _hidden_layer, _ELM, {"L": _WIDTH, "density": _DENSITY}),
     "rvfl-srp": (
@@ -197,12 +188,7 @@ def _load_data(cfg: RunConfig):
     pool = Dataset(pool.sparse.widen(width), pool.dense, pool.labels, pool.name)
     test = Dataset(test.sparse.widen(width), test.dense, test.labels, test.name)
     external = None
-    if d.train_features or d.test_features:
-        if not (d.train_features and d.test_features):
-            raise ValueError(
-                "precomputed features require both data.train_features and "
-                "data.test_features"
-            )
+    if d.train_features:  # paired, checked before any file was read
         f_pool = read_matrix_csv(d.train_features)
         f_test = read_matrix_csv(d.test_features)
         if f_pool.shape[0] != pool.n_samples or f_test.shape[0] != test.n_samples:
@@ -252,15 +238,10 @@ def _tune_logreg(cfg, pool, F_pool, grid):
 def _run_block(cfg, pool, test, F_pool, F_test, methods, grid, logreg_lambda,
                width_override):
     """Execute all runs for one feature configuration; rows in run order."""
-    n_pool = pool.n_samples
-    if cfg.n_train > n_pool:
-        raise ValueError(
-            f"n_train={cfg.n_train} exceeds training pool of {n_pool}"
-        )
     rows = []
     for run_index in range(cfg.n_runs):
         run_seed = cfg.base_seed + run_index
-        idx = subsample_indices(n_pool, cfg.n_train, run_seed)
+        idx = subsample_indices(pool.n_samples, cfg.n_train, run_seed)
         train = pool.take(idx)
         inputs = {_ROWS: (train.sparse, test.sparse)}
         if F_pool is not None:
@@ -286,12 +267,8 @@ def _run_block(cfg, pool, test, F_pool, F_test, methods, grid, logreg_lambda,
                     "converged": int(conv),
                     "error": "",
                 }
-            except (
-                ValueError,
-                DegenerateFitError,
-                NumericalDivergenceError,
-                np.linalg.LinAlgError,
-            ) as exc:
+            except (ValueError, DegenerateFitError, NumericalDivergenceError,
+                    np.linalg.LinAlgError) as exc:
                 seconds = time.perf_counter() - start
                 message = " ".join(str(exc).split())
                 warnings.warn(
@@ -319,12 +296,14 @@ def _evaluate(cfg: RunConfig, sweep: bool):
     the report); each row carries its ``dim``.
     """
     methods = _resolve_methods(cfg, SWEEP_METHODS if sweep else BENCH_METHODS)
-    pool, test, external = _load_data(cfg)
-    if sweep and external is not None:
+    if checks.feature_files(cfg.data.train_features, cfg.data.test_features) and sweep:
         raise ValueError(
             "sweeps recompute projections per dimension; precomputed "
             "features are only supported by bench"
         )
+    pool, test, external = _load_data(cfg)
+    # before any projection or tuning; synthetic pools were checked at parse
+    checks.sample_size(cfg.n_train, pool.n_samples, "n_train")
     grid = cfg.lambda_grid()
     context = [
         f"data: {cfg.data.name or pool.name or cfg.data.kind} "
@@ -405,20 +384,10 @@ def _write_bench_artifacts(out_dir, rows, report, acc_runs, context):
     _write_csv(os.path.join(out_dir, "runs.csv"), _RUN_COLUMNS, rows)
     summary_rows = []
     for m in report.methods:
-        acc = acc_runs.get(m, [])
-        acc_mean = float(np.mean(acc)) if acc else float("nan")
+        acc = acc_runs[m]  # a reported method completed every run
         acc_std = float(np.std(acc, ddof=1)) if len(acc) > 1 else 0.0
-        summary_rows.append(
-            [
-                m,
-                len(report.run_aucs[m]),
-                float(report.auc_mean[m]),
-                float(report.auc_std[m]),
-                acc_mean,
-                acc_std,
-                int(m in report.best_set),
-            ]
-        )
+        summary_rows.append([m, len(acc), report.auc_mean[m], report.auc_std[m],
+                             float(np.mean(acc)), acc_std, int(m in report.best_set)])
     write_table_csv(
         os.path.join(out_dir, "summary.csv"),
         ["method", "n_runs", "auc_mean", "auc_std", "accuracy_mean",
@@ -470,11 +439,8 @@ def cmd_sweep(cfg: RunConfig):
     table = [f"{'dim':>6}  {'method':<14} {'auc_mean':>9} {'time_s':>8}"]
     for dim in cfg.sweep_dims:
         for m in methods:
-            ok = [
-                r
-                for r in rows
-                if r["dim"] == dim and r["method"] == m and r["error"] == ""
-            ]
+            ok = [r for r in rows
+                  if r["dim"] == dim and r["method"] == m and not r["error"]]
             if not ok:
                 table.append(f"{dim:>6}  {m:<14} {'failed':>9} {'-':>8}")
                 continue

@@ -46,9 +46,25 @@ def _integer(value, name: str, low: int, high: int | None = None) -> int:
     return int(value)
 
 
-def width(value, name: str = "width", most: int | None = None) -> int:
-    """A layer or projection width: an integer >= 1, and <= ``most`` if given."""
+def count(value, name: str = "count", most: int | None = None) -> int:
+    """A width or a count: an integer >= 1, and <= ``most`` if given."""
     return _integer(value, name, 1, most)
+
+
+def seed(value) -> int:
+    """A subsample seed: an integer >= 0, as numpy's generators require."""
+    return _integer(value, "seed", 0)
+
+
+def sample_size(n, pool_rows: int, name: str = "sample size") -> int:
+    """Rows drawn without replacement from a pool: an integer in [0, pool_rows]."""
+    return _integer(n, name, 0, pool_rows)
+
+
+def signal_features(value, n_features: int | None = None) -> int:
+    """Planted-signal features: an integer in [0, n_features], unbounded
+    above without ``n_features``."""
+    return _integer(value, "signal_features", 0, n_features)
 
 
 def neighbors(k, n_train: int | None = None) -> int:
@@ -69,9 +85,25 @@ def tol(value) -> float:
     return float(value)
 
 
-def density(value) -> float:
-    if not 0.0 < value <= 1.0:
-        raise ValueError(f"density must be in (0, 1], got {value!r}")
+def density(value, n_signal: int = 0) -> float:
+    """0 < density <= 1, and <= 1/4 with ``n_signal`` planted signal
+    features, which activate at 4 * density."""
+    most = 0.25 if n_signal else 1.0
+    if not 0.0 < value <= most:
+        raise ValueError(f"density must be in (0, {most:g}], got {value!r}")
+    return float(value)
+
+
+def flip_prob(value) -> float:
+    if not 0.0 <= value < 0.5:
+        raise ValueError(f"flip_prob must be in [0, 0.5), got {value!r}")
+    return float(value)
+
+
+def alpha(value) -> float:
+    """A significance level, strictly between 0 and 1."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {value!r}")
     return float(value)
 
 
@@ -89,3 +121,12 @@ def index_base(value) -> int:
 def dense_features(value) -> int:
     """The width of an svmlight file's leading dense block: an integer >= 0."""
     return _integer(value, "dense_feature_count", 0)
+
+
+def feature_files(train, test) -> bool:
+    """Precomputed features come for both pool and test rows or for neither."""
+    if bool(train) != bool(test):
+        raise ValueError(
+            "precomputed features need data.train_features and data.test_features"
+        )
+    return bool(train)

@@ -3,13 +3,15 @@
 Every key is declared once, in ``_KEYS``: its section, the attribute it
 sets and the parser that types its value.  Keys of the ``synth`` and
 ``svmlight`` sections apply only under that ``data.kind``.  Per-method
-hyperparameters use repeated ``method.<name>.<param>`` keys.  A width,
-density, k, ``max_iter``, ``tol``, svmlight index base or dense-block
-width is read as an int when it spells one and as a float otherwise,
-then checked by the rule of :mod:`srplearn.checks` that the library
-applies to the same argument (the method table of :mod:`srplearn.bench`
-names each parameter's rule), so the config reader and the library
-accept and reject the same values.
+hyperparameters use repeated ``method.<name>.<param>`` keys.  A numeric
+value with a rule is read as an int when it spells one and as a float
+otherwise, then checked by the rule of :mod:`srplearn.checks` that the
+library applies to the same argument (the method table of
+:mod:`srplearn.bench` names each parameter's rule), so the config reader
+and the library accept and reject the same values.  Rules that combine
+keys (signal features within ``data.n_features``, the synthetic density
+with signal features, ``n_train`` within the synthetic pool, precomputed
+features as a pair) are applied once every key is read.
 Every value is parsed when the file is read: unknown keys, keys of the
 other data kind and malformed values are rejected there, so typos fail
 loudly instead of silently running with defaults or failing run by run.
@@ -54,19 +56,19 @@ def _checked(rule):
 
 
 def _widths(text: str) -> list:
-    return [checks.width(_number(t)) for t in _list(text)]
+    return [checks.count(_number(t), "width") for t in _list(text)]
 
 
 # key -> (section, attribute, parser).  "run" keys set RunConfig, the
 # others DataConfig; "synth" and "svmlight" keys only under that kind.
 _KEYS = {
     "out_dir": ("run", "out_dir", str),
-    "base_seed": ("run", "base_seed", int),
-    "n_runs": ("run", "n_runs", int),
-    "n_train": ("run", "n_train", int),
-    "alpha": ("run", "alpha", float),
+    "base_seed": ("run", "base_seed", _checked(checks.seed)),
+    "n_runs": ("run", "n_runs", _checked(checks.count)),
+    "n_train": ("run", "n_train", _checked(checks.count)),
+    "alpha": ("run", "alpha", _checked(checks.alpha)),
     "methods": ("run", "methods", _list),
-    "srp.dim": ("run", "srp_dim", _checked(checks.width)),
+    "srp.dim": ("run", "srp_dim", _checked(checks.count)),
     "srp.density": ("run", "srp_density", _checked(checks.density)),
     "srp.seed": ("run", "srp_seed", int),
     "sweep.dims": ("run", "sweep_dims", _widths),
@@ -74,13 +76,13 @@ _KEYS = {
     "lambda.max_exp": ("run", "lambda_max_exp", int),
     "data.kind": ("data", "kind", str),
     "data.name": ("data", "name", str),
-    "data.n_features": ("data", "n_features", int),
+    "data.n_features": ("data", "n_features", _checked(checks.count)),
     "data.seed": ("synth", "seed", int),
-    "data.n_train_pool": ("synth", "n_train_pool", int),
-    "data.n_test": ("synth", "n_test", int),
-    "data.density": ("synth", "density", float),
-    "data.signal_features": ("synth", "signal_features", int),
-    "data.flip_prob": ("synth", "flip_prob", float),
+    "data.n_train_pool": ("synth", "n_train_pool", _checked(checks.count)),
+    "data.n_test": ("synth", "n_test", _checked(checks.count)),
+    "data.density": ("synth", "density", _checked(checks.density)),
+    "data.signal_features": ("synth", "signal_features", _checked(checks.signal_features)),
+    "data.flip_prob": ("synth", "flip_prob", _checked(checks.flip_prob)),
     "data.train": ("svmlight", "train_path", str),
     "data.test": ("svmlight", "test_path", str),
     "data.dense_features": ("svmlight", "dense_features", _checked(checks.dense_features)),
@@ -154,9 +156,10 @@ def _method_key(path: str, key: str) -> tuple:
     return name, param, _checked(rules[param])
 
 
-def _parsed(path: str, key: str, parse, text: str):
+def _parsed(path: str, key: str, rule, *args):
+    """``rule(*args)``, its ``ValueError`` naming the config key."""
     try:
-        return parse(text)
+        return rule(*args)
     except ValueError as exc:
         raise ValueError(f"{path}: config key {key!r}: {exc}") from None
 
@@ -186,12 +189,6 @@ def parse_config(path: str) -> RunConfig:
             )
         setattr(cfg if section == "run" else d, attr, _parsed(path, key, parse, text))
 
-    if cfg.n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-    if cfg.n_train < 1:
-        raise ValueError("n_train must be >= 1")
-    if not 0.0 < cfg.alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
     cfg.lambda_grid()  # ridge's rule on the exponents, checked at parse time
     if cfg.methods is not None:
         if not cfg.methods:
@@ -207,13 +204,16 @@ def parse_config(path: str) -> RunConfig:
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise ValueError("sweep.dims must be strictly increasing")
 
-    if kind == "synth":
-        if d.n_features is None:
-            raise ValueError("synth data requires data.n_features")
-        if d.n_train_pool < cfg.n_train:
-            raise ValueError("data.n_train_pool must be >= n_train")
-        if d.n_test < 1:
-            raise ValueError("data.n_test must be >= 1")
-    elif not d.train_path or not d.test_path:
-        raise ValueError("svmlight data requires data.train and data.test")
+    if kind == "svmlight":
+        if not d.train_path or not d.test_path:
+            raise ValueError("svmlight data requires data.train and data.test")
+        checks.feature_files(d.train_features, d.test_features)
+        return cfg
+    if d.n_features is None:
+        raise ValueError("synth data requires data.n_features")
+    n_signal = _parsed(path, "data.signal_features", checks.signal_features,
+                       d.signal_features, d.n_features)
+    _parsed(path, "data.density", checks.density, d.density, n_signal)
+    _parsed(path, "data.n_train_pool", checks.sample_size, cfg.n_train,
+            d.n_train_pool, "n_train")
     return cfg

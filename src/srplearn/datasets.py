@@ -151,6 +151,8 @@ def read_svmlight(
     """
     index_base = checks.index_base(index_base)
     dense_feature_count = checks.dense_features(dense_feature_count)
+    if n_features is not None:
+        n_features = checks.count(n_features, "n_features")
     # a zero-row block gives the empty file its shapes
     blocks = [_parse_block(path, [], 1, dense_feature_count, index_base)]
     line_no = 1
@@ -322,9 +324,8 @@ def write_svmlight(ds: Dataset, path: str, index_base: int = 1) -> None:
 
 def subsample_indices(n_total: int, n: int, seed: int) -> np.ndarray:
     """Sorted indices of n rows sampled without replacement (seeded)."""
-    if not 0 <= n <= n_total:
-        raise ValueError(f"cannot sample {n} of {n_total} rows")
-    rng = np.random.default_rng(seed)
+    n = checks.sample_size(n, n_total)
+    rng = np.random.default_rng(checks.seed(seed))
     return np.sort(rng.choice(n_total, size=n, replace=False))
 
 
@@ -357,17 +358,15 @@ def synth_generate(
     ``flip_prob``.  The streams and the gap sampling are those of
     projection rows (see :mod:`srplearn.projection`), drawn in blocks of
     at most ``_BLOCK_DRAWS`` draws per segment; only the nonzeros are
-    drawn, so the work is O(nnz + n).
+    drawn, so the work is O(nnz + n).  The arguments are checked by the
+    rules of :mod:`srplearn.checks` that the config reader applies to the
+    ``data.*`` keys.
     """
-    if n < 1 or n_features < 1:
-        raise ValueError("n and n_features must be >= 1")
-    if not 0 <= signal_features <= n_features:
-        raise ValueError("signal_features must be in [0, n_features]")
-    if not 0.0 <= flip_prob < 0.5:
-        raise ValueError("flip_prob must be in [0, 0.5)")
-    checks.density(density)
-    if signal_features and density * 4.0 > 1.0:
-        raise ValueError("density * 4 must not exceed 1 for signal features")
+    n = checks.count(n, "n")
+    n_features = checks.count(n_features, "n_features")
+    signal_features = checks.signal_features(signal_features, n_features)
+    density = checks.density(density, signal_features)
+    flip_prob = checks.flip_prob(flip_prob)
     true_labels = np.where(np.arange(n) % 2 == 0, 1, -1)
     # (width, rate per row) of the signal, background and flip segments
     segments = [

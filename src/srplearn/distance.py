@@ -47,10 +47,7 @@ class DistanceMatrix:
     __slots__ = ("values",)
 
     def __init__(self, values: np.ndarray):
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError("distance matrix must be 2-D")
-        self.values = values
+        self.values = checks.rows(values)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -140,7 +140,7 @@ def _fit_hidden(X, y, L, d_lin, density, seed, lambda_grid) -> ElmModel:
     ``d_lin=None`` gives the branch min(input dimension, L) columns.
     """
     y, lambda_grid = _check_fit(X, y, lambda_grid)
-    L = checks.width(L, "L")
+    L = checks.count(L, "L")
     input_dim = X.shape[1]
     if d_lin is None:
         d_lin = min(input_dim, L)
@@ -181,7 +181,7 @@ def rvfl_fit(
     ``d_lin`` defaults to min(input dimension, L).
     """
     if d_lin is not None:
-        d_lin = checks.width(d_lin, "d_lin")
+        d_lin = checks.count(d_lin, "d_lin")
     return _fit_hidden(X, y, L, d_lin, density, seed, lambda_grid)
 
 
@@ -212,7 +212,7 @@ def rbf_fit(
     """
     y, lambda_grid = _check_fit(X, y, lambda_grid)
     n = X.shape[0]
-    L = checks.width(L, "L", most=n)
+    L = checks.count(L, "L", most=n)
     pick = np.random.default_rng(derive_seed(seed, _STREAM_CENTROIDS))
     idx = pick.choice(n, size=L, replace=False)
     centroids = (

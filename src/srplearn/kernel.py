@@ -78,9 +78,12 @@ def krr_fit(
 
     ``training_rows`` (optional) lets :func:`krr_predict` rebuild test
     kernels later; prediction from an explicit cross-kernel never needs it.
-    Only a Jaccard kernel can be rebuilt, so rows given with any
-    ``kernel_kind`` but ``KERNEL_JACCARD`` raise ``ValueError``.
+    ``kernel_kind`` is "precomputed" or ``KERNEL_JACCARD``; only a Jaccard
+    kernel can be rebuilt, so rows given with any other kind raise
+    ``ValueError``.
     """
+    if kernel_kind not in ("precomputed", KERNEL_JACCARD):
+        raise ValueError(f"unknown kernel kind: {kernel_kind!r}")
     if training_rows is not None and kernel_kind != KERNEL_JACCARD:
         raise ValueError(
             f"training rows rebuild only a {KERNEL_JACCARD!r} kernel, "

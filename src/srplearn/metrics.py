@@ -39,16 +39,10 @@ def _check_pair(scores, labels):
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks, ties replaced by the mean rank of the tie group."""
-    order = np.argsort(values, kind="mergesort")
-    v = values[order]
-    n = v.size
-    starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
-    ends = np.append(starts[1:], n)
-    # average of 1-based ranks starts+1 .. ends is a half-integer, exact
-    group_rank = (starts + ends + 1) / 2.0
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = np.repeat(group_rank, ends - starts)
-    return ranks
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    # average of 1-based ranks ends-count+1 .. ends is a half-integer, exact
+    return ((2 * ends - counts + 1) / 2.0)[group]
 
 
 def roc_auc(scores, labels) -> float:
@@ -149,8 +143,7 @@ def summarize(runs, alpha: float = 0.05, times=None) -> EvalReport:
     """
     if not runs:
         raise ValueError("no methods to summarize")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    alpha = checks.alpha(alpha)
     methods = list(runs.keys())
     lengths = {m: len(runs[m]) for m in methods}
     n = lengths[methods[0]]

@@ -83,7 +83,7 @@ def default_density(input_dim: int) -> float:
     Keeps the expected work per input row low while the projected output
     stays dense with few exact zeros.
     """
-    return 1.0 / math.sqrt(checks.width(input_dim, "input_dim"))
+    return 1.0 / math.sqrt(checks.count(input_dim, "input_dim"))
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -228,8 +228,8 @@ def ternary_row(seed: int, row_index: int, output_dim: int, density: float):
 
 
 def _check_params(input_dim: int, output_dim: int, density: float) -> None:
-    checks.width(input_dim, "input_dim")
-    checks.width(output_dim, "output_dim")
+    checks.count(input_dim, "input_dim")
+    checks.count(output_dim, "output_dim")
     checks.density(density)
 
 

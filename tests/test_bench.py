@@ -419,6 +419,51 @@ data.test_features = {tmp_path / "fte.csv"}
             cmd_sweep(cfg)
 
 
+class TestChecksBeforeWork:
+    """A run whose inputs break a rule fails before the expensive steps."""
+
+    @staticmethod
+    def _forbid(monkeypatch, name):
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"{name} called before the inputs were checked")
+
+        monkeypatch.setattr(bench, name, forbidden)
+
+    def test_svmlight_pool_smaller_than_n_train(self, tmp_path, monkeypatch):
+        from srplearn.datasets import write_svmlight
+
+        ds = synth_generate(60, 300, 0.03, 30, 0.0, seed=5)
+        write_svmlight(ds.take(np.arange(40)), str(tmp_path / "tr.txt"))
+        write_svmlight(ds.take(np.arange(40, 60)), str(tmp_path / "te.txt"))
+        cfg = parse_config(_write_cfg(tmp_path, "pool.txt", f"""
+out_dir = {tmp_path / "pool_out"}
+n_runs = 2
+n_train = 50
+methods = knn-srp, logreg-srp
+data.kind = svmlight
+data.train = {tmp_path / "tr.txt"}
+data.test = {tmp_path / "te.txt"}
+"""))
+        self._forbid(monkeypatch, "make_projection")
+        with pytest.raises(ValueError, match="n_train"):
+            cmd_bench(cfg)
+
+    def test_sweep_with_precomputed_features(self, tmp_path, monkeypatch):
+        cfg = parse_config(_write_cfg(tmp_path, "pre.txt", f"""
+out_dir = {tmp_path / "pre_out"}
+methods = knn-srp
+sweep.dims = 4, 8
+data.kind = svmlight
+data.train = {tmp_path / "tr.txt"}
+data.test = {tmp_path / "te.txt"}
+data.train_features = {tmp_path / "ftr.csv"}
+data.test_features = {tmp_path / "fte.csv"}
+"""))
+        self._forbid(monkeypatch, "read_svmlight")
+        with pytest.raises(ValueError, match="precomputed"):
+            cmd_sweep(cfg)
+
+
 class TestFailureHandling:
     def test_failed_method_recorded_not_fatal(self, tmp_path):
         # knn with k larger than n_train fails; elm still completes, the

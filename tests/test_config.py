@@ -1,9 +1,13 @@
 """Tests for config parsing and protocol defaults."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from srplearn.config import (
+    _KEYS,
     BENCH_METHODS,
     SWEEP_METHODS,
     default_sweep_dims,
@@ -22,6 +26,7 @@ out_dir = /tmp/x
 data.kind = synth
 data.n_features = 1000
 """
+NO_FEATURES = MINIMAL.replace("data.n_features = 1000\n", "")
 
 
 class TestDefaults:
@@ -193,6 +198,40 @@ method.knn-srp.k = 3
             parse_config(_write(tmp_path, MINIMAL + line + "\n"))
         assert line.split(" = ")[0] in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "lines, key",
+        [
+            ("data.flip_prob = 0.5", "data.flip_prob"),
+            ("data.density = 0", "data.density"),
+            ("data.signal_features = -1", "data.signal_features"),
+            ("data.signal_features = 5.5", "data.signal_features"),
+            ("data.signal_features = 1001", "data.signal_features"),
+            ("data.density = 0.3\ndata.signal_features = 10", "data.density"),
+            ("base_seed = -3", "base_seed"),
+            ("base_seed = 1.5", "base_seed"),
+            ("n_runs = 2.5", "n_runs"),
+            ("n_train = 0", "n_train"),
+            ("data.n_test = 0", "data.n_test"),
+            ("data.n_train_pool = 0", "data.n_train_pool"),
+            ("alpha = 0", "alpha"),
+        ],
+    )
+    def test_run_and_synth_values_checked_at_parse(self, tmp_path, lines, key):
+        # each of these passed parsing before and failed only once the data
+        # had been generated, or not at all
+        with pytest.raises(ValueError) as exc:
+            parse_config(_write(tmp_path, MINIMAL + lines + "\n"))
+        assert key in str(exc.value)
+
+    def test_n_features_must_be_an_integer(self, tmp_path):
+        with pytest.raises(ValueError) as exc:
+            parse_config(_write(tmp_path, NO_FEATURES + "data.n_features = 50.5\n"))
+        assert "data.n_features" in str(exc.value)
+
+    def test_base_seed_zero_accepted(self, tmp_path):
+        # >= 1 is required only when logreg-srp runs, which bench decides
+        assert parse_config(_write(tmp_path, MINIMAL + "base_seed = 0\n")).base_seed == 0
+
     def test_method_value_range_edges_accepted(self, tmp_path):
         cfg = parse_config(
             _write(
@@ -260,6 +299,11 @@ class TestSvmlightKeys:
             parse_config(_write(tmp_path, SVMLIGHT + line + "\n"))
         assert line.split(" = ")[0] in str(exc.value)
 
+    @pytest.mark.parametrize("key", ["data.train_features", "data.test_features"])
+    def test_precomputed_features_come_as_a_pair(self, tmp_path, key):
+        with pytest.raises(ValueError, match="data.test_features"):
+            parse_config(_write(tmp_path, SVMLIGHT + f"{key} = f.csv\n"))
+
 
 class TestParityWithLibrary:
     """The config reader and the library accept and reject the same values,
@@ -274,6 +318,7 @@ class TestParityWithLibrary:
         from srplearn.elm import elm_fit, rvfl_fit
         from srplearn.kernel import knn_predict
         from srplearn.logreg import logreg_fit
+        from srplearn.metrics import summarize
         from srplearn.projection import make_projection
 
         ds = synth_generate(12, 30, 0.2, 0, 0.0, seed=0)
@@ -282,6 +327,8 @@ class TestParityWithLibrary:
         D = np.random.default_rng(1).random((4, 12))
         svm = tmp_path / "d.svm"
         svm.write_text("+1 1:0.5 3:1\n-1 2:1\n")
+        one_column = tmp_path / "one.svm"
+        one_column.write_text("+1 1:1\n-1\n")
         return {
             "method.elm-srp.L": (MINIMAL, [lambda v: elm_fit(X, y, v)]),
             "method.rvfl-srp.d_lin": (MINIMAL, [lambda v: rvfl_fit(X, y, 2, d_lin=v)]),
@@ -299,6 +346,16 @@ class TestParityWithLibrary:
             "data.dense_features": (
                 SVMLIGHT, [lambda v: read_svmlight(str(svm), dense_feature_count=v)]
             ),
+            "data.n_features": (NO_FEATURES, [
+                lambda v: synth_generate(12, v, 0.2, 0, 0.0, 0),
+                lambda v: read_svmlight(str(one_column), n_features=v),
+            ]),
+            "data.density": (MINIMAL, [lambda v: synth_generate(12, 30, v, 0, 0.0, 0)]),
+            "data.signal_features": (
+                MINIMAL, [lambda v: synth_generate(12, 30, 0.2, v, 0.0, 0)]
+            ),
+            "data.flip_prob": (MINIMAL, [lambda v: synth_generate(12, 30, 0.2, 0, v, 0)]),
+            "alpha": (MINIMAL, [lambda v: summarize({"a": [0.6, 0.7], "b": [0.5, 0.8]}, v)]),
         }
 
     def test_edge_values_accepted_alike(self, tmp_path):
@@ -329,4 +386,22 @@ class TestParityWithLibrary:
             "method.logreg-srp.tol": [1, 0.5, 2, float("inf")],
             "data.index_base": [0, 1],
             "data.dense_features": [0, 1, 2],
+            "data.n_features": [1, 2],
+            "data.density": [1, 0.5],
+            "data.signal_features": [0, 1, 2],
+            "data.flip_prob": [0],
+            "alpha": [0.5],
         }
+
+
+class TestReadmeReference:
+    def test_every_key_documented(self):
+        # a key added to the reader without a line in README's config
+        # reference fails here
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Config reference", 1)[1].split("\n## ", 1)[0]
+        missing = [
+            key for key in _KEYS
+            if not re.search(rf"(?<![\w.-]){re.escape(key)}(?![\w.-])", section)
+        ]
+        assert not missing

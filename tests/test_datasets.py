@@ -560,8 +560,28 @@ class TestSubsample:
         with pytest.raises(ValueError):
             subsample_indices(5, 6, seed=0)
 
+    @pytest.mark.parametrize("n, seed", [(2.5, 0), (-1, 0), (2, -3), (2, 1.5)])
+    def test_size_and_seed_rules(self, n, seed):
+        with pytest.raises(ValueError):
+            subsample_indices(5, n, seed)
+
 
 class TestSynthGenerate:
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((10, 50.5, 0.1, 5, 0.0), "n_features"),  # was 50 columns, named d50.5
+            ((10, 50, 0.1, 5.5, 0.0), "signal_features"),  # was an unrelated error
+            ((10.0, 50, 0.1, 5, 0.0), "n must"),
+            ((10, 50, 0.3, 5, 0.0), "density"),  # signal rate 4 * 0.3 > 1
+            ((10, 50, 0.1, 51, 0.0), "signal_features"),
+            ((10, 50, 0.1, 5, 0.5), "flip_prob"),
+        ],
+    )
+    def test_arguments_checked(self, args, name):
+        with pytest.raises(ValueError, match=name):
+            synth_generate(*args, 0)
+
     def test_shapes_and_alternating_labels(self):
         ds = synth_generate(10, 500, 0.01, 50, 0.0, seed=0)
         assert ds.n_samples == 10

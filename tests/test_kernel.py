@@ -196,6 +196,13 @@ class TestKrr:
         with pytest.raises(ValueError):
             krr_fit(K, y, None, "linear-srp", X)
 
+    def test_unknown_kind_rejected(self):
+        y = np.array([1.0, -1.0, 1.0])
+        with pytest.raises(ValueError, match="no-such-kernel"):
+            krr_fit(np.eye(3), y, None, "no-such-kernel")
+        for kind in ("precomputed", KERNEL_JACCARD):
+            assert krr_fit(np.eye(3), y, None, kind).n_train == 3
+
     def test_predict_without_training_rows_rejected(self):
         model = krr_fit(np.eye(3), np.array([1.0, -1.0, 1.0]), np.array([1.0]))
         with pytest.raises(ValueError):
