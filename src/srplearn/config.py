@@ -142,15 +142,21 @@ class RunConfig:
         return list(self.methods) if self.methods is not None else list(default_list)
 
 
+def _known_method(path: str, name: str) -> str:
+    """``name``, if a method of that name exists: the rule of the ``methods``
+    list and of every ``method.<name>.<param>`` key."""
+    if name not in METHODS:
+        raise ValueError(f"{path}: unknown method {name!r}; known: {sorted(METHODS)}")
+    return name
+
+
 def _method_key(path: str, key: str) -> tuple:
     """(method name, parameter, parser) of a ``method.<name>.<param>`` key."""
     parts = key.split(".")
     if len(parts) != 3:
         raise ValueError(f"{path}: malformed method key {key!r}")
     _, name, param = parts
-    if name not in METHODS:
-        raise ValueError(f"{path}: unknown method {name!r}; known: {sorted(METHODS)}")
-    rules = METHODS[name][3]
+    rules = METHODS[_known_method(path, name)][3]
     if param not in rules:
         raise ValueError(f"{path}: method {name!r} has no parameter {param!r}")
     return name, param, _checked(rules[param])
@@ -171,7 +177,7 @@ def parse_config(path: str) -> RunConfig:
         raise ValueError(f"{path}: missing required key out_dir")
     kind = raw.get("data.kind", "synth")
     if kind not in _KINDS:
-        raise ValueError(f"data.kind must be synth or svmlight, got {kind!r}")
+        raise ValueError(f"{path}: data.kind must be synth or svmlight, got {kind!r}")
 
     cfg = RunConfig(out_dir=raw["out_dir"])
     d = cfg.data
@@ -189,28 +195,29 @@ def parse_config(path: str) -> RunConfig:
             )
         setattr(cfg if section == "run" else d, attr, _parsed(path, key, parse, text))
 
-    cfg.lambda_grid()  # ridge's rule on the exponents, checked at parse time
+    # ridge's rule on the exponents, checked at parse time
+    _parsed(path, "lambda.max_exp", cfg.lambda_grid)
     if cfg.methods is not None:
         if not cfg.methods:
-            raise ValueError("methods list must be nonempty")
+            raise ValueError(f"{path}: methods list must be nonempty")
         for name in cfg.methods:
-            if name not in METHODS:
-                raise ValueError(f"unknown method {name!r}; known: {sorted(METHODS)}")
+            _known_method(path, name)
         if len(set(cfg.methods)) != len(cfg.methods):
-            raise ValueError("methods list contains duplicates")
+            raise ValueError(f"{path}: methods list contains duplicates")
     dims = cfg.sweep_dims
     if not dims:
-        raise ValueError("sweep.dims must be nonempty")
+        raise ValueError(f"{path}: sweep.dims must be nonempty")
     if any(b <= a for a, b in zip(dims, dims[1:])):
-        raise ValueError("sweep.dims must be strictly increasing")
+        raise ValueError(f"{path}: sweep.dims must be strictly increasing")
 
     if kind == "svmlight":
         if not d.train_path or not d.test_path:
-            raise ValueError("svmlight data requires data.train and data.test")
-        checks.feature_files(d.train_features, d.test_features)
+            raise ValueError(f"{path}: svmlight data requires data.train and data.test")
+        given = "data.train_features" if d.train_features else "data.test_features"
+        _parsed(path, given, checks.feature_files, d.train_features, d.test_features)
         return cfg
     if d.n_features is None:
-        raise ValueError("synth data requires data.n_features")
+        raise ValueError(f"{path}: synth data requires data.n_features")
     n_signal = _parsed(path, "data.signal_features", checks.signal_features,
                        d.signal_features, d.n_features)
     _parsed(path, "data.density", checks.density, d.density, n_signal)

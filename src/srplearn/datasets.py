@@ -5,13 +5,13 @@ The on-disk format is svmlight text: one sample per line,
 lowest-numbered feature indices form a dense real-valued block; all
 remaining indices are binarized (any nonzero value becomes 1).
 
-The reader takes a file in blocks of whole lines.  Per line it only
-strips the comment, splits on whitespace and parses the label; the
-``index:value`` tokens of a block are converted and validated together
-with numpy (see :func:`read_svmlight` for the accepted syntax and the
-order in which errors are reported).  The writer assembles a whole file
-from the arrays, so no Python code runs per feature token in either
-direction.
+The reader takes a file in blocks of whole lines and finds their tokens
+in the bytes with numpy (:func:`srplearn.matio.tokenize`).  Per line it
+only parses the label; the ``index:value`` tokens of a block are
+converted and validated together with numpy (see :func:`read_svmlight`
+for the accepted syntax and the order in which errors are reported).
+The writer assembles a whole file from the arrays, so no Python code
+runs per feature token in either direction.
 
 Synthetic rows come from the sampler of :mod:`srplearn.projection`, in
 time and memory proportional to their nonzeros.  Each row has two
@@ -35,7 +35,14 @@ import numpy as np
 
 from . import checks
 from .exceptions import SvmlightParseError
-from .matio import format_ints, join_lines, parse_ints, token_buffer
+from .matio import (
+    format_ints,
+    join_lines,
+    parse_ints,
+    token_buffer,
+    token_text,
+    tokenize,
+)
 from .projection import _bernoulli_rows, _row_blocks, derive_seed
 from .sparse import SparseBinaryMatrix
 
@@ -135,12 +142,16 @@ def read_svmlight(
     sparse width); by default the sparse width is inferred as the
     largest sparse index plus one.
 
-    The file is read in blocks of whole lines of about 4 MB.
-    Python work is per line only: strip the ``#`` comment, split on
-    whitespace, parse the label.  The ``index:value`` tokens of a block
-    are converted and checked with whole-array numpy operations.  An
+    The file is read in blocks of whole lines of about 4 MB, as bytes.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``; a line's first ``#`` and
+    the rest of the line are a comment; tokens are separated by ASCII
+    whitespace.  Python work is per line only: the label is parsed by
+    ``float`` on its bytes.  The ``index:value`` tokens of a block are
+    found, converted and checked with whole-array numpy operations.  An
     index is ``[+-]?[0-9]{1,18}`` and a value follows Python's float
-    syntax, both in ASCII digits without ``_`` separators.
+    syntax, both in ASCII digits without ``_`` separators, so a label or
+    token with a byte outside ASCII (text that is not UTF-8 included)
+    is a parse error.
 
     Errors raise :class:`SvmlightParseError` for the first offending
     item in file order; within a line the label comes first, then token
@@ -153,22 +164,18 @@ def read_svmlight(
     dense_feature_count = checks.dense_features(dense_feature_count)
     if n_features is not None:
         n_features = checks.count(n_features, "n_features")
-    # a zero-row block gives the empty file its shapes
-    blocks = [_parse_block(path, [], 1, dense_feature_count, index_base)]
-    line_no = 1
+    blocks, line_no = [], 1
     with open(path, "rb") as handle:
         while block := handle.read(_BLOCK_BYTES):
             if not block.endswith(b"\n"):
                 block += handle.readline()
-            # the universal newlines of text mode: "\r\n" and "\r" end lines too
-            text = block.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-            lines = text.split("\n")
-            if not lines[-1]:
-                lines.pop()
-            blocks.append(
-                _parse_block(path, lines, line_no, dense_feature_count, index_base)
+            parsed, n_lines = _parse_block(
+                path, block, line_no, dense_feature_count, index_base
             )
-            line_no += len(lines)
+            blocks.append(parsed)
+            line_no += n_lines
+    if not blocks:  # the empty file: a zero-row block gives its shapes
+        blocks.append(_parse_block(path, b"", 1, dense_feature_count, index_base)[0])
     labels, dense, counts, indices = (np.concatenate(c) for c in zip(*blocks))
     max_sparse = int(indices.max()) if indices.size else -1
     if n_features is None:
@@ -190,28 +197,35 @@ def read_svmlight(
     return Dataset(sparse, dense if dense_feature_count else None, labels, name)
 
 
-def _parse_block(path, lines, first_line, n_dense, index_base):
-    """(labels, dense rows, sparse count per row, sparse indices) of the
-    non-empty lines in ``lines``, whose first is line ``first_line``."""
-    row_lines, labels, counts, tokens = [], [], [], []
-    bad_label = None
-    for line_no, line in enumerate(lines, start=first_line):
-        parts = line.split("#", 1)[0].split()
-        if not parts:
-            continue
+def _parse_block(path, data, first_line, n_dense, index_base):
+    """((labels, dense rows, sparse count per row, sparse indices), n_lines)
+    of ``data``, whole lines of which the first is line ``first_line``."""
+    buf, start, stop, line_ptr = tokenize(data)
+    filled = np.flatnonzero(np.diff(line_ptr))  # the lines with a token
+    heads = line_ptr[filled]  # their first tokens, the labels
+    labels, bad_label = [], None
+    for k, (lo, hi) in enumerate(zip(start[heads].tolist(), stop[heads].tolist())):
         try:
-            labels.append(float(parts[0]))
+            labels.append(float(data[lo:hi]))
         except ValueError:
             # raised after the tokens of the lines before it are checked
-            bad_label = SvmlightParseError(path, line_no, f"bad label {parts[0]!r}")
+            label = token_text(buf, start, stop, heads[k])
+            bad_label = SvmlightParseError(
+                path, first_line + int(filled[k]), f"bad label {label!r}"
+            )
             break
-        row_lines.append(line_no)
-        counts.append(len(parts) - 1)
-        tokens += parts[1:]
+    n_rows = len(labels)
+    row_lines = (first_line + filled[:n_rows]).tolist()
+    end = heads[n_rows] if n_rows < heads.size else start.size
+    counts = np.diff(np.append(heads[:n_rows], end)) - 1
+    feature = np.ones(end, dtype=bool)
+    feature[heads[:n_rows]] = False
+    start, stop = start[:end][feature], stop[:end][feature]
 
-    buf, start, stop = token_buffer(tokens)
-    n = len(tokens)
-    colons = np.flatnonzero(buf == 58)  # ':'
+    n = start.size
+    # a label holding ':' is a bad label, which ends the tokens read, so
+    # every ':' before the last token's end is in a feature token
+    colons = np.flatnonzero(buf[: stop[-1] if n else 0] == 58)
     owner = np.searchsorted(stop, colons)
     colon = stop.copy()  # no colon: the whole token is the index, the value empty
     colon[owner] = colons
@@ -244,7 +258,11 @@ def _parse_block(path, lines, first_line, n_dense, index_base):
         if hits.size:
             first, kind = int(hits[0]), k
     if first < n:
-        detail = index[first] + index_base if kind == 2 else repr(tokens[first])
+        detail = (
+            index[first] + index_base
+            if kind == 2
+            else repr(token_text(buf, start, stop, first))
+        )
         raise SvmlightParseError(
             path, row_lines[row[first]], f"{_TOKEN_ERRORS[kind]} {detail}"
         )
@@ -261,7 +279,7 @@ def _parse_block(path, lines, first_line, n_dense, index_base):
         dense,
         np.bincount(row_s[sparse], minlength=len(counts)),
         index_s[sparse] - n_dense,
-    )
+    ), line_ptr.size - 1
 
 
 def _parse_floats(buf, start, stop):

@@ -72,9 +72,11 @@ def _from_counts(A, B, combine) -> np.ndarray:
         raise TypeError("sparse distances need two sparse binary matrices")
     counts_a = row_counts(A).astype(np.float64)[:, None]
     counts_b = row_counts(B).astype(np.float64)[None, :]
-    # a block peaks at 2.5-2.8 float64 (block, n_rows(B)) slabs (tracemalloc,
-    # every pair intersecting, B's column form built beforehand): the sparse
-    # product and its dense copy, plus the gathered rows of small blocks
+    # a block peaks at 2.5-2.6 float64 (block, n_rows(B)) slabs (tracemalloc,
+    # A 1000x500 and B 4000x500 at density 0.2, budgets 4 and 64 MB, B's
+    # column form built beforehand): the product kernel's output arrays,
+    # 1.5 slabs of address space of which only the pairs written are
+    # touched, the dense counts, and the gathered rows of small blocks
     budget_entries = int(_BLOCK_BUDGET_MB * 1e6 / 8.0)
     block = max(1, budget_entries // (3 * max(1, B.n_rows)))
     if block >= A.n_rows:

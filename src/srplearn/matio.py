@@ -6,12 +6,13 @@ Floats are written with 17 significant digits, which round-trips float64
 exactly, so every file re-read through this module reproduces the
 original values bit for bit.
 
-The token primitives keep Python work per line, never per token: a
-caller splits each line with ``str.split``, :func:`token_buffer` joins
-all tokens into one byte array, and :func:`parse_ints` converts fields of
-that array with whole-array numpy operations.  :func:`format_ints` and
-:func:`join_lines` are the writing direction: a whole file's bytes are
-assembled by array indexing, without a Python object per field.
+The token primitives keep Python work off the tokens: :func:`tokenize`
+finds the tokens of whole lines in their bytes, and :func:`parse_ints`
+converts fields of that byte array, both with whole-array numpy
+operations.  :func:`format_ints` and :func:`join_lines` are the writing
+direction: a whole file's bytes are assembled by array indexing, without
+a Python object per field; :func:`token_buffer` brings the few fields a
+writer formats as strings into the same byte-array form.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ __all__ = [
     "read_table_csv",
     "write_keyvalues",
     "read_keyvalues",
+    "tokenize",
+    "token_text",
     "token_buffer",
     "parse_ints",
     "format_ints",
@@ -136,10 +139,66 @@ def read_keyvalues(path: str) -> dict:
     return out
 
 
+def tokenize(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The whitespace-separated tokens of text lines, found in their bytes.
+
+    Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as in text mode.  A
+    line's first ``#`` and the rest of that line are dropped.  Tokens are
+    separated by the ASCII whitespace of ``str.split``: tab, line feed,
+    vertical tab, form feed, carriage return, the separators 0x1c-0x1f
+    and space; every other byte, any byte above 127 included, belongs to
+    a token.  Returns (buf, start, stop, line_ptr): token k is
+    ``buf[start[k]:stop[k]]``, and the tokens of line i (from 0) are
+    ``line_ptr[i]`` to ``line_ptr[i + 1] - 1``, for each of the
+    ``line_ptr.size - 1`` lines of ``data``.  ``buf`` is ``data`` with
+    every separator and dropped byte turned into a space and one space
+    appended, so each token is followed by a space and every field of a
+    token starts at a readable byte.  No Python code runs per line or
+    per token.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)
+    n = raw.size
+    newline, carriage = raw == 10, raw == 13
+    ends = newline | carriage
+    ends[:-1] &= ~(carriage[:-1] & newline[1:])  # "\r\n" ends at its "\n"
+    breaks = np.flatnonzero(ends)
+    blank = np.ones(n + 1, dtype=bool)
+    # bytes 9-13 and 28-32, by uint8 differences that wrap below 0
+    np.less(raw - np.uint8(9), 5, out=blank[:n])
+    blank[:n] |= raw - np.uint8(28) < 5
+    hashes = np.flatnonzero(raw == 35)  # '#'
+    if hashes.size:
+        line = np.searchsorted(breaks, hashes)
+        first = np.flatnonzero(np.diff(line, prepend=-1))  # each line's first '#'
+        # +1 at a comment's '#', -1 at the break (or end) that closes it
+        edges = np.zeros(n + 1, dtype=np.int8)
+        edges[hashes[first]] = 1
+        edges[np.append(breaks, n)[line[first]]] = -1
+        blank |= np.cumsum(edges, dtype=np.int8).view(bool)
+    # a blank byte b becomes b + (32 - b), a space, in uint8 arithmetic
+    buf = np.empty(n + 1, dtype=np.uint8)
+    np.multiply(blank[:n], np.uint8(32) - raw, out=buf[:n])
+    buf[:n] += raw
+    buf[n] = 32
+    # blank[n] is set, so the edges alternate start, stop, ..., stop
+    edge = np.flatnonzero(np.diff(blank, prepend=True))
+    start, stop = edge[0::2], edge[1::2]
+    if n and not ends[-1]:  # a last line without a break
+        breaks = np.append(breaks, n)
+    return buf, start, stop, np.concatenate(([0], np.searchsorted(start, breaks)))
+
+
+def token_text(buf, start, stop, k: int) -> str:
+    """Token k of (buf, start, stop) as text for a message; bytes that are
+    not UTF-8 show as ``\\xNN`` escapes."""
+    return buf[start[k] : stop[k]].tobytes().decode("utf-8", "backslashreplace")
+
+
 def token_buffer(tokens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tokens joined by single spaces as UTF-8 bytes, with each token's span.
 
-    ``tokens`` hold no whitespace (as returned by ``str.split``).  Token k
+    ``tokens`` are strings without whitespace, such as the fields a
+    writer formats one by one; files are read with :func:`tokenize`.  Token k
     is ``buf[start[k]:stop[k]]`` and ``buf[stop[k]]`` is the space after
     it: one is appended after the last token too, so every field of a
     token, empty ones included, starts at a readable byte.
@@ -156,7 +215,7 @@ def parse_ints(buf, start, stop, max_digits: int = 18) -> tuple[np.ndarray, np.n
     A field is valid when it reads ``[+-]?[0-9]{1,max_digits}`` in ASCII;
     18 digits always fit int64.  Returns (values, ok): ``values[k]`` is
     the integer of a valid field and 0 elsewhere.  Every field must start
-    at a readable byte (see :func:`token_buffer`).  The loop runs over
+    at a readable byte (see :func:`tokenize`).  The loop runs over
     digit positions, at most ``max_digits`` times, never over fields.
     """
     first = buf[start]

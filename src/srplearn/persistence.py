@@ -13,8 +13,6 @@ identically to the original.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from .elm import ElmModel, RbfModel
@@ -26,7 +24,8 @@ from .matio import (
     parse_ints,
     read_keyvalues,
     read_matrix_csv,
-    token_buffer,
+    token_text,
+    tokenize,
     write_keyvalues,
     write_matrix_csv,
 )
@@ -54,16 +53,14 @@ def _write_sparse_rows(path: str, matrix: SparseBinaryMatrix) -> None:
 
 def _read_sparse_rows(path: str, n_cols: int) -> SparseBinaryMatrix:
     """Inverse of :func:`_write_sparse_rows`; rows may list indices in any order."""
-    with open(path, "r", encoding="utf-8") as handle:
-        rows = [line.split() for line in handle]
-    tokens = list(chain.from_iterable(rows))
-    buf, start, stop = token_buffer(tokens)
+    with open(path, "rb") as handle:
+        buf, start, stop, indptr = tokenize(handle.read())
     cols, ok = parse_ints(buf, start, stop)
     if not ok.all():
-        raise ValueError(f"{path}: bad column index {tokens[int(np.argmin(ok))]!r}")
-    row = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+        bad = token_text(buf, start, stop, int(np.argmin(ok)))
+        raise ValueError(f"{path}: bad column index {bad!r}")
+    row = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
     order = np.lexsort((cols, row))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=len(rows)))))
     return SparseBinaryMatrix(indptr, cols[order], n_cols)
 
 

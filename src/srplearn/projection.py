@@ -48,7 +48,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import checks
-from .sparse import SparseBinaryMatrix, _read_only
+from .sparse import SparseBinaryMatrix, _dense_product, _read_only
 
 __all__ = [
     "SparseProjection",
@@ -335,6 +335,6 @@ def apply_projection(X, P: SparseProjection) -> np.ndarray:
     """
     if isinstance(X, SparseBinaryMatrix):
         checks.same_width(X.n_cols, P.input_dim)
-        return (X.to_scipy() @ P.to_scipy()).toarray()
+        return _dense_product(X.to_scipy(), P.to_scipy())
     X = checks.rows(X, P.input_dim)
     return np.ascontiguousarray((P.to_scipy().T @ X.T).T)

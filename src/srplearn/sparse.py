@@ -19,6 +19,24 @@ It is built the first time the matrix is the right operand of
 again and again is transposed once; a matrix that is only ever a left
 operand never holds one.  Its arrays are read-only.  Two threads may
 race to build it; both build identical arrays and either may be kept.
+
+Every sparse product in srplearn is densified at once, so
+:func:`_dense_product` skips the sizing pass of scipy's two-pass product
+(``csr_matmat_maxnnz``, which only counts the result's entries) and
+calls its numeric pass, the private ``scipy.sparse._sparsetools``
+kernel ``csr_matmat``, directly, then densifies with scipy's
+``csr_todense``.  These are the two kernels ``(a @ b).toarray()`` runs,
+on the same operands in the same order, so the result has the same
+bits; the index dtype only selects a template instance of the same
+loop.  The kernels are imported where the product is made, so a scipy
+release that moves them breaks every sparse product with an
+``ImportError`` but not ``import srplearn``; ``TestDenseProduct`` in
+``tests/test_sparse.py`` compares the two products byte for byte, so it
+fails on such a release, and on one whose kernel gives other bits.
+The kernel's output arrays are sized for all m x n pairs with
+``np.empty``, 12 bytes of address space per pair with int32 indices
+(1.5 times the dense result) and 16 with int64; only the stored pairs
+are written, so pages past them are never touched.
 """
 
 from __future__ import annotations
@@ -209,7 +227,36 @@ def sparse_gram(a: SparseBinaryMatrix, b: SparseBinaryMatrix) -> np.ndarray:
     form for later calls (see the module docstring).
     """
     checks.same_width(a.n_cols, b.n_cols)
-    return (a.to_scipy() @ b._column_form()).toarray()
+    return _dense_product(a.to_scipy(), b._column_form())
+
+
+def _dense_product(a: sp.csr_matrix, b: sp.csr_matrix) -> np.ndarray:
+    """``(a @ b).toarray()`` for two CSR matrices of one value dtype,
+    without the sizing pass or a result CSR (see the module docstring).
+
+    The kernel does not check its operands: the caller checks that
+    ``a.shape[1] == b.shape[0]``.
+    """
+    from scipy.sparse._sparsetools import csr_matmat, csr_todense
+
+    m, n = a.shape[0], b.shape[1]
+    # one index dtype for every array: the operands' widest, or int64 when
+    # the output's row pointers (up to m * n) need it
+    index = np.result_type(a.indptr, a.indices, b.indptr, b.indices)
+    if m * n >= 2**31:
+        index = np.int64
+    indptr = np.empty(m + 1, dtype=index)
+    indices = np.empty(m * n, dtype=index)
+    data = np.empty(m * n, dtype=np.result_type(a.dtype, b.dtype))
+    csr_matmat(
+        m, n,
+        a.indptr.astype(index, copy=False), a.indices.astype(index, copy=False), a.data,
+        b.indptr.astype(index, copy=False), b.indices.astype(index, copy=False), b.data,
+        indptr, indices, data,
+    )
+    out = np.zeros((m, n), dtype=data.dtype)
+    csr_todense(m, n, indptr, indices, data, out)
+    return out
 
 
 def row_counts(a: SparseBinaryMatrix) -> np.ndarray:

@@ -163,6 +163,29 @@ method.knn-srp.k = 3
                 _write(tmp_path, "out_dir = /tmp/x\ndata.kind = parquet\n")
             )
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "out_dir = /tmp/x\ndata.kind = parquet\n",
+            MINIMAL + "methods = ,\n",
+            MINIMAL + "methods = elm-srp, svm\n",
+            MINIMAL + "methods = elm-srp, elm-srp\n",
+            MINIMAL + "method.svm.C = 1\n",
+            MINIMAL + "sweep.dims = ,\n",
+            MINIMAL + "sweep.dims = 4, 4, 8\n",
+            MINIMAL + "lambda.min_exp = 5\nlambda.max_exp = -5\n",
+            NO_FEATURES,
+            "out_dir = /tmp/x\ndata.kind = svmlight\ndata.train = a.svm\n",
+            "out_dir = /tmp/x\ndata.kind = svmlight\ndata.train = a.svm\n"
+            "data.test = b.svm\ndata.train_features = f.csv\n",
+        ],
+    )
+    def test_every_error_names_the_file(self, tmp_path, text):
+        path = _write(tmp_path, text)
+        with pytest.raises(ValueError) as exc:
+            parse_config(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
     def test_bad_numeric_values(self, tmp_path):
         with pytest.raises(ValueError):
             parse_config(_write(tmp_path, MINIMAL + "n_runs = many\n"))

@@ -354,14 +354,18 @@ class TestReadMatchesPerTokenOracle:
             datasets._BLOCK_BYTES = old
 
     @pytest.mark.parametrize("block", [3, 1 << 22])
-    @pytest.mark.parametrize("bad", _BAD_TOKENS + ["1_0:1", "\u0661:1", "1:\u0661"])
+    @pytest.mark.parametrize(
+        "bad",
+        _BAD_TOKENS + ["1_0:1", "\u0661:1", "1:\u0661", "1:1\u00a02:1", "1:1\u20032:1"],
+    )
     def test_each_bad_token(self, monkeypatch, tmp_path, block, bad):
         monkeypatch.setattr(datasets, "_BLOCK_BYTES", block)
         p = tmp_path / "d.svm"
         p.write_text(f"+1 1:1 2:0.5\n# c\n-1 5:1 3:2 {bad} 9:1\n+1 1:1\n")
-        if bad in ("1_0:1", "\u0661:1", "1:\u0661"):
+        if not bad.isascii() or bad == "1_0:1":
             # Python's int() and float() accept "_" separators and non-ASCII
-            # digits; the block parse takes ASCII digits only
+            # digits, and str.split splits on non-ASCII whitespace; the block
+            # parse takes ASCII digits only and splits on ASCII whitespace
             with pytest.raises(SvmlightParseError) as exc:
                 read_svmlight(str(p))
             assert (exc.value.line_no, str(exc.value)) == (
@@ -369,6 +373,38 @@ class TestReadMatchesPerTokenOracle:
             )
         else:
             _assert_reads_like_oracle(str(p))
+
+    @pytest.mark.parametrize("block", [3, 1 << 22])
+    @pytest.mark.parametrize("label", ["\u0661", "+1\u00a01:1"])
+    def test_label_is_read_as_ascii(self, monkeypatch, tmp_path, block, label):
+        # float() of a str reads a non-ASCII digit, and str.split splits on
+        # non-ASCII whitespace; the label is read from its bytes instead
+        monkeypatch.setattr(datasets, "_BLOCK_BYTES", block)
+        p = tmp_path / "d.svm"
+        p.write_text(f"+1 1:1\n{label} 2:1\n")
+        with pytest.raises(SvmlightParseError) as exc:
+            read_svmlight(str(p))
+        assert str(exc.value) == f"{p}:2: bad label {label!r}"
+
+    @pytest.mark.parametrize("block", [3, 1 << 22])
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (b"+1 1:1\n-1 2:1 \xff3:1\n", "bad feature token '\\\\xff3:1'"),
+            (b"+1 1:1\n\xff 2:1\n", "bad label '\\\\xff'"),
+            (b"+1 1:1\n-1 2:1 3:1\xe2\x80\n", "bad feature token '3:1\\\\xe2\\\\x80'"),
+        ],
+    )
+    def test_invalid_utf8_is_a_parse_error(
+        self, monkeypatch, tmp_path, block, data, reason
+    ):
+        monkeypatch.setattr(datasets, "_BLOCK_BYTES", block)
+        p = tmp_path / "d.svm"
+        p.write_bytes(data)
+        with pytest.raises(SvmlightParseError) as exc:
+            read_svmlight(str(p))
+        assert (exc.value.path, exc.value.line_no) == (str(p), 2)
+        assert str(exc.value) == f"{p}:2: {reason}"
 
     @pytest.mark.parametrize(
         "text, line_no, reason",

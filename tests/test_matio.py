@@ -1,17 +1,56 @@
-"""Tests for CSV and key=value file round-trips."""
+"""Tests for CSV and key=value file round-trips and the byte tokenizer."""
+
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srplearn.matio import (
     format_float,
     read_keyvalues,
     read_matrix_csv,
     read_table_csv,
+    token_text,
+    tokenize,
     write_keyvalues,
     write_matrix_csv,
     write_table_csv,
 )
+
+
+def _reference_lines(data: bytes) -> list:
+    """Tokens per line, one line at a time: text-mode line ends, the
+    comment cut at the first '#', str.split's ASCII whitespace."""
+    text = data.decode("latin-1")  # one character per byte
+    lines = re.split("\r\n|\r|\n", text)
+    if lines and lines[-1] == "":
+        lines.pop()
+    blank = "[\t\n\x0b\x0c\r\x1c-\x1f ]+"
+    return [[t for t in re.split(blank, line.split("#", 1)[0]) if t] for line in lines]
+
+
+class TestTokenize:
+    _PIECES = [b"a", b"1", b":", b"#", b" ", b"\t", b"\n", b"\r", b"\r\n", b"\x0b",
+               b"\x0c", b"\x1c", b"\x1f", b"\x08", b"\x85", b"\xc2\xa0", b"\xff"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.lists(st.sampled_from(_PIECES), max_size=40).map(b"".join))
+    def test_matches_per_line_reference(self, data):
+        buf, start, stop, line_ptr = tokenize(data)
+        got = [
+            [bytes(buf[start[k] : stop[k]]) for k in range(line_ptr[i], line_ptr[i + 1])]
+            for i in range(line_ptr.size - 1)
+        ]
+        expected = [[t.encode("latin-1") for t in line] for line in _reference_lines(data)]
+        assert got == expected
+        # every token is followed by a space, as the field parsers need
+        assert np.all(buf[stop] == 32)
+
+    def test_token_text_escapes_bytes_that_are_not_utf8(self):
+        buf, start, stop, _ = tokenize(b"\xc3\xa9:1 \xff3:1\n")
+        assert [token_text(buf, start, stop, k) for k in range(2)] == ["\xe9:1", "\\xff3:1"]
 
 
 class TestMatrixCsv:

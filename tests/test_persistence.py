@@ -7,7 +7,7 @@ from srplearn.distance import KIND_JACCARD, KIND_SQEUCLIDEAN
 from srplearn.elm import RbfModel, elm_fit, model_predict, rbf_fit, rvfl_fit
 from srplearn.logreg import logreg_fit, logreg_predict
 from srplearn.matio import read_keyvalues, write_keyvalues
-from srplearn.persistence import load_model, save_model
+from srplearn.persistence import _read_sparse_rows, load_model, save_model
 from srplearn.ridge import RidgeSolution
 from srplearn.sparse import SparseBinaryMatrix
 
@@ -133,6 +133,14 @@ class TestRbfRoundTrip:
         assert back.centroids == centroids
         X_new = _random_sparse(rng, 6, 20001, 0.001)
         assert np.array_equal(model_predict(model, X_new), model_predict(back, X_new))
+
+    @pytest.mark.parametrize("line, token", [(b"3 x5", "x5"), (b"3 \xff", "\\xff")])
+    def test_bad_column_index_named(self, tmp_path, line, token):
+        path = tmp_path / "c.txt"
+        path.write_bytes(b"0 1\n\n" + line + b"\n")
+        with pytest.raises(ValueError) as exc:
+            _read_sparse_rows(str(path), 10)
+        assert str(exc.value) == f"{path}: bad column index {token!r}"
 
 
 class TestLogRegRoundTrip:

@@ -6,11 +6,14 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srplearn.projection import make_projection
 from srplearn.sparse import (
     SparseBinaryMatrix,
+    _dense_product,
     row_counts,
     sparse_gram,
 )
@@ -302,6 +305,51 @@ class TestGram:
         b = SparseBinaryMatrix.from_rows([[0]], n_cols=4)
         with pytest.raises(ValueError):
             sparse_gram(a, b)
+
+
+def _with_index_dtype(csr, dtype):
+    """``csr`` with index arrays of ``dtype``, set after construction, which
+    would narrow them."""
+    csr.indptr, csr.indices = csr.indptr.astype(dtype), csr.indices.astype(dtype)
+    return csr
+
+
+@st.composite
+def _csr_matrices(draw, n_rows, n_cols):
+    """A float64 CSR with empty rows, explicit zeros and cancelling values."""
+    rows = [
+        sorted(draw(st.sets(st.integers(0, n_cols - 1), max_size=n_cols)))
+        if n_cols else []
+        for _ in range(n_rows)
+    ]
+    value = st.sampled_from([1.0, -1.0, 0.5, -0.5, 0.0]) | st.floats(-1e6, 1e6)
+    data = [draw(value) for row in rows for _ in row]
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = [j for row in rows for j in row]
+    csr = sp.csr_matrix((np.array(data, dtype=np.float64), indices, indptr),
+                        shape=(n_rows, n_cols))
+    return _with_index_dtype(csr, draw(st.sampled_from([np.int32, np.int64])))
+
+
+class TestDenseProduct:
+    """``_dense_product`` calls scipy's private product kernel; it must give
+    the bytes of the public ``(a @ b).toarray()``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), m=st.integers(0, 6), k=st.integers(0, 6), n=st.integers(0, 6))
+    def test_matches_public_product_bytes(self, data, m, k, n):
+        a = data.draw(_csr_matrices(m, k))
+        b = data.draw(_csr_matrices(k, n))
+        got, expected = _dense_product(a, b), (a @ b).toarray()
+        assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_projection_with_wide_pattern_indices(self, dtype):
+        rng = np.random.default_rng(12)
+        x = random_binary(rng, 40, 500, 0.05).to_scipy()
+        p = _with_index_dtype(make_projection(500, 60, 0.1, 3).to_scipy(), dtype)
+        assert _dense_product(x, p).tobytes() == (x @ p).toarray().tobytes()
 
 
 class TestRowCounts:
