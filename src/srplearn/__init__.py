@@ -13,7 +13,6 @@ and a benchmark harness with deterministic CSV artifacts.
 from .datasets import (
     Dataset,
     read_svmlight,
-    subsample,
     subsample_indices,
     synth_generate,
     write_svmlight,
@@ -109,7 +108,6 @@ __all__ = [
     "solve_ridge_press",
     "sparse_gram",
     "squared_euclidean_distance_matrix",
-    "subsample",
     "subsample_indices",
     "summarize",
     "synth_generate",

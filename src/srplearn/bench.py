@@ -14,7 +14,9 @@ the files they write from its rows.
 Runs execute one after another in run order, and each derives all its
 randomness from its own seed, so the artifacts on disk are identical
 across reruns.  Wall-clock timings are inherently non-repeatable and are
-reported only in ``report.txt``, never in the CSV outputs.
+reported only in ``report.txt``, never in the CSV outputs.  So is the
+``environment:`` line naming the numpy, scipy and BLAS builds, whose
+kernels the outputs' last bits depend on.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from . import checks
 from .datasets import Dataset, read_svmlight, subsample_indices, synth_generate
@@ -343,8 +346,18 @@ def _write_csv(path, columns, rows):
     write_table_csv(path, columns, [[r[c] for c in columns] for r in rows])
 
 
+def _environment() -> str:
+    """The numpy, scipy and BLAS builds a run's numbers came from."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas.get('version', '')}".rstrip()
+    except (TypeError, KeyError):  # numpy before 1.25 prints its config only
+        blas = "unknown"
+    return f"environment: numpy {np.__version__}, scipy {scipy.__version__}, BLAS {blas}"
+
+
 def _write_report(out_dir, title, context, body):
-    lines = [title, "", *context, "", *body]
+    lines = [title, "", *context, _environment(), "", *body]
     with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 

@@ -50,7 +50,6 @@ __all__ = [
     "Dataset",
     "read_svmlight",
     "write_svmlight",
-    "subsample",
     "subsample_indices",
     "synth_generate",
 ]
@@ -347,11 +346,6 @@ def subsample_indices(n_total: int, n: int, seed: int) -> np.ndarray:
     return np.sort(rng.choice(n_total, size=n, replace=False))
 
 
-def subsample(ds: Dataset, n: int, seed: int) -> Dataset:
-    """n rows sampled without replacement, kept in original row order."""
-    return ds.take(subsample_indices(ds.n_samples, n, seed))
-
-
 def synth_generate(
     n: int,
     n_features: int,
@@ -395,6 +389,7 @@ def synth_generate(
     data_seed = derive_seed(seed, _DATA_STREAM)
     seeds = [derive_seed(data_seed, k) for k in range(len(segments))]
     mean = sum(width * float(rate.max()) for width, rate in segments)
+    col_dtype = np.int32 if n_features <= 2**31 else np.int64
     counts, cols, flips = [], [], []
     for lo, hi in _row_blocks(0, n, mean):
         (_, signal_row, _, signal_col), (_, row, _, col), (_, flip, _, _) = (
@@ -405,11 +400,14 @@ def synth_generate(
         # a stable sort keeps each row's signal columns before its background
         order = np.argsort(row, kind="stable")
         counts.append(np.bincount(row, minlength=hi - lo))
-        cols.append(np.concatenate((signal_col, col + signal_features))[order])
+        block_cols = np.concatenate((signal_col, col + signal_features))[order]
+        cols.append(block_cols.astype(col_dtype))
         flips.append(flip + lo)
     labels = true_labels.copy()
     labels[np.concatenate(flips)] *= -1
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    sparse = SparseBinaryMatrix(indptr, np.concatenate(cols), n_features)
+    indices = np.concatenate(cols)
+    del cols  # the blocks' copies go before the matrix checks its indices
+    sparse = SparseBinaryMatrix(indptr, indices, n_features)
     name = f"synth-n{n}-d{n_features}-s{signal_features}-seed{seed}"
     return Dataset(sparse, None, labels, name)

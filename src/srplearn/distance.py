@@ -2,14 +2,17 @@
 
 Every pairwise distance between rows of two sparse binary matrices is
 computed for all pairs at once from intersection counts, which come from
-one sparse matrix product per row block of A:
+one sparse matrix product, :func:`srplearn.sparse.sparse_gram`:
 
     J(a, b)    = 1 - |a & b| / (|a| + |b| - |a & b|)
     |a - b|^2  = |a| + |b| - 2 |a & b|
 
-Both sparse distances share one blocked count loop, so both stay within
-the same memory cap.  Dense rows get squared Euclidean distances from one
-matrix product.  :func:`distance_matrix` selects the distance by kind.
+The product runs in row blocks of A, sized from the one block budget of
+:mod:`srplearn.sparse`, and each block of counts is turned into
+distances in place as soon as it is complete, so the intermediates of
+either sparse distance stay within that budget beyond the result.  Dense
+rows get squared Euclidean distances from one matrix product.
+:func:`distance_matrix` selects the distance by kind.
 
 Per-pair scalar computation is deliberately not exposed; the matrix
 product route is only efficient when pairs are joined in large matrices.
@@ -32,9 +35,6 @@ __all__ = [
 KIND_JACCARD = "jaccard"
 KIND_SQEUCLIDEAN = "squared-euclidean"
 KINDS = (KIND_JACCARD, KIND_SQEUCLIDEAN)
-
-# Memory cap for the live intermediates of one block of sparse distances.
-_BLOCK_BUDGET_MB = 256.0
 
 
 class DistanceMatrix:
@@ -60,36 +60,19 @@ class DistanceMatrix:
 def _from_counts(A, B, combine) -> np.ndarray:
     """``combine(|a&b|, |a|, |b|)`` for every row a of A and row b of B.
 
-    Both operands must be sparse binary matrices of equal width.  A is
-    processed in row blocks sized from ``_BLOCK_BUDGET_MB`` so the
-    intermediates of one block stay within budget; B is never sliced, so
-    every block, and every later call with the same B, reuses the column
-    form B keeps (see :mod:`srplearn.sparse`).  The counts are exact
-    integers, so block size does not affect the result.  ``combine`` may
-    overwrite the count slab it is given.
+    Both operands must be sparse binary matrices of equal width.
+    ``combine`` rewrites one row block of counts in place, and may
+    allocate one temporary of the block's shape (see
+    :func:`srplearn.sparse._dense_product`).  B is never sliced, so every
+    block, and every later call with the same B, reuses the column form B
+    keeps (see :mod:`srplearn.sparse`).  The counts are exact integers, so
+    the blocks do not affect the result.
     """
     if not (isinstance(A, SparseBinaryMatrix) and isinstance(B, SparseBinaryMatrix)):
         raise TypeError("sparse distances need two sparse binary matrices")
     counts_a = row_counts(A).astype(np.float64)[:, None]
     counts_b = row_counts(B).astype(np.float64)[None, :]
-    # a block peaks at 2.5-2.6 float64 (block, n_rows(B)) slabs (tracemalloc,
-    # A 1000x500 and B 4000x500 at density 0.2, budgets 4 and 64 MB, B's
-    # column form built beforehand): the product kernel's output arrays,
-    # 1.5 slabs of address space of which only the pairs written are
-    # touched, the dense counts, and the gathered rows of small blocks
-    budget_entries = int(_BLOCK_BUDGET_MB * 1e6 / 8.0)
-    block = max(1, budget_entries // (3 * max(1, B.n_rows)))
-    if block >= A.n_rows:
-        # one block: its slab is the result, with no output array to copy into
-        return combine(sparse_gram(A, B), counts_a, counts_b)
-    out = np.empty((A.n_rows, B.n_rows), dtype=np.float64)
-    for start in range(0, A.n_rows, block):
-        stop = min(start + block, A.n_rows)
-        part = A.take_rows(np.arange(start, stop))
-        out[start:stop] = combine(
-            sparse_gram(part, B), counts_a[start:stop], counts_b
-        )
-    return out
+    return sparse_gram(A, B, lambda g, rows: combine(g, counts_a[rows], counts_b))
 
 
 def _jaccard(g, counts_a, counts_b):
@@ -102,7 +85,6 @@ def _jaccard(g, counts_a, counts_b):
     # union == 0 only when both rows are empty; that distance is 0.
     # An empty row against a nonempty one gives g == 0, hence distance 1.
     g[np.ix_(counts_a[:, 0] == 0, counts_b[0] == 0)] = 0.0
-    return g
 
 
 def _sqeuclidean(g, counts_a, counts_b):
@@ -110,7 +92,6 @@ def _sqeuclidean(g, counts_a, counts_b):
     g *= -2.0
     g += counts_a
     g += counts_b
-    return g
 
 
 def jaccard_distance_matrix(A: SparseBinaryMatrix, B: SparseBinaryMatrix) -> DistanceMatrix:

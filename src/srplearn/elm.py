@@ -12,8 +12,9 @@ Three hidden-layer constructions share one training path:
   also checks the operands (Jaccard needs sparse binary rows).
 
 Each model has one design function that builds H, called both by its fit
-and by :func:`model_predict`.  ELM and RVFL share one fit, ELM being an
-RVFL without the linear branch.  Only the output weights are trained;
+and by :func:`model_predict`, which scores rows in blocks so that the
+design of many rows is never held whole.  ELM and RVFL share one fit,
+ELM being an RVFL without the linear branch.  Only the output weights are trained;
 see :mod:`srplearn.ridge`.
 """
 
@@ -33,7 +34,7 @@ from .projection import (
     ternary_row,
 )
 from .ridge import RidgeSolution, default_lambda_grid, solve_ridge_press
-from .sparse import SparseBinaryMatrix
+from .sparse import SparseBinaryMatrix, _block_rows
 
 __all__ = [
     "ElmModel",
@@ -123,7 +124,7 @@ def elm_hidden(X, W: SparseProjection, bias) -> np.ndarray:
         raise ValueError("bias length must equal hidden width")
     pre = apply_projection(X, W)
     pre += bias[None, :]
-    return np.tanh(pre)
+    return np.tanh(pre, out=pre)
 
 
 def _elm_design(X, W, bias, linear_part) -> np.ndarray:
@@ -241,13 +242,44 @@ def rbf_fit(
     return RbfModel(centroids, gammas, distance_kind, solution, seed)
 
 
-def model_predict(model, X) -> np.ndarray:
-    """Real-valued scores for each row of X; class decision is sign(score)."""
+def _design(model, X) -> np.ndarray:
+    """The design of ``model`` on the rows of X."""
     if isinstance(model, ElmModel):
-        H = _elm_design(X, model.W, model.bias, model.linear_part)
-    elif isinstance(model, RbfModel):
-        d2 = _squared_distances(X, model.centroids, model.distance_kind)
-        H = _rbf_design(d2, model.gammas)
-    else:
+        return _elm_design(X, model.W, model.bias, model.linear_part)
+    d2 = _squared_distances(X, model.centroids, model.distance_kind)
+    return _rbf_design(d2, model.gammas)
+
+
+def _row_scores(H, beta) -> np.ndarray:
+    """Each row of H times the output weights, one BLAS product per row.
+
+    One product over many rows (a gemv) rounds a row differently by where
+    the row falls among the others; a product per row gives a row's score
+    from that row and ``beta`` alone, so it does not depend on the rows
+    scored with it.
+    """
+    return (H[:, None, :] @ beta)[:, 0]
+
+
+def model_predict(model, X) -> np.ndarray:
+    """Real-valued scores for each row of X; class decision is sign(score).
+
+    Rows are scored in blocks whose design fits the block budget of
+    :mod:`srplearn.sparse`, so the design of all of X is never held.  A
+    row's design and score are computed from that row alone, so the
+    blocks change no bit, except for dense rows under an RBF model, whose
+    squared distances come from one matrix product per block.
+    """
+    if not isinstance(model, (ElmModel, RbfModel)):
         raise TypeError(f"unsupported model type: {type(model).__name__}")
-    return np.asarray(H @ model.solution.beta).ravel()
+    beta = model.solution.beta
+    binary = isinstance(X, SparseBinaryMatrix)
+    n = X.n_rows if binary else len(X)
+    step = _block_rows(beta.shape[0], 8)
+    if n <= step:
+        return _row_scores(_design(model, X), beta).ravel()
+    scores = np.empty((n, beta.shape[1]), dtype=np.float64)
+    for lo in range(0, n, step):
+        block = X.take_rows(np.arange(lo, min(lo + step, n))) if binary else X[lo : lo + step]
+        scores[lo : lo + step] = _row_scores(_design(model, block), beta)
+    return scores.ravel()

@@ -8,6 +8,8 @@ leave-one-out identity of the ridge models does not apply here.
 One loop, :func:`_descend`, runs the descent for any number of
 penalties at once: tuning advances the whole grid together, sharing
 each trial's matrix products, and a single fit is its one-penalty case.
+The loss is computed at every trial point, the gradient only where the
+trial is accepted.
 """
 
 from __future__ import annotations
@@ -66,26 +68,36 @@ def _row_dots(A):
     return (A[:, None, :] @ A[:, :, None])[:, 0, 0]
 
 
-def _loss_grads(X, y, W, b, lams):
-    """Loss and gradient of one problem per row of ``W``.
+def _losses(X, y, W, b, lams):
+    """Loss of one problem per row of ``W``, and the negated margins.
 
     Row ``j`` is the weight vector of penalty ``lams[j]`` and ``b[j]`` its
     intercept.  Every row is reduced on its own (pairwise sums, one dot
     product per row), so each row of the result has the bits of the
     one-problem computation; only the matrix products group the rows.
     """
-    n = y.size
     neg_margin = -y * (W @ X.T + b[:, None])
-    loss = np.logaddexp(0.0, neg_margin).sum(axis=1) / n + 0.5 * lams * _row_dots(W)
+    loss = np.logaddexp(0.0, neg_margin).sum(axis=1) / y.size + 0.5 * lams * _row_dots(W)
+    return loss, neg_margin
+
+
+def _grads(X, y, W, lams, neg_margin):
+    """Gradient of each row's problem from its negated margins, with the
+    gradient's infinity norm and squared norm per row."""
+    n = y.size
     yp = y * expit(neg_margin)  # d loss_i / d margin_i = -p
     grad_w = (yp @ X) / -n + lams[:, None] * W
     grad_b = yp.sum(axis=1) / -n
-    return loss, grad_w, grad_b
+    norm = np.maximum(np.abs(grad_w).max(axis=1, initial=0.0), np.abs(grad_b))
+    return grad_w, grad_b, norm, _row_dots(grad_w) + grad_b * grad_b
 
 
 def _loss_grad(X, y, w, b, lam):
-    """Loss and gradient at one point: the one-row case of :func:`_loss_grads`."""
-    loss, grad_w, grad_b = _loss_grads(X, y, w[None, :], np.array([b]), np.array([lam]))
+    """Loss and gradient at one point: the one-row case of :func:`_losses`
+    and :func:`_grads`."""
+    W, lams = w[None, :], np.array([lam])
+    loss, neg_margin = _losses(X, y, W, np.array([b]), lams)
+    grad_w, grad_b, _, _ = _grads(X, y, W, lams, neg_margin)
     return float(loss[0]), grad_w[0], float(grad_b[0])
 
 
@@ -97,7 +109,8 @@ def _descend(X, y, lams, max_iter, tol):
     every rejected trial, stopping when the gradient infinity-norm drops
     below ``tol``, after ``max_iter`` accepted steps, or when the step
     falls below ``_MIN_STEP``.  The penalties still descending share each
-    trial's two matrix products.  Returns (weights (G, d), intercepts,
+    trial's loss product; the gradient, a second product, is formed only
+    at the trials that are accepted.  Returns (weights (G, d), intercepts,
     converged flags, accepted-step counts), one entry per penalty.
     """
     G = lams.size
@@ -108,14 +121,14 @@ def _descend(X, y, lams, max_iter, tol):
 
     # state of the penalties still descending, in grid order
     cols, lam, W, b = np.arange(G), lams, W_out.copy(), b_out.copy()
-    loss, grad_w, grad_b = _loss_grads(X, y, W, b, lam)
+    loss, neg_margin = _losses(X, y, W, b, lam)
+    grad_w, grad_b, grad_norm, sq = _grads(X, y, W, lam, neg_margin)
     step = np.ones(G, dtype=np.float64)
     iters = np.zeros(G, dtype=np.int64)
     while True:
         finite = np.isfinite(loss)
         if np.count_nonzero(finite) < finite.size:
             raise NumericalDivergenceError("loss is not finite", int(iters[~finite][0]))
-        grad_norm = np.maximum(np.abs(grad_w).max(axis=1, initial=0.0), np.abs(grad_b))
         conv = grad_norm < tol
         # a step below _MIN_STEP means no acceptable step remains: the
         # gradient is effectively flat
@@ -129,25 +142,24 @@ def _descend(X, y, lams, max_iter, tol):
                 return W_out, b_out, converged, iterations
             cols, lam, W, b = cols[keep], lam[keep], W[keep], b[keep]
             loss, grad_w, grad_b = loss[keep], grad_w[keep], grad_b[keep]
-            step, iters = step[keep], iters[keep]
+            grad_norm, sq, step, iters = grad_norm[keep], sq[keep], step[keep], iters[keep]
 
-        sq = _row_dots(grad_w) + grad_b * grad_b
         w_new = W - step[:, None] * grad_w
         b_new = b - step * grad_b
-        loss_new, gw_new, gb_new = _loss_grads(X, y, w_new, b_new, lam)
+        loss_new, neg_margin = _losses(X, y, w_new, b_new, lam)
         ok = loss_new <= loss - _ARMIJO_C * step * sq
         # step * 0.5 never exceeds the cap, so one minimum serves both
         step = np.minimum(step * np.where(ok, 2.0, 0.5), 1e6)
         iters = iters + ok
         accepted = np.count_nonzero(ok)
         if accepted == ok.size:
-            W, b, loss, grad_w, grad_b = w_new, b_new, loss_new, gw_new, gb_new
+            W, b, loss = w_new, b_new, loss_new
+            grad_w, grad_b, grad_norm, sq = _grads(X, y, W, lam, neg_margin)
         elif accepted:
-            W = np.where(ok[:, None], w_new, W)
-            grad_w = np.where(ok[:, None], gw_new, grad_w)
-            b = np.where(ok, b_new, b)
-            loss = np.where(ok, loss_new, loss)
-            grad_b = np.where(ok, gb_new, grad_b)
+            W[ok], b[ok], loss[ok] = w_new[ok], b_new[ok], loss_new[ok]
+            grad_w[ok], grad_b[ok], grad_norm[ok], sq[ok] = _grads(
+                X, y, W[ok], lam[ok], neg_margin[ok]
+            )
 
 
 def logreg_fit(

@@ -335,6 +335,6 @@ def apply_projection(X, P: SparseProjection) -> np.ndarray:
     """
     if isinstance(X, SparseBinaryMatrix):
         checks.same_width(X.n_cols, P.input_dim)
-        return _dense_product(X.to_scipy(), P.to_scipy())
+        return _dense_product(X, P.to_scipy())
     X = checks.rows(X, P.input_dim)
     return np.ascontiguousarray((P.to_scipy().T @ X.T).T)

@@ -26,17 +26,28 @@ Every sparse product in srplearn is densified at once, so
 calls its numeric pass, the private ``scipy.sparse._sparsetools``
 kernel ``csr_matmat``, directly, then densifies with scipy's
 ``csr_todense``.  These are the two kernels ``(a @ b).toarray()`` runs,
-on the same operands in the same order, so the result has the same
-bits; the index dtype only selects a template instance of the same
-loop.  The kernels are imported where the product is made, so a scipy
-release that moves them breaks every sparse product with an
+in the same order, and the index dtype only selects a template instance
+of the same loop.  The kernels are imported where the product is made,
+so a scipy release that moves them breaks every sparse product with an
 ``ImportError`` but not ``import srplearn``; ``TestDenseProduct`` in
 ``tests/test_sparse.py`` compares the two products byte for byte, so it
 fails on such a release, and on one whose kernel gives other bits.
-The kernel's output arrays are sized for all m x n pairs with
-``np.empty``, 12 bytes of address space per pair with int32 indices
-(1.5 times the dense result) and 16 with int64; only the stored pairs
-are written, so pages past them are never touched.
+
+The product runs in row blocks of its left operand, one loop for every
+product in srplearn.  The kernel builds each output row from its own
+left row only (Gustavson's row-wise product), so a block's rows have
+the bits of the whole product's.  Each block is multiplied into scratch
+index and value arrays, sized once for a block's rows x n pairs and
+reused, and densified into its rows of the result; the left operand,
+always a :class:`SparseBinaryMatrix`, gets its float64 ones one block
+at a time.  A block's rows are
+sized from ``_BLOCK_BUDGET_MB`` for three 8-byte slabs: the kernel's
+two output arrays (1.5 slabs with int32 indices, 2 with int64) and one
+temporary of the optional per-block ``combine``, which the distances of
+:mod:`srplearn.distance` use to turn counts into distances while the
+block is small.  So a product holds its dense result plus at most one
+budget, whatever its shape; a row too wide for the budget is a block of
+its own.
 """
 
 from __future__ import annotations
@@ -53,6 +64,10 @@ __all__ = [
     "sparse_gram",
     "row_counts",
 ]
+
+# Memory budget of one row block: a sparse product's scratch arrays and
+# its combine's temporary, or one block of a model's prediction design
+_BLOCK_BUDGET_MB = 4.0
 
 
 def _index_array(values) -> np.ndarray:
@@ -219,43 +234,63 @@ def _transpose(m: SparseBinaryMatrix) -> sp.csr_matrix:
     )
 
 
-def sparse_gram(a: SparseBinaryMatrix, b: SparseBinaryMatrix) -> np.ndarray:
+def sparse_gram(a: SparseBinaryMatrix, b: SparseBinaryMatrix, combine=None) -> np.ndarray:
     """Pairwise intersection sizes between the rows of two binary matrices.
 
     Returns a dense (a.n_rows, b.n_rows) float64 matrix whose (i, j) entry
-    is the exact integer ``|row_i(a) & row_j(b)|``.  ``b`` keeps its column
-    form for later calls (see the module docstring).
+    is the exact integer ``|row_i(a) & row_j(b)|``, each row block passed
+    through ``combine`` when given (see :func:`_dense_product`).  ``b``
+    keeps its column form for later calls (see the module docstring).
     """
     checks.same_width(a.n_cols, b.n_cols)
-    return _dense_product(a.to_scipy(), b._column_form())
+    return _dense_product(a, b._column_form(), combine)
 
 
-def _dense_product(a: sp.csr_matrix, b: sp.csr_matrix) -> np.ndarray:
-    """``(a @ b).toarray()`` for two CSR matrices of one value dtype,
-    without the sizing pass or a result CSR (see the module docstring).
+def _block_rows(width: int, entry_bytes: int) -> int:
+    """Rows of a block whose rows hold ``width`` entries of ``entry_bytes``
+    bytes each, within ``_BLOCK_BUDGET_MB``; at least one."""
+    return max(1, int(_BLOCK_BUDGET_MB * 1e6) // (entry_bytes * max(1, width)))
+
+
+def _dense_product(a: SparseBinaryMatrix, b: sp.csr_matrix, combine=None) -> np.ndarray:
+    """``(a.to_scipy() @ b).toarray()`` in row blocks of ``a``, without the
+    sizing pass or a result CSR (see the module docstring).
+
+    ``b`` is a float64 CSR matrix.  When given, ``combine(block, rows)``
+    is called on each finished block, the rows ``rows`` (a slice) of the
+    result, and rewrites it in place; it may allocate one float64
+    temporary of the block's shape.
 
     The kernel does not check its operands: the caller checks that
-    ``a.shape[1] == b.shape[0]``.
+    ``a.n_cols == b.shape[0]``.
     """
     from scipy.sparse._sparsetools import csr_matmat, csr_todense
 
-    m, n = a.shape[0], b.shape[1]
+    m, n = a.n_rows, b.shape[1]
+    rows = min(max(m, 1), _block_rows(n, 24))
     # one index dtype for every array: the operands' widest, or int64 when
-    # the output's row pointers (up to m * n) need it
-    index = np.result_type(a.indptr, a.indices, b.indptr, b.indices)
-    if m * n >= 2**31:
+    # a block's output row pointers (up to rows * n) need it
+    index = np.result_type(a.indptr, b.indptr, b.indices)
+    if rows * n >= 2**31:
         index = np.int64
-    indptr = np.empty(m + 1, dtype=index)
-    indices = np.empty(m * n, dtype=index)
-    data = np.empty(m * n, dtype=np.result_type(a.dtype, b.dtype))
-    csr_matmat(
-        m, n,
-        a.indptr.astype(index, copy=False), a.indices.astype(index, copy=False), a.data,
-        b.indptr.astype(index, copy=False), b.indices.astype(index, copy=False), b.data,
-        indptr, indices, data,
-    )
-    out = np.zeros((m, n), dtype=data.dtype)
-    csr_todense(m, n, indptr, indices, data, out)
+    b_indptr, b_indices = (x.astype(index, copy=False) for x in (b.indptr, b.indices))
+    indptr = np.empty(rows + 1, dtype=index)
+    indices = np.empty(rows * n, dtype=index)
+    data = np.empty(rows * n, dtype=np.float64)
+    out = np.zeros((m, n), dtype=np.float64)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        start, stop = a.indptr[lo], a.indptr[hi]
+        csr_matmat(
+            hi - lo, n,
+            (a.indptr[lo : hi + 1] - start).astype(index, copy=False),
+            a.indices[start:stop].astype(index, copy=False), np.ones(stop - start),
+            b_indptr, b_indices, b.data,
+            indptr, indices, data,
+        )
+        csr_todense(hi - lo, n, indptr, indices, data, out[lo:hi])
+        if combine is not None:
+            combine(out[lo:hi], slice(lo, hi))
     return out
 
 

@@ -415,7 +415,7 @@ def test_criterion_11_url_data_holdout():
     root = os.environ.get("SRPLEARN_URL_DATA")
     if not root:
         pytest.skip("URL dataset not supplied (set SRPLEARN_URL_DATA)")
-    from srplearn.datasets import read_svmlight, subsample
+    from srplearn.datasets import read_svmlight, subsample_indices
     from srplearn.elm import elm_fit, model_predict
 
     train_path = os.path.join(root, "Day119.svm")
@@ -432,7 +432,7 @@ def test_criterion_11_url_data_holdout():
     test = Dataset(
         test.sparse.widen(width), test.dense, test.labels, test.name
     )
-    train = subsample(train_full, 1000, seed=0)
+    train = train_full.take(subsample_indices(train_full.n_samples, 1000, seed=0))
     model = elm_fit(train.sparse, train.labels.astype(float), 5000, seed=0)
     auc = roc_auc(model_predict(model, test.sparse), test.labels)
     _report(11, 0.97 <= auc <= 1.0, f"day-120 holdout auc {auc:.4f}")

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy
 
 from srplearn import bench
 from srplearn.bench import cmd_bench, cmd_sweep
@@ -74,6 +75,16 @@ class TestBench:
         assert "\ndata: synth-n230-d1500-s100-seed5 (pool=150, test=80," in (
             (out / "report.txt").read_text()
         )
+
+    def test_report_names_its_environment(self, tmp_path):
+        # not compared across reruns: it names the libraries, not the results
+        cmd_bench(parse_config(_bench_cfg(tmp_path, "env", extra="n_runs = 1\n")))
+        lines = (tmp_path / "env" / "report.txt").read_text().splitlines()
+        env = [line for line in lines if line.startswith("environment: ")]
+        assert len(env) == 1
+        libraries = f"environment: numpy {np.__version__}, scipy {scipy.__version__}, "
+        assert env[0].startswith(libraries + "BLAS ")
+        assert len(env[0]) > len(libraries + "BLAS ")
 
     def test_report_names_configured_data(self, tmp_path):
         cfg = parse_config(

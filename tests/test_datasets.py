@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from srplearn import datasets, projection
 from srplearn.datasets import (
     Dataset,
     read_svmlight,
-    subsample,
     subsample_indices,
     synth_generate,
     write_svmlight,
@@ -587,7 +587,7 @@ class TestSubsample:
 
     def test_subsample_dataset(self):
         ds = synth_generate(40, 200, 0.05, 20, 0.0, seed=3)
-        sub = subsample(ds, 15, seed=9)
+        sub = ds.take(subsample_indices(ds.n_samples, 15, seed=9))
         assert sub.n_samples == 15
         idx = subsample_indices(40, 15, seed=9)
         assert np.array_equal(sub.labels, ds.labels[idx])
@@ -679,6 +679,20 @@ class TestSynthGenerate:
             rows, labels = _reference_synth(n, n_features, density, signal, flip, seed)
             assert ds.sparse == rows
             assert np.array_equal(ds.labels, labels)
+
+    def test_generation_stays_within_block_budget(self):
+        # each block's columns are staged in the output's index dtype and
+        # the staged list is gone before the matrix checks its indices;
+        # int64 staging and a concatenated int64 copy took about 20 slabs
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ds = synth_generate(3000, 20000, 0.03, 500, 0.05, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = ds.sparse.indptr.nbytes + ds.sparse.indices.nbytes + ds.labels.nbytes
+        assert peak - before - output <= 8 * projection._BLOCK_DRAWS * 8
 
     def test_rows_independent_of_row_count(self):
         # row i depends only on (seed, i), so a shorter run is a prefix

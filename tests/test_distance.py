@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from srplearn import distance
+from srplearn import distance, sparse
 from srplearn.distance import (
     KIND_JACCARD,
     KIND_SQEUCLIDEAN,
@@ -106,16 +106,19 @@ def test_block_size_does_not_change_values(monkeypatch, pairwise):
     rng = np.random.default_rng(10)
     A = _random_sparse(rng, 40, 60, 0.1)
     B = _random_sparse(rng, 35, 60, 0.1)
-    monkeypatch.setattr(distance, "_BLOCK_BUDGET_MB", 1024.0)
+    monkeypatch.setattr(sparse, "_BLOCK_BUDGET_MB", 1024.0)
     full = pairwise(A, B).values
-    # budget small enough to split A into blocks: 1250 entries over 3 slabs
-    # of B's 35 columns is 11 rows, so 4 blocks of A, the last one shorter
-    monkeypatch.setattr(distance, "_BLOCK_BUDGET_MB", 0.01)
+    # budget small enough to split A into blocks: 10000 bytes over three
+    # 8-byte slabs of B's 35 columns is 11 rows, so 4 blocks of A, the
+    # last one shorter
+    monkeypatch.setattr(sparse, "_BLOCK_BUDGET_MB", 0.01)
     blocks = []
-    gram = distance.sparse_gram
-    monkeypatch.setattr(
-        distance, "sparse_gram", lambda a, b: blocks.append(a.n_rows) or gram(a, b)
-    )
+    for name in ("_jaccard", "_sqeuclidean"):
+        combine = getattr(distance, name)
+        monkeypatch.setattr(
+            distance, name,
+            lambda g, a, b, combine=combine: blocks.append(g.shape[0]) or combine(g, a, b),
+        )
     tiny = pairwise(A, B).values
     assert blocks == [11, 11, 11, 7]
     assert np.array_equal(full, tiny)
@@ -135,7 +138,7 @@ def test_blocks_stay_within_budget(monkeypatch, pairwise):
     kept = columns.data.nbytes + columns.indices.nbytes
     assert kept <= 12 * B.nnz
     assert columns.indptr.nbytes <= 8 * (B.n_cols + 1)
-    monkeypatch.setattr(distance, "_BLOCK_BUDGET_MB", 4.0)
+    monkeypatch.setattr(sparse, "_BLOCK_BUDGET_MB", 4.0)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -1,10 +1,12 @@
 """Tests for ELM, RVFL, and RBF random feature models."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from srplearn import sparse
 from srplearn.distance import KIND_JACCARD, KIND_SQEUCLIDEAN
 from srplearn.elm import (
     ElmModel,
@@ -129,7 +131,7 @@ class TestElmFit:
             [model_predict(model, X.take_rows(np.arange(0, 25))),
              model_predict(model, X.take_rows(np.arange(25, 50)))]
         )
-        assert np.allclose(full, parts, atol=1e-10)
+        assert full.tobytes() == parts.tobytes()
 
 
 class TestBiasDerived:
@@ -297,3 +299,49 @@ class TestRbf:
         h_near = np.exp(-gamma * _squared_distances(near, centroid, KIND_SQEUCLIDEAN))
         h_far = np.exp(-gamma * _squared_distances(far, centroid, KIND_SQEUCLIDEAN))
         assert h_near > h_far
+
+
+class TestBlockedPrediction:
+    """``model_predict`` scores rows in blocks sized from the block budget."""
+
+    @staticmethod
+    def _models(rng):
+        X, y = _separable_data(rng, 60)
+        F = rng.standard_normal((60, 30))
+        return [
+            (elm_fit(X, y, 24, seed=1), X),
+            (rvfl_fit(X, y, 16, seed=2), X),
+            (rbf_fit(X, y, 20, KIND_JACCARD, seed=3), X),
+            (rbf_fit(X, y, 20, KIND_SQEUCLIDEAN, seed=4), X),
+            (elm_fit(F, y, 24, seed=5), F),
+            (rvfl_fit(F, y, 16, seed=6), F),
+        ]
+
+    @pytest.mark.parametrize("per_block", [1, 7])
+    def test_blocks_change_no_bit(self, monkeypatch, per_block):
+        # single rows, then blocks of 7 rows ending in a shorter one
+        rng = np.random.default_rng(40)
+        for model, X in self._models(rng):
+            width = model.solution.beta.shape[0]
+            one_block = model_predict(model, X)
+            monkeypatch.setattr(sparse, "_BLOCK_BUDGET_MB", (per_block + 0.5) * 8 * width / 1e6)
+            blocked = model_predict(model, X)
+            monkeypatch.undo()
+            assert blocked.tobytes() == one_block.tobytes()
+
+    def test_elm_holds_one_design_block(self):
+        # 2000 rows at width 1000 are a 16 MB design; one 4 MB block of it
+        # is held, with the product that builds it holding one more budget
+        rng = np.random.default_rng(41)
+        X_fit, y = _separable_data(rng, 100, n_cols=2000)
+        X = _random_sparse(rng, 2000, 2000, 0.01)
+        model = elm_fit(X_fit, y, 1000, seed=8)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            scores = model_predict(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scores.shape == (2000,)
+        assert peak - before - scores.nbytes <= 2 * sparse._BLOCK_BUDGET_MB * 1e6

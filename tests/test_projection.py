@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srplearn import projection
+from srplearn import projection, sparse
 from srplearn.projection import (
     SparseProjection,
     apply_projection,
@@ -252,6 +252,22 @@ def test_generation_stays_within_block_budget():
     # at most three 8-byte slabs of one block's draws beyond the output;
     # drawing every row at once needs about 49 MB at this shape
     assert peak - before - output <= 3 * projection._BLOCK_DRAWS * 8
+
+
+def test_apply_stays_within_one_block():
+    # the product holds its result plus one row block's scratch arrays
+    # and ones; in one piece it held 2.5 result slabs
+    rng = np.random.default_rng(31)
+    X = _random_sparse(rng, 1000, 20000, 0.01)
+    P = make_projection(20000, 2000, seed=1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = apply_projection(X, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before - out.nbytes <= sparse._BLOCK_BUDGET_MB * 1e6
 
 
 class TestDeriveSeed:

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srplearn import sparse
 from srplearn.projection import make_projection
 from srplearn.sparse import (
     SparseBinaryMatrix,
@@ -331,25 +332,48 @@ def _csr_matrices(draw, n_rows, n_cols):
     return _with_index_dtype(csr, draw(st.sampled_from([np.int32, np.int64])))
 
 
+def _pattern(csr):
+    """The nonzero pattern of ``csr`` as a binary matrix."""
+    return SparseBinaryMatrix(csr.indptr, csr.indices, csr.shape[1])
+
+
 class TestDenseProduct:
     """``_dense_product`` calls scipy's private product kernel; it must give
-    the bytes of the public ``(a @ b).toarray()``."""
+    the bytes of the public ``(a.to_scipy() @ b).toarray()``."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), m=st.integers(0, 6), k=st.integers(0, 6), n=st.integers(0, 6))
     def test_matches_public_product_bytes(self, data, m, k, n):
-        a = data.draw(_csr_matrices(m, k))
+        a = _pattern(data.draw(_csr_matrices(m, k)))
         b = data.draw(_csr_matrices(k, n))
-        got, expected = _dense_product(a, b), (a @ b).toarray()
+        got, expected = _dense_product(a, b), (a.to_scipy() @ b).toarray()
         assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
         assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), m=st.integers(0, 7), k=st.integers(0, 6), n=st.integers(0, 6),
+           per_block=st.integers(1, 3))
+    def test_row_blocks_keep_public_product_bytes(self, data, m, k, n, per_block):
+        # a budget of ``per_block`` rows of three 8-byte slabs, so the
+        # blocks are single rows, or end in a shorter block; rows may be
+        # empty, and m or n may be 0
+        a = _pattern(data.draw(_csr_matrices(m, k)))
+        b = data.draw(_csr_matrices(k, n))
+        blocks = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sparse, "_BLOCK_BUDGET_MB", (per_block + 0.5) * 24 * max(1, n) / 1e6)
+            got = _dense_product(a, b, lambda block, rows: blocks.append(rows))
+        expected = (a.to_scipy() @ b).toarray()
+        assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
+        assert got.tobytes() == expected.tobytes()
+        assert blocks == [slice(lo, min(lo + per_block, m)) for lo in range(0, m, per_block)]
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     def test_projection_with_wide_pattern_indices(self, dtype):
         rng = np.random.default_rng(12)
-        x = random_binary(rng, 40, 500, 0.05).to_scipy()
+        x = random_binary(rng, 40, 500, 0.05)
         p = _with_index_dtype(make_projection(500, 60, 0.1, 3).to_scipy(), dtype)
-        assert _dense_product(x, p).tobytes() == (x @ p).toarray().tobytes()
+        assert _dense_product(x, p).tobytes() == (x.to_scipy() @ p).toarray().tobytes()
 
 
 class TestRowCounts:
