@@ -225,17 +225,20 @@ def _build_features(cfg, pool, test, dim, external):
 
 
 def _tune_logreg(cfg, pool, F_pool, grid):
-    """Penalty chosen once on the tuning subsample (seed base_seed - 1)."""
+    """Penalty chosen once on the tuning subsample (seed base_seed - 1),
+    and the number of the grid's penalties whose descent converged."""
     tune_seed = cfg.base_seed - 1
     idx = subsample_indices(pool.n_samples, cfg.n_train, tune_seed)
+    converged = np.zeros(len(grid), dtype=bool)
     lam, _ = logreg_select_lambda(
         F_pool[idx],
         pool.labels[idx].astype(np.float64),
         grid,
         seed=tune_seed,
+        converged=converged,
         **cfg.method_params.get("logreg-srp", {}),
     )
-    return lam
+    return lam, int(np.count_nonzero(converged))
 
 
 def _run_block(cfg, pool, test, F_pool, F_test, methods, grid, logreg_lambda,
@@ -326,7 +329,7 @@ def _evaluate(cfg: RunConfig, sweep: bool):
             context.append(f"dim {dim}: {note}")
         logreg_lambda = None
         if "logreg-srp" in methods:
-            logreg_lambda = _tune_logreg(cfg, pool, F_pool, grid)
+            logreg_lambda, n_converged = _tune_logreg(cfg, pool, F_pool, grid)
             edge = ""
             if logreg_lambda == grid[0]:
                 edge = " (bottom edge of the grid)"
@@ -334,7 +337,8 @@ def _evaluate(cfg: RunConfig, sweep: bool):
                 edge = " (top edge of the grid)"
             context.append(
                 f"dim {dim}: logreg lambda={logreg_lambda:.6g}{edge}, tuned on "
-                f"subsample seed {cfg.base_seed - 1}"
+                f"subsample seed {cfg.base_seed - 1}; descent converged for "
+                f"{n_converged}/{len(grid)} penalties"
             )
         block = _run_block(cfg, pool, test, F_pool, F_test, methods, grid,
                            logreg_lambda, dim if sweep else None)

@@ -68,6 +68,8 @@ __all__ = [
 # Memory budget of one row block: a sparse product's scratch arrays and
 # its combine's temporary, or one block of a model's prediction design
 _BLOCK_BUDGET_MB = 4.0
+# counts and indices from here up need int64 index arrays
+_INT32_BOUND = 2**31
 
 
 def _index_array(values) -> np.ndarray:
@@ -117,18 +119,19 @@ class SparseBinaryMatrix:
         if indices.size:
             if indices.min() < 0 or indices.max() >= n_cols:
                 raise ValueError("column indices must lie in [0, n_cols)")
-            # strictly increasing inside every row: the only places where
-            # consecutive stored indices may not increase are row boundaries
-            non_increasing = np.flatnonzero(np.diff(indices) <= 0) + 1
-            if non_increasing.size and not np.all(
-                np.isin(non_increasing, indptr[1:-1])
-            ):
+            # strictly increasing inside every row: pair k compares entries
+            # k and k + 1, and only the pairs that straddle a row boundary
+            # (inside the array, so not at 0 or nnz) may fail to increase
+            bad = indices[1:] <= indices[:-1]
+            starts = indptr[1:-1]
+            bad[starts[(starts > 0) & (starts < indices.size)] - 1] = False
+            if bad.any():
                 raise ValueError(
                     "row indices must be strictly increasing (duplicates are "
                     "rejected, not merged)"
                 )
         # narrowed only after the checks, so no out-of-range value wraps
-        fits = max(indptr.size - 1, n_cols, indices.size) < 2**31
+        fits = max(indptr.size - 1, n_cols, indices.size) < _INT32_BOUND
         dtype = np.int32 if fits else np.int64
         object.__setattr__(self, "n_rows", int(indptr.size - 1))
         object.__setattr__(self, "n_cols", int(n_cols))
@@ -271,7 +274,7 @@ def _dense_product(a: SparseBinaryMatrix, b: sp.csr_matrix, combine=None) -> np.
     # one index dtype for every array: the operands' widest, or int64 when
     # a block's output row pointers (up to rows * n) need it
     index = np.result_type(a.indptr, b.indptr, b.indices)
-    if rows * n >= 2**31:
+    if rows * n >= _INT32_BOUND:
         index = np.int64
     b_indptr, b_indices = (x.astype(index, copy=False) for x in (b.indptr, b.indices))
     indptr = np.empty(rows + 1, dtype=index)

@@ -166,7 +166,29 @@ method.logreg-srp.max_iter = 40
         )
         cmd_bench(parse_config(_bench_cfg(tmp_path, extra=extra)))
         lines = (tmp_path / "out" / "report.txt").read_text().splitlines()
-        assert f"dim 40: logreg lambda={2.0**exp:.6g}{note}, tuned on subsample seed 4" in lines
+        # the stand-in sets no convergence flag
+        assert (
+            f"dim 40: logreg lambda={2.0**exp:.6g}{note}, tuned on subsample seed 4; "
+            "descent converged for 0/7 penalties"
+        ) in lines
+
+    def test_report_counts_converged_tuning_descents(self, tmp_path, monkeypatch):
+        select = bench.logreg_select_lambda
+        flags = []
+
+        def recording(*args, converged, **kwargs):
+            result = select(*args, converged=converged, **kwargs)
+            flags.append(converged.copy())
+            return result
+
+        monkeypatch.setattr(bench, "logreg_select_lambda", recording)
+        extra = "methods = logreg-srp\nn_runs = 1\nmethod.logreg-srp.max_iter = 20"
+        cmd_bench(parse_config(_bench_cfg(tmp_path, extra=extra)))
+        (converged,) = flags
+        # a cap of 20 steps leaves some of the 41 penalties unconverged
+        assert converged.size == 41 and 0 < np.count_nonzero(converged) < 41
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert f"; descent converged for {np.count_nonzero(converged)}/41 penalties\n" in report
 
     def test_timings_never_in_csv(self, tmp_path):
         cfg = parse_config(_bench_cfg(tmp_path, "not"))

@@ -162,9 +162,22 @@ class TestDescend:
         X, y = _make_problem(rng, n=80, p=6, noise=1.5)
         grid = np.array([0.0, 2.0**-8, 2.0**-2, 1.0, 2.0**4, 2.0**8])
         converged, iterations = self._assert_columns_match_fits(X, y, grid, 60, 1e-6)
-        # lambda = 0 converges; the stiff large penalties stop at the cap
-        assert np.all(converged[:4])
-        assert not np.any(converged[4:]) and np.all(iterations[4:] == 60)
+        # with the weights' step scaled by 1 / (1 + 3 lambda), the large
+        # penalties converge within the cap too, not only lambda <= 1
+        assert np.all(converged) and np.all(iterations < 60)
+
+    def test_converged_columns_are_stationary(self):
+        # converged means a gradient below tol at the returned point,
+        # recomputed here by the one-problem loss and gradient
+        rng = np.random.default_rng(14)
+        X, y = _make_problem(rng, n=80, p=6, noise=1.5)
+        grid = 2.0 ** np.arange(-8, 21)
+        tol = 1e-6
+        W, b, converged, _ = _descend(X, y, grid, 200, tol)
+        assert np.count_nonzero(converged) >= grid.size // 2
+        for j in np.flatnonzero(converged):
+            _, grad_w, grad_b = _loss_grad(X, y, W[j], b[j], grid[j])
+            assert max(np.max(np.abs(grad_w)), abs(grad_b)) < tol
 
     def test_columns_converged_at_the_start(self):
         # the gradient at the zero start does not depend on the penalty, so
@@ -231,6 +244,22 @@ class TestSelectLambda:
         lam2, l2 = logreg_select_lambda(X, y, grid, seed=5)
         assert lam1 == lam2
         assert np.array_equal(l1, l2)
+
+    def test_converged_flags_are_the_descents(self):
+        rng = np.random.default_rng(15)
+        X, y = _make_problem(rng, n=100, p=5, noise=0.5)
+        grid = 2.0 ** np.arange(-8, 21, 4)
+        converged = np.zeros(grid.size, dtype=bool)
+        lam, losses = logreg_select_lambda(X, y, grid, seed=3, max_iter=30,
+                                           converged=converged)
+        # the same split as the selection: 20 of 100 rows held out
+        train = np.random.default_rng(3).permutation(100)[20:]
+        _, _, expected, _ = _descend(X[train], y[train], grid, 30, 1e-6)
+        assert np.array_equal(converged, expected)
+        assert 0 < np.count_nonzero(converged) < grid.size
+        # the flags are an extra output: the selection itself is unchanged
+        plain_lam, plain_losses = logreg_select_lambda(X, y, grid, seed=3, max_iter=30)
+        assert lam == plain_lam and np.array_equal(losses, plain_losses)
 
     def test_tie_prefers_larger_lambda(self):
         # constant features make every lambda fit the same trivial model

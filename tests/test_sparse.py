@@ -3,10 +3,12 @@
 import collections.abc
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,6 +92,46 @@ class TestConstruction:
         m = SparseBinaryMatrix([0, 2, 4], [1, 3, 1, 3], n_cols=5)
         assert m.row(0).tolist() == [1, 3]
         assert m.row(1).tolist() == [1, 3]
+
+    def test_row_boundary_decrease_allowed(self):
+        # a row may start below where the previous one ended, also across
+        # an empty row
+        m = SparseBinaryMatrix([0, 2, 3, 3, 5], [3, 5, 1, 0, 2], n_cols=6)
+        assert row_sets(m) == [{3, 5}, {1}, set(), {0, 2}]
+
+    @pytest.mark.parametrize("pair", [[2, 2], [4, 1]], ids=["duplicate", "decrease"])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [None, [1, 3], [2]],
+            [[0, 4], [1], None],
+            [[0, 4], [], [], None, [1]],
+            [[], None, []],
+        ],
+        ids=["first row", "last row", "after empty rows", "between empty rows"],
+    )
+    def test_order_checked_in_every_row(self, rows, pair):
+        rows = [pair if r is None else r for r in rows]
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        indices = [j for r in rows for j in r]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SparseBinaryMatrix(indptr, indices, n_cols=5)
+
+    def test_order_check_allocates_one_byte_per_entry(self):
+        # one boolean per consecutive pair, plus row-sized arrays; a
+        # difference array, its mask, flatnonzero and isin took about five
+        # bytes per int32 entry
+        n_rows, per_row = 1000, 1000
+        indices = np.tile(np.arange(0, 2 * per_row, 2, dtype=np.int32), n_rows)
+        indptr = np.arange(0, indices.size + 1, per_row, dtype=np.int32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            SparseBinaryMatrix(indptr, indices, 2 * per_row)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 1.1 * indices.size
 
     def test_take_rows(self):
         m = SparseBinaryMatrix.from_rows([[0], [1, 2], [3]], n_cols=4)
@@ -374,6 +416,25 @@ class TestDenseProduct:
         x = random_binary(rng, 40, 500, 0.05)
         p = _with_index_dtype(make_projection(500, 60, 0.1, 3).to_scipy(), dtype)
         assert _dense_product(x, p).tobytes() == (x.to_scipy() @ p).toarray().tobytes()
+
+    def test_int64_scratch_from_the_int32_bound(self, monkeypatch):
+        # a block's output row pointers reach its rows * n; from
+        # _INT32_BOUND on, every index array the kernel sees is int64
+        rng = np.random.default_rng(13)
+        a = random_binary(rng, 30, 50, 0.2)
+        b = make_projection(50, 40, 0.2, 1).to_scipy()
+        expected = (a.to_scipy() @ b).toarray()
+        kernel, seen = _sparsetools.csr_matmat, []
+
+        def recording(*args):
+            seen.append({x.dtype for x in args[2:] if x.dtype.kind == "i"})
+            return kernel(*args)
+
+        monkeypatch.setattr(_sparsetools, "csr_matmat", recording)
+        assert _dense_product(a, b).tobytes() == expected.tobytes()
+        monkeypatch.setattr(sparse, "_INT32_BOUND", 30 * 40)  # one block of 30 rows
+        assert _dense_product(a, b).tobytes() == expected.tobytes()
+        assert seen == [{np.dtype(np.int32)}, {np.dtype(np.int64)}]
 
 
 class TestRowCounts:
