@@ -25,6 +25,7 @@ import os
 import time
 import warnings
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,7 +227,8 @@ def _build_features(cfg, pool, test, dim, external):
 
 def _tune_logreg(cfg, pool, F_pool, grid):
     """Penalty chosen once on the tuning subsample (seed base_seed - 1),
-    and the number of the grid's penalties whose descent converged."""
+    the number of the grid's penalties whose descent converged, and
+    whether the chosen penalty's did."""
     tune_seed = cfg.base_seed - 1
     idx = subsample_indices(pool.n_samples, cfg.n_train, tune_seed)
     converged = np.zeros(len(grid), dtype=bool)
@@ -238,12 +240,16 @@ def _tune_logreg(cfg, pool, F_pool, grid):
         converged=converged,
         **cfg.method_params.get("logreg-srp", {}),
     )
-    return lam, int(np.count_nonzero(converged))
+    return lam, int(np.count_nonzero(converged)), bool(converged[grid == lam][0])
 
 
 def _run_block(cfg, pool, test, F_pool, F_test, methods, grid, logreg_lambda,
                width_override):
-    """Execute all runs for one feature configuration; rows in run order."""
+    """Execute all runs for one feature configuration; rows in run order.
+
+    A row's ``constant`` says whether every score of the run was equal; it
+    is reported, not written to the CSVs.
+    """
     rows = []
     for run_index in range(cfg.n_runs):
         run_seed = cfg.base_seed + run_index
@@ -272,6 +278,7 @@ def _run_block(cfg, pool, test, F_pool, F_test, methods, grid, logreg_lambda,
                     "iterations": iters,
                     "converged": int(conv),
                     "error": "",
+                    "constant": bool(np.all(scores == scores[:1])),
                 }
             except (ValueError, DegenerateFitError, NumericalDivergenceError,
                     np.linalg.LinAlgError) as exc:
@@ -287,6 +294,7 @@ def _run_block(cfg, pool, test, F_pool, F_test, methods, grid, logreg_lambda,
                     "iterations": 0,
                     "converged": 0,
                     "error": message,
+                    "constant": False,
                 }
             rows.append({"run": run_index, "seed": run_seed, "method": name,
                          **result, "seconds": seconds})
@@ -329,16 +337,21 @@ def _evaluate(cfg: RunConfig, sweep: bool):
             context.append(f"dim {dim}: {note}")
         logreg_lambda = None
         if "logreg-srp" in methods:
-            logreg_lambda, n_converged = _tune_logreg(cfg, pool, F_pool, grid)
+            logreg_lambda, n_converged, tuned_converged = _tune_logreg(
+                cfg, pool, F_pool, grid
+            )
             edge = ""
             if logreg_lambda == grid[0]:
                 edge = " (bottom edge of the grid)"
             elif logreg_lambda == grid[-1]:
                 edge = " (top edge of the grid)"
+            unfinished = "" if tuned_converged else (
+                "; the tuned penalty's descent did not converge"
+            )
             context.append(
                 f"dim {dim}: logreg lambda={logreg_lambda:.6g}{edge}, tuned on "
                 f"subsample seed {cfg.base_seed - 1}; descent converged for "
-                f"{n_converged}/{len(grid)} penalties"
+                f"{n_converged}/{len(grid)} penalties{unfinished}"
             )
         block = _run_block(cfg, pool, test, F_pool, F_test, methods, grid,
                            logreg_lambda, dim if sweep else None)
@@ -396,6 +409,16 @@ def _failure_lines(rows):
     ]
 
 
+def _constant_lines(rows):
+    """The report's count of runs whose scores were all equal (AUC 0.5 with
+    no ranking), then one line per dim and method that had any."""
+    runs = Counter((r["dim"], r["method"]) for r in rows)
+    constant = Counter((r["dim"], r["method"]) for r in rows if r["constant"])
+    return [f"constant scores: {constant.total() or 'none'}"] + [
+        f"  dim {dim} {m}: {n}/{runs[dim, m]} runs" for (dim, m), n in constant.items()
+    ]
+
+
 def _write_bench_artifacts(out_dir, rows, report, acc_runs, context):
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "runs.csv"), _RUN_COLUMNS, rows)
@@ -429,7 +452,7 @@ def _write_bench_artifacts(out_dir, rows, report, acc_runs, context):
             f"logreg iterations: min={min(iters)} max={max(iters)}; "
             f"converged {conv}/{len(logreg_rows)} runs"
         )
-    body += _failure_lines(rows)
+    body += _constant_lines(rows) + _failure_lines(rows)
     _write_report(out_dir, "benchmark report", context, body)
 
 
@@ -465,6 +488,6 @@ def cmd_sweep(cfg: RunConfig):
             t_mean = float(np.mean([r["seconds"] for r in ok]))
             partial = f"  ({len(ok)}/{cfg.n_runs} runs)" if len(ok) < cfg.n_runs else ""
             table.append(f"{dim:>6}  {m:<14} {auc_mean:9.4f} {t_mean:8.3f}{partial}")
-    table += ["", *_failure_lines(rows)]
+    table += ["", *_constant_lines(rows), *_failure_lines(rows)]
     _write_report(cfg.out_dir, "sweep report", context, table)
     return rows

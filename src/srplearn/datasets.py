@@ -44,7 +44,7 @@ from .matio import (
     tokenize,
 )
 from .projection import _bernoulli_rows, _row_blocks, derive_seed
-from .sparse import SparseBinaryMatrix
+from .sparse import _INT32_BOUND, SparseBinaryMatrix
 
 __all__ = [
     "Dataset",
@@ -389,7 +389,7 @@ def synth_generate(
     data_seed = derive_seed(seed, _DATA_STREAM)
     seeds = [derive_seed(data_seed, k) for k in range(len(segments))]
     mean = sum(width * float(rate.max()) for width, rate in segments)
-    col_dtype = np.int32 if n_features <= 2**31 else np.int64
+    col_dtype = np.int32 if n_features <= _INT32_BOUND else np.int64
     counts, cols, flips = [], [], []
     for lo, hi in _row_blocks(0, n, mean):
         (_, signal_row, _, signal_col), (_, row, _, col), (_, flip, _, _) = (

@@ -48,7 +48,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import checks
-from .sparse import SparseBinaryMatrix, _dense_product, _read_only
+from .sparse import _INT32_BOUND, SparseBinaryMatrix, _dense_product, _read_only
 
 __all__ = [
     "SparseProjection",
@@ -194,7 +194,7 @@ def _ternary_rows(seed: int, start: int, stop: int, output_dim: int, density: fl
     increasing column indices of each row in turn, and a boolean sign per
     entry.
     """
-    col_dtype = np.int32 if output_dim <= 2**31 else np.int64
+    col_dtype = np.int32 if output_dim <= _INT32_BOUND else np.int64
     count_parts, col_parts, pos_parts = [], [], []
     for lo, hi in _row_blocks(start, stop, output_dim * density):
         keys, row, draw, col = _bernoulli_rows(seed, lo, hi, output_dim, density)

@@ -25,7 +25,8 @@ from srplearn.matio import read_table_csv
 from srplearn.metrics import roc_auc
 from srplearn.projection import apply_projection, make_projection, ternary_row
 from srplearn.ridge import default_lambda_grid, solve_ridge_press
-from srplearn.sparse import SparseBinaryMatrix
+
+from oracles import auc_pair_counting, jaccard, random_sparse, ridge_loo_sse
 
 
 def _report(n, ok, detail=""):
@@ -33,11 +34,6 @@ def _report(n, ok, detail=""):
     suffix = f" ({detail})" if detail else ""
     print(f"criterion {n}: {tag}{suffix}")
     assert ok, f"criterion {n} failed{suffix}"
-
-
-def _random_sparse(rng, n_rows, n_cols, density):
-    rows = [np.flatnonzero(rng.random(n_cols) < density) for _ in range(n_rows)]
-    return SparseBinaryMatrix.from_rows(rows, n_cols)
 
 
 def test_criterion_1_jaccard_oracle():
@@ -50,17 +46,10 @@ def test_criterion_1_jaccard_oracle():
         n_b = int(rng.integers(1, 61))
         n_cols = int(rng.integers(5, 41))
         density = float(rng.uniform(0.05, 0.3))
-        A = _random_sparse(rng, n_a, n_cols, density)
-        B = _random_sparse(rng, n_b, n_cols, density)
+        A = random_sparse(rng, n_a, n_cols, density)
+        B = random_sparse(rng, n_b, n_cols, density)
         got = jaccard_distance_matrix(A, B).values
-        sets_a = [set(A.row(i).tolist()) for i in range(n_a)]
-        sets_b = [set(B.row(j).tolist()) for j in range(n_b)]
-        oracle = np.zeros((n_a, n_b))
-        for i, sa in enumerate(sets_a):
-            for j, sb in enumerate(sets_b):
-                union = len(sa | sb)
-                oracle[i, j] = 1.0 - len(sa & sb) / union if union else 0.0
-        worst = max(worst, float(np.max(np.abs(got - oracle))))
+        worst = max(worst, float(np.max(np.abs(got - jaccard(A, B)))))
     elapsed = time.perf_counter() - start
     _report(1, worst < 1e-12 and elapsed < 10.0,
             f"max err {worst:.2e}, {elapsed:.1f}s")
@@ -141,14 +130,7 @@ def test_criterion_4_press_equals_explicit_loo():
         Y = rng.standard_normal((20, 1))
         for lam in grid:
             sol = solve_ridge_press(H, Y, np.array([lam]))
-            explicit = 0.0
-            for i in range(20):
-                keep = np.arange(20) != i
-                beta = np.linalg.solve(
-                    H[keep].T @ H[keep] + lam * np.eye(5), H[keep].T @ Y[keep]
-                )
-                r = Y[i] - H[i] @ beta
-                explicit += float(r @ r)
+            explicit = ridge_loo_sse(H, Y, lam)
             rel = abs(sol.press_value - explicit) / max(1e-300, abs(explicit))
             worst_rel = max(worst_rel, rel)
     elapsed = time.perf_counter() - start
@@ -207,13 +189,7 @@ def test_criterion_6_auc_oracle():
         labels = np.where(rng.random(n) > 0.5, 1, -1)
         if np.all(labels == labels[0]):
             labels[0] = -labels[0]
-        pos = scores[labels > 0]
-        neg = scores[labels <= 0]
-        wins = 0.0
-        for p in pos:
-            wins += np.sum(p > neg) + 0.5 * np.sum(p == neg)
-        oracle = wins / (pos.size * neg.size)
-        if roc_auc(scores, labels) != oracle:
+        if roc_auc(scores, labels) != auc_pair_counting(scores, labels):
             exact = False
             break
     complement = True

@@ -166,29 +166,41 @@ method.logreg-srp.max_iter = 40
         )
         cmd_bench(parse_config(_bench_cfg(tmp_path, extra=extra)))
         lines = (tmp_path / "out" / "report.txt").read_text().splitlines()
-        # the stand-in sets no convergence flag
+        # the stand-in sets no convergence flag, so the tuned penalty reads as
+        # unconverged too
         assert (
             f"dim 40: logreg lambda={2.0**exp:.6g}{note}, tuned on subsample seed 4; "
-            "descent converged for 0/7 penalties"
+            "descent converged for 0/7 penalties; the tuned penalty's descent "
+            "did not converge"
         ) in lines
 
     def test_report_counts_converged_tuning_descents(self, tmp_path, monkeypatch):
         select = bench.logreg_select_lambda
-        flags = []
+        tunings = []
 
         def recording(*args, converged, **kwargs):
             result = select(*args, converged=converged, **kwargs)
-            flags.append(converged.copy())
+            tunings.append((result[0], converged.copy()))
             return result
 
         monkeypatch.setattr(bench, "logreg_select_lambda", recording)
-        extra = "methods = logreg-srp\nn_runs = 1\nmethod.logreg-srp.max_iter = 20"
-        cmd_bench(parse_config(_bench_cfg(tmp_path, extra=extra)))
-        (converged,) = flags
-        # a cap of 20 steps leaves some of the 41 penalties unconverged
-        assert converged.size == 41 and 0 < np.count_nonzero(converged) < 41
-        report = (tmp_path / "out" / "report.txt").read_text()
-        assert f"; descent converged for {np.count_nonzero(converged)}/41 penalties\n" in report
+        grid = default_lambda_grid()
+        for out, max_iter in [("out", 20), ("one_step", 1)]:
+            extra = f"methods = logreg-srp\nn_runs = 1\nmethod.logreg-srp.max_iter = {max_iter}"
+            cmd_bench(parse_config(_bench_cfg(tmp_path, out, extra)))
+            lam, converged = tunings.pop()
+            tuned_converged = converged[grid == lam][0]
+            if max_iter == 20:
+                # a cap of 20 steps leaves some of the 41 penalties unconverged
+                assert converged.size == 41 and 0 < np.count_nonzero(converged) < 41
+            else:
+                # one step from the zero start leaves the tuned penalty unconverged
+                assert not tuned_converged
+            tail = "" if tuned_converged else "; the tuned penalty's descent did not converge"
+            report = (tmp_path / out / "report.txt").read_text()
+            assert (
+                f"; descent converged for {np.count_nonzero(converged)}/41 penalties{tail}\n"
+            ) in report
 
     def test_timings_never_in_csv(self, tmp_path):
         cfg = parse_config(_bench_cfg(tmp_path, "not"))
@@ -567,6 +579,12 @@ data.signal_features = 600
             "p = 0 from a constant nonzero AUC difference (zero variance): "
             "knn-srp vs krr-jaccard" in text
         )
+        # the section names the collapsed method only
+        lines = text.splitlines()
+        start = lines.index("constant scores: 2")
+        assert lines[start : start + 3] == [
+            "constant scores: 2", "  dim 400 knn-srp: 2/2 runs", "failures: none"
+        ]
 
 
 class TestSweepReportPartialCells:
@@ -595,5 +613,6 @@ class TestSweepReportPartialCells:
         assert cell.endswith("(2/3 runs)")
         completed = [r["auc"] for r in rows if not r["error"]]
         assert float(cell.split()[2]) == pytest.approx(np.mean(completed), abs=5e-5)
+        assert "constant scores: none" in lines
         assert "failures: 1" in lines
         assert "  dim 16 run 1 elm-srp: injected failure" in lines

@@ -1,7 +1,5 @@
 """Tests for dataset containers, the svmlight reader/writer, and synthesis."""
 
-import itertools
-import math
 import os
 import tempfile
 import tracemalloc
@@ -22,7 +20,8 @@ from srplearn.datasets import (
 from srplearn.exceptions import SvmlightParseError
 from srplearn.projection import derive_seed, make_projection
 from srplearn.sparse import SparseBinaryMatrix
-from test_projection import _GAMMA, _MASK64, _mix
+
+from oracles import reference_synth
 
 
 def _per_token_oracle(
@@ -118,45 +117,6 @@ def _per_entry_writer_oracle(ds: Dataset, path: str, index_base: int = 1) -> Non
             for j in ds.sparse.row(i):
                 parts.append(f"{int(j) + n_dense + index_base}:1")
             handle.write(" ".join(parts) + "\n")
-
-
-def _reference_positions(seed, row, width, rate):
-    """Bernoulli(rate) positions in [0, width) of row ``row`` of the stream
-    seeded ``seed``, from its definition with Python ints and ``math.log``."""
-    key = _mix(_mix(seed & _MASK64) + (row + 1) * _GAMMA)
-    cols, pos = [], -1
-    if rate == 0.0 or width == 0:
-        return cols
-    for j in itertools.count():
-        if rate == 1.0:
-            pos = j
-        else:
-            u = ((_mix(key + (2 * j + 1) * _GAMMA) >> 11) + 1) / 2**53
-            pos += math.floor(math.log(u) / math.log1p(-rate)) + 1
-        if pos >= width:
-            return cols
-        cols.append(pos)
-
-
-def _reference_synth(n, n_features, density, signal_features, flip_prob, seed):
-    """(rows, labels) of synth_generate drawn one row at a time: signal
-    segment on key 0, background on key 1, the flip on key 2."""
-    data_seed = derive_seed(seed, datasets._DATA_STREAM)
-    signal_key, background_key, flip_key = (derive_seed(data_seed, k) for k in range(3))
-    rows, labels = [], []
-    for i in range(n):
-        label = 1 if i % 2 == 0 else -1
-        rate = density * 4.0 if label > 0 else density * 0.25
-        background = _reference_positions(
-            background_key, i, n_features - signal_features, density
-        )
-        rows.append(
-            _reference_positions(signal_key, i, signal_features, rate)
-            + [signal_features + c for c in background]
-        )
-        flipped = _reference_positions(flip_key, i, 1, flip_prob) == [0]
-        labels.append(-label if flipped else label)
-    return SparseBinaryMatrix.from_rows(rows, n_features), np.array(labels)
 
 
 def _outcome(read, path, **kwargs):
@@ -676,7 +636,7 @@ class TestSynthGenerate:
                 a, b = getattr(ds.sparse, name), getattr(expected.sparse, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
             assert ds.labels.tobytes() == expected.labels.tobytes()
-            rows, labels = _reference_synth(n, n_features, density, signal, flip, seed)
+            rows, labels = reference_synth(n, n_features, density, signal, flip, seed)
             assert ds.sparse == rows
             assert np.array_equal(ds.labels, labels)
 

@@ -19,25 +19,7 @@ from srplearn.elm import rbf_fit
 from srplearn.kernel import KERNEL_JACCARD, kernel_matrix
 from srplearn.sparse import SparseBinaryMatrix
 
-
-def _random_sparse(rng, n_rows, n_cols, density):
-    rows = [np.flatnonzero(rng.random(n_cols) < density) for _ in range(n_rows)]
-    return SparseBinaryMatrix.from_rows(rows, n_cols)
-
-
-def _jaccard_oracle(A, B):
-    """Per-pair set enumeration, the slow reference."""
-    out = np.zeros((A.n_rows, B.n_rows))
-    sets_a = [set(A.row(i).tolist()) for i in range(A.n_rows)]
-    sets_b = [set(B.row(j).tolist()) for j in range(B.n_rows)]
-    for i, sa in enumerate(sets_a):
-        for j, sb in enumerate(sets_b):
-            union = len(sa | sb)
-            if union == 0:
-                out[i, j] = 0.0
-            else:
-                out[i, j] = 1.0 - len(sa & sb) / union
-    return out
+from oracles import jaccard, random_sparse, squared_distances
 
 
 class TestJaccard:
@@ -56,22 +38,22 @@ class TestJaccard:
             n_b = rng.integers(1, 40)
             n_cols = rng.integers(5, 30)
             density = rng.uniform(0.05, 0.3)
-            A = _random_sparse(rng, n_a, n_cols, density)
-            B = _random_sparse(rng, n_b, n_cols, density)
+            A = random_sparse(rng, n_a, n_cols, density)
+            B = random_sparse(rng, n_b, n_cols, density)
             D = jaccard_distance_matrix(A, B)
-            assert np.max(np.abs(D.values - _jaccard_oracle(A, B))) < 1e-12
+            assert np.max(np.abs(D.values - jaccard(A, B))) < 1e-12
 
     def test_symmetry_and_zero_diagonal(self):
         rng = np.random.default_rng(7)
-        A = _random_sparse(rng, 20, 40, 0.15)
+        A = random_sparse(rng, 20, 40, 0.15)
         D = jaccard_distance_matrix(A, A).values
         assert np.array_equal(D, D.T)
         assert np.all(np.diag(D)[np.asarray([r.size > 0 for r in map(A.row, range(20))])] == 0.0)
 
     def test_range(self):
         rng = np.random.default_rng(8)
-        A = _random_sparse(rng, 30, 25, 0.2)
-        B = _random_sparse(rng, 10, 25, 0.2)
+        A = random_sparse(rng, 30, 25, 0.2)
+        B = random_sparse(rng, 10, 25, 0.2)
         D = jaccard_distance_matrix(A, B).values
         assert np.all(D >= 0.0) and np.all(D <= 1.0)
 
@@ -86,7 +68,7 @@ class TestJaccard:
     def test_triangle_inequality_sampled(self):
         # Jaccard distance is a metric; spot-check random triples
         rng = np.random.default_rng(9)
-        A = _random_sparse(rng, 25, 30, 0.2)
+        A = random_sparse(rng, 25, 30, 0.2)
         D = jaccard_distance_matrix(A, A).values
         for _ in range(200):
             i, j, k = rng.integers(0, 25, size=3)
@@ -104,8 +86,8 @@ class TestJaccard:
 )
 def test_block_size_does_not_change_values(monkeypatch, pairwise):
     rng = np.random.default_rng(10)
-    A = _random_sparse(rng, 40, 60, 0.1)
-    B = _random_sparse(rng, 35, 60, 0.1)
+    A = random_sparse(rng, 40, 60, 0.1)
+    B = random_sparse(rng, 35, 60, 0.1)
     monkeypatch.setattr(sparse, "_BLOCK_BUDGET_MB", 1024.0)
     full = pairwise(A, B).values
     # budget small enough to split A into blocks: 10000 bytes over three
@@ -130,8 +112,8 @@ def test_block_size_does_not_change_values(monkeypatch, pairwise):
 def test_blocks_stay_within_budget(monkeypatch, pairwise):
     # every pair intersects, so each block's count product is fully dense
     rng = np.random.default_rng(12)
-    A = _random_sparse(rng, 1000, 500, 0.2)
-    B = _random_sparse(rng, 4000, 500, 0.2)
+    A = random_sparse(rng, 1000, 500, 0.2)
+    B = random_sparse(rng, 4000, 500, 0.2)
     # B's kept column form outlives the call, so it is not an intermediate
     # of the blocks: build it before the window
     columns = B._column_form()
@@ -159,24 +141,17 @@ class TestSquaredEuclidean:
 
     def test_sparse_matches_dense_oracle(self):
         rng = np.random.default_rng(11)
-        A = _random_sparse(rng, 15, 20, 0.2)
-        B = _random_sparse(rng, 12, 20, 0.2)
+        A = random_sparse(rng, 15, 20, 0.2)
+        B = random_sparse(rng, 12, 20, 0.2)
         D = squared_euclidean_distance_matrix(A, B).values
-        da, db = A.to_dense(), B.to_dense()
-        oracle = ((da[:, None, :] - db[None, :, :]) ** 2).sum(axis=2)
-        assert np.array_equal(D, oracle)
+        assert np.array_equal(D, squared_distances(A.to_dense(), B.to_dense()))
 
     def test_dense_matches_loop_oracle(self):
         rng = np.random.default_rng(12)
         A = rng.standard_normal((10, 6))
         B = rng.standard_normal((8, 6))
         D = squared_euclidean_distance_matrix(A, B).values
-        oracle = np.zeros((10, 8))
-        for i in range(10):
-            for j in range(8):
-                diff = A[i] - B[j]
-                oracle[i, j] = diff @ diff
-        assert np.allclose(D, oracle, atol=1e-10)
+        assert np.allclose(D, squared_distances(A, B), atol=1e-10)
         assert np.all(D >= 0.0)
 
     def test_dense_never_negative_even_for_near_duplicates(self):
@@ -202,8 +177,8 @@ class TestDistanceMatrixByKind:
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_named_function(self, kind):
         rng = np.random.default_rng(14)
-        A = _random_sparse(rng, 9, 30, 0.2)
-        B = _random_sparse(rng, 7, 30, 0.2)
+        A = random_sparse(rng, 9, 30, 0.2)
+        B = random_sparse(rng, 7, 30, 0.2)
         named = {
             KIND_JACCARD: jaccard_distance_matrix,
             KIND_SQEUCLIDEAN: squared_euclidean_distance_matrix,

@@ -23,10 +23,7 @@ from srplearn.projection import default_density, make_projection, ternary_row
 from srplearn.ridge import RidgeSolution, default_lambda_grid
 from srplearn.sparse import SparseBinaryMatrix
 
-
-def _random_sparse(rng, n_rows, n_cols, density):
-    rows = [np.flatnonzero(rng.random(n_cols) < density) for _ in range(n_rows)]
-    return SparseBinaryMatrix.from_rows(rows, n_cols)
+from oracles import fresh_copy, random_sparse
 
 
 def _separable_data(rng, n, n_cols=400, gap=40):
@@ -47,7 +44,7 @@ def _separable_data(rng, n, n_cols=400, gap=40):
 class TestHiddenLayer:
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(0)
-        X = _random_sparse(rng, 12, 100, 0.1)
+        X = random_sparse(rng, 12, 100, 0.1)
         W = make_projection(100, 9, 0.2, seed=3)
         bias = elm_bias(100, 9, 0.2, seed=3)
         expected = np.tanh(X.to_dense() @ W.to_dense() + bias)
@@ -55,7 +52,7 @@ class TestHiddenLayer:
 
     def test_values_within_open_interval_on_moderate_inputs(self):
         rng = np.random.default_rng(1)
-        X = _random_sparse(rng, 20, 200, 0.05)
+        X = random_sparse(rng, 20, 200, 0.05)
         W = make_projection(200, 16, 0.1, seed=5)
         bias = elm_bias(200, 16, 0.1, seed=5)
         H = elm_hidden(X, W, bias)
@@ -101,7 +98,7 @@ class TestElmFit:
         # a single-class target is a legal ridge problem; predictions are
         # finite and lean toward the constant
         rng = np.random.default_rng(4)
-        X = _random_sparse(rng, 10, 50, 0.1)
+        X = random_sparse(rng, 10, 50, 0.1)
         model = elm_fit(X, np.ones(10), 8)
         scores = model_predict(model, X)
         assert np.all(np.isfinite(scores))
@@ -110,7 +107,7 @@ class TestElmFit:
 
     def test_label_values_checked(self):
         rng = np.random.default_rng(5)
-        X = _random_sparse(rng, 6, 30, 0.1)
+        X = random_sparse(rng, 6, 30, 0.1)
         with pytest.raises(ValueError):
             elm_fit(X, np.array([1, -1, 2, 1, -1, 1], dtype=float), 4)
 
@@ -241,9 +238,8 @@ class TestRbf:
         model = rbf_fit(X, y, 20, KIND_JACCARD, seed=7)
         for _ in range(3):
             batch, _ = _separable_data(rng, 12)
-            c = model.centroids
             fresh = RbfModel(
-                SparseBinaryMatrix(c.indptr.copy(), c.indices.copy(), c.n_cols),
+                fresh_copy(model.centroids),
                 model.gammas, model.distance_kind, model.solution, model.seed,
             )
             expected = model_predict(fresh, batch)
@@ -334,7 +330,7 @@ class TestBlockedPrediction:
         # is held, with the product that builds it holding one more budget
         rng = np.random.default_rng(41)
         X_fit, y = _separable_data(rng, 100, n_cols=2000)
-        X = _random_sparse(rng, 2000, 2000, 0.01)
+        X = random_sparse(rng, 2000, 2000, 0.01)
         model = elm_fit(X_fit, y, 1000, seed=8)
         tracemalloc.start()
         try:

@@ -15,21 +15,12 @@ from srplearn.kernel import (
     krr_predict_kernel,
 )
 from srplearn.ridge import default_lambda_grid
-from srplearn.sparse import SparseBinaryMatrix
 
-
-def _random_sparse(rng, n_rows, n_cols, density):
-    rows = [np.flatnonzero(rng.random(n_cols) < density) for _ in range(n_rows)]
-    return SparseBinaryMatrix.from_rows(rows, n_cols)
-
-
-def _fresh_copy(m):
-    """The same rows in new arrays, holding no column form."""
-    return SparseBinaryMatrix(m.indptr.copy(), m.indices.copy(), m.n_cols)
+from oracles import fresh_copy, knn_scores, krr_loo_sse, random_sparse
 
 
 def _jaccard_krr(rng, n_train=40, n_cols=60):
-    X = _random_sparse(rng, n_train, n_cols, 0.15)
+    X = random_sparse(rng, n_train, n_cols, 0.15)
     y = np.where(np.arange(n_train) % 2 == 0, 1.0, -1.0)
     K = kernel_matrix(KERNEL_JACCARD, X, X)
     return krr_fit(K, y, default_lambda_grid(-4, 4), KERNEL_JACCARD, X)
@@ -38,15 +29,15 @@ def _jaccard_krr(rng, n_train=40, n_cols=60):
 class TestKernelMatrix:
     def test_jaccard_similarity_complements_distance(self):
         rng = np.random.default_rng(1)
-        A = _random_sparse(rng, 10, 30, 0.2)
-        B = _random_sparse(rng, 7, 30, 0.2)
+        A = random_sparse(rng, 10, 30, 0.2)
+        B = random_sparse(rng, 7, 30, 0.2)
         K = kernel_matrix(KERNEL_JACCARD, A, B)
         D = jaccard_distance_matrix(A, B).values
         assert np.array_equal(K, 1.0 - D)
 
     def test_jaccard_unit_diagonal_and_symmetry(self):
         rng = np.random.default_rng(2)
-        A = _random_sparse(rng, 12, 25, 0.25)
+        A = random_sparse(rng, 12, 25, 0.25)
         K = kernel_matrix(KERNEL_JACCARD, A, A)
         assert np.array_equal(K, K.T)
         nonempty = np.array([A.row(i).size > 0 for i in range(12)])
@@ -104,15 +95,7 @@ class TestKrr:
         y[0], y[1] = 1.0, -1.0
         lam = 0.7
         model = krr_fit(K, y, np.array([lam]))
-        total = 0.0
-        for i in range(n):
-            keep = np.arange(n) != i
-            alpha_i = np.linalg.solve(
-                K[np.ix_(keep, keep)] + lam * np.eye(n - 1), y[keep]
-            )
-            pred = K[i, keep] @ alpha_i
-            total += (y[i] - pred) ** 2
-        assert model.press_value == pytest.approx(total, rel=1e-8)
+        assert model.press_value == pytest.approx(krr_loo_sse(K, y, lam), rel=1e-8)
 
     def test_grid_selection_prefers_larger_lambda_on_tie(self):
         y = np.zeros(4)
@@ -174,8 +157,8 @@ class TestKrr:
 
     def test_predict_kernel_and_rebuild_agree(self):
         rng = np.random.default_rng(6)
-        A = _random_sparse(rng, 20, 40, 0.2)
-        B = _random_sparse(rng, 9, 40, 0.2)
+        A = random_sparse(rng, 20, 40, 0.2)
+        B = random_sparse(rng, 9, 40, 0.2)
         y = np.where(rng.random(20) > 0.5, 1.0, -1.0)
         y[0], y[1] = 1.0, -1.0
         K = kernel_matrix(KERNEL_JACCARD, A, A)
@@ -188,7 +171,7 @@ class TestKrr:
         # only a Jaccard kernel can be rebuilt from the rows, so another
         # kind is refused at fit, not at the first prediction
         rng = np.random.default_rng(7)
-        X = _random_sparse(rng, 6, 20, 0.3)
+        X = random_sparse(rng, 6, 20, 0.3)
         K = kernel_matrix(KERNEL_JACCARD, X, X)
         y = np.array([1.0, -1.0] * 3)
         with pytest.raises(ValueError):
@@ -217,8 +200,8 @@ class TestKrrPredictReusesTrainingRows:
         rng = np.random.default_rng(30)
         model = _jaccard_krr(rng)
         for _ in range(3):
-            batch = _random_sparse(rng, 9, 60, 0.15)
-            fresh = _fresh_copy(model.training_rows)
+            batch = random_sparse(rng, 9, 60, 0.15)
+            fresh = fresh_copy(model.training_rows)
             expected = krr_predict_kernel(
                 model, kernel_matrix(KERNEL_JACCARD, batch, fresh)
             )
@@ -227,27 +210,18 @@ class TestKrrPredictReusesTrainingRows:
     def test_column_form_built_once(self, monkeypatch):
         rng = np.random.default_rng(31)
         model = _jaccard_krr(rng)
-        model.training_rows = _fresh_copy(model.training_rows)
+        model.training_rows = fresh_copy(model.training_rows)
         built = []
         transpose = sparse._transpose
         monkeypatch.setattr(
             sparse, "_transpose", lambda m: built.append(m) or transpose(m)
         )
         for _ in range(2):
-            krr_predict(model, _random_sparse(rng, 5, 60, 0.15))
+            krr_predict(model, random_sparse(rng, 5, 60, 0.15))
         assert built == [model.training_rows]
 
 
 class TestKnn:
-    def _oracle(self, D, labels, k):
-        n_test = D.shape[0]
-        out = np.zeros(n_test)
-        for i in range(n_test):
-            # stable sort, ties broken by lower training index
-            order = sorted(range(D.shape[1]), key=lambda j: (D[i, j], j))
-            out[i] = np.mean([labels[j] for j in order[:k]])
-        return out
-
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(7)
         for trial in range(10):
@@ -255,7 +229,7 @@ class TestKnn:
             labels = np.where(rng.random(20) > 0.5, 1.0, -1.0)
             for k in [1, 3, 7]:
                 got = knn_predict(D, labels, k)
-                assert np.array_equal(got, self._oracle(D, labels, k))
+                assert np.array_equal(got, knn_scores(D, labels, k))
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_matches_stable_argsort_on_heavy_ties(self, k):
@@ -307,8 +281,8 @@ class TestKnn:
 
     def test_accepts_distance_matrix_wrapper(self):
         rng = np.random.default_rng(9)
-        A = _random_sparse(rng, 6, 15, 0.3)
-        B = _random_sparse(rng, 4, 15, 0.3)
+        A = random_sparse(rng, 6, 15, 0.3)
+        B = random_sparse(rng, 4, 15, 0.3)
         D = jaccard_distance_matrix(A, B)
         labels = np.array([1.0, -1.0, 1.0, -1.0])
         scores = knn_predict(D, labels, 1)

@@ -11,10 +11,7 @@ from srplearn.persistence import _read_sparse_rows, load_model, save_model
 from srplearn.ridge import RidgeSolution
 from srplearn.sparse import SparseBinaryMatrix
 
-
-def _random_sparse(rng, n_rows, n_cols, density):
-    rows = [np.flatnonzero(rng.random(n_cols) < density) for _ in range(n_rows)]
-    return SparseBinaryMatrix.from_rows(rows, n_cols)
+from oracles import random_sparse
 
 
 def _labels(rng, n):
@@ -26,33 +23,33 @@ def _labels(rng, n):
 class TestElmRoundTrip:
     def test_predictions_bit_identical(self, tmp_path):
         rng = np.random.default_rng(0)
-        X = _random_sparse(rng, 40, 200, 0.1)
+        X = random_sparse(rng, 40, 200, 0.1)
         y = _labels(rng, 40)
         model = elm_fit(X, y, 24, seed=5)
         prefix = str(tmp_path / "elm")
         save_model(model, prefix)
         back = load_model(prefix)
-        X_new = _random_sparse(rng, 15, 200, 0.1)
+        X_new = random_sparse(rng, 15, 200, 0.1)
         assert np.array_equal(model_predict(model, X_new), model_predict(back, X_new))
         assert back.solution.lam == model.solution.lam
         assert back.solution.press_value == model.solution.press_value
 
     def test_rvfl_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
-        X = _random_sparse(rng, 30, 150, 0.1)
+        X = random_sparse(rng, 30, 150, 0.1)
         y = _labels(rng, 30)
         model = rvfl_fit(X, y, 16, d_lin=6, seed=3)
         prefix = str(tmp_path / "rvfl")
         save_model(model, prefix)
         back = load_model(prefix)
-        X_new = _random_sparse(rng, 10, 150, 0.1)
+        X_new = random_sparse(rng, 10, 150, 0.1)
         assert np.array_equal(model_predict(model, X_new), model_predict(back, X_new))
         assert back.linear_part.output_dim == 6
 
     def test_older_activation_key_ignored(self, tmp_path):
         # files written before tanh became the only hidden layer say so
         rng = np.random.default_rng(4)
-        X = _random_sparse(rng, 30, 120, 0.1)
+        X = random_sparse(rng, 30, 120, 0.1)
         model = elm_fit(X, _labels(rng, 30), 12, seed=2)
         prefix = str(tmp_path / "old")
         save_model(model, prefix)
@@ -67,7 +64,7 @@ class TestElmRoundTrip:
     @pytest.mark.parametrize("kind", ["elm", "rvfl"])
     def test_stream_recorded(self, tmp_path, kind):
         rng = np.random.default_rng(5)
-        X = _random_sparse(rng, 30, 120, 0.1)
+        X = random_sparse(rng, 30, 120, 0.1)
         fit = rvfl_fit if kind == "rvfl" else elm_fit
         prefix = str(tmp_path / kind)
         save_model(fit(X, _labels(rng, 30), 12, seed=2), prefix)
@@ -77,7 +74,7 @@ class TestElmRoundTrip:
     def test_other_stream_refused(self, tmp_path, stream):
         # a v1-era file has no stream key; its projection cannot be rebuilt
         rng = np.random.default_rng(6)
-        X = _random_sparse(rng, 30, 120, 0.1)
+        X = random_sparse(rng, 30, 120, 0.1)
         prefix = str(tmp_path / "old")
         save_model(elm_fit(X, _labels(rng, 30), 12, seed=2), prefix)
         meta = read_keyvalues(prefix + ".meta")
@@ -106,13 +103,13 @@ class TestRbfRoundTrip:
 
     def test_sparse_centroids(self, tmp_path):
         rng = np.random.default_rng(3)
-        X = _random_sparse(rng, 60, 80, 0.15)
+        X = random_sparse(rng, 60, 80, 0.15)
         y = _labels(rng, 60)
         model = rbf_fit(X, y, 20, KIND_JACCARD, seed=9)
         prefix = str(tmp_path / "rbfj")
         save_model(model, prefix)
         back = load_model(prefix)
-        X_new = _random_sparse(rng, 12, 80, 0.15)
+        X_new = random_sparse(rng, 12, 80, 0.15)
         assert np.array_equal(model_predict(model, X_new), model_predict(back, X_new))
         assert back.centroids == model.centroids
 
@@ -131,7 +128,7 @@ class TestRbfRoundTrip:
         assert text == "".join(" ".join(str(j) for j in r) + "\n" for r in rows)
         back = load_model(prefix)
         assert back.centroids == centroids
-        X_new = _random_sparse(rng, 6, 20001, 0.001)
+        X_new = random_sparse(rng, 6, 20001, 0.001)
         assert np.array_equal(model_predict(model, X_new), model_predict(back, X_new))
 
     @pytest.mark.parametrize("line, token", [(b"3 x5", "x5"), (b"3 \xff", "\\xff")])

@@ -1,7 +1,5 @@
 """Tests for the ternary sparse random projection."""
 
-import itertools
-import math
 import tracemalloc
 import warnings
 
@@ -21,47 +19,10 @@ from srplearn.projection import (
 )
 from srplearn.sparse import SparseBinaryMatrix
 
-
-def _random_sparse(rng, n_rows, n_cols, density):
-    rows = []
-    for _ in range(n_rows):
-        mask = rng.random(n_cols) < density
-        rows.append(np.flatnonzero(mask))
-    return SparseBinaryMatrix.from_rows(rows, n_cols)
+from oracles import random_sparse, reference_row
 
 
-_MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
 ORACLE_SEEDS = [0, 5, -7, 2**63 + 5, 2**64 - 1]
-
-
-def _mix(z):
-    """splitmix64's finalizer on a Python int."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
-def _reference_row(seed, row, output_dim, density):
-    """Stream v2 from its definition, one draw at a time with Python ints:
-    (columns, signs) of projection row ``row``."""
-    key = _mix(_mix(seed & _MASK64) + (row + 1) * _GAMMA)
-
-    def word(k):
-        return _mix(key + k * _GAMMA)
-
-    cols, signs, pos = [], [], -1
-    for j in itertools.count():
-        if density == 1.0:
-            pos = j
-        else:
-            u = ((word(2 * j + 1) >> 11) + 1) / 2**53
-            pos += math.floor(math.log(u) / math.log1p(-density)) + 1
-        if pos >= output_dim:
-            return cols, signs
-        cols.append(pos)
-        signs.append(1.0 if word(2 * j + 2) >> 63 == 0 else -1.0)
 
 
 def _assert_matches_oracle(seed, input_dim, output_dim, density):
@@ -69,7 +30,7 @@ def _assert_matches_oracle(seed, input_dim, output_dim, density):
     magnitude = np.sqrt((1.0 / density) / output_dim)
     indptr = P.pattern.indptr
     for r in range(input_dim):
-        cols, signs = _reference_row(seed, r, output_dim, density)
+        cols, signs = reference_row(seed, r, output_dim, density)
         entries = slice(indptr[r], indptr[r + 1])
         assert P.pattern.indices[entries].tolist() == cols
         assert np.array_equal(P.values[entries], np.multiply(signs, magnitude))
@@ -258,7 +219,7 @@ def test_apply_stays_within_one_block():
     # the product holds its result plus one row block's scratch arrays
     # and ones; in one piece it held 2.5 result slabs
     rng = np.random.default_rng(31)
-    X = _random_sparse(rng, 1000, 20000, 0.01)
+    X = random_sparse(rng, 1000, 20000, 0.01)
     P = make_projection(20000, 2000, seed=1)
     tracemalloc.start()
     try:
@@ -366,7 +327,7 @@ class TestMakeProjection:
 class TestApplyProjection:
     def test_matches_dense_matmul_sparse_input(self):
         rng = np.random.default_rng(0)
-        X = _random_sparse(rng, 25, 120, 0.1)
+        X = random_sparse(rng, 25, 120, 0.1)
         P = make_projection(120, 15, 0.15, seed=4)
         got = apply_projection(X, P)
         expected = X.to_dense() @ P.to_dense()
@@ -389,8 +350,8 @@ class TestApplyProjection:
     def test_linear_in_rows(self):
         # projecting stacked inputs equals stacking projected blocks
         rng = np.random.default_rng(2)
-        A = _random_sparse(rng, 10, 80, 0.1)
-        B = _random_sparse(rng, 6, 80, 0.1)
+        A = random_sparse(rng, 10, 80, 0.1)
+        B = random_sparse(rng, 6, 80, 0.1)
         P = make_projection(80, 12, 0.2, seed=1)
         FA = apply_projection(A, P)
         FB = apply_projection(B, P)
@@ -401,7 +362,7 @@ class TestApplyProjection:
 
     def test_width_mismatch_rejected(self):
         rng = np.random.default_rng(3)
-        X = _random_sparse(rng, 4, 50, 0.1)
+        X = random_sparse(rng, 4, 50, 0.1)
         P = make_projection(49, 5, 0.2, seed=0)
         with pytest.raises(ValueError):
             apply_projection(X, P)
@@ -411,7 +372,7 @@ class TestApplyProjection:
         # never touch the extra features; this is what makes separately
         # projected train/test files compatible
         rng = np.random.default_rng(4)
-        X_narrow = _random_sparse(rng, 8, 90, 0.1)
+        X_narrow = random_sparse(rng, 8, 90, 0.1)
         X_wide = SparseBinaryMatrix(X_narrow.indptr, X_narrow.indices, 100)
         P_narrow = make_projection(90, 11, 0.07, seed=6)
         P_wide = make_projection(100, 11, 0.07, seed=6)

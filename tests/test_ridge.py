@@ -8,18 +8,7 @@ from hypothesis import strategies as st
 from srplearn.exceptions import DegenerateFitError
 from srplearn.ridge import _spectral_press, default_lambda_grid, solve_ridge_press
 
-
-def _explicit_loo_sse(H, Y, lam):
-    """Retrain with row i held out, accumulate squared test residuals."""
-    n = H.shape[0]
-    total = 0.0
-    for i in range(n):
-        keep = np.arange(n) != i
-        Hi, Yi = H[keep], Y[keep]
-        beta = np.linalg.solve(Hi.T @ Hi + lam * np.eye(H.shape[1]), Hi.T @ Yi)
-        resid = Y[i] - H[i] @ beta
-        total += float(resid @ resid)
-    return total
+from oracles import ridge_loo_sse
 
 
 def _press_curve(H, Y, grid):
@@ -53,7 +42,7 @@ class TestPressAgainstExplicitLoo:
                 Y = rng.standard_normal((shape[0], 1))
                 for lam in grid[:: 8]:
                     sol = solve_ridge_press(H, Y, np.array([lam]))
-                    explicit = _explicit_loo_sse(H, Y, lam)
+                    explicit = ridge_loo_sse(H, Y, lam)
                     assert sol.press_value == pytest.approx(explicit, rel=1e-8)
 
     def test_multi_output_targets(self):
@@ -63,7 +52,7 @@ class TestPressAgainstExplicitLoo:
         for lam in [1e-3, 1.0, 100.0]:
             sol = solve_ridge_press(H, Y, np.array([lam]))
             assert sol.press_value == pytest.approx(
-                _explicit_loo_sse(H, Y, lam), rel=1e-8
+                ridge_loo_sse(H, Y, lam), rel=1e-8
             )
 
 

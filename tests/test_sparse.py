@@ -21,6 +21,8 @@ from srplearn.sparse import (
     sparse_gram,
 )
 
+from oracles import fresh_copy, random_sparse
+
 
 # row sets over 6 columns, empty rows included, as a matrix plus its rows
 _matrices = st.lists(
@@ -31,19 +33,6 @@ _matrices = st.lists(
 def row_sets(m):
     """Rows of ``m`` as Python sets, the oracles' view of a matrix."""
     return [set(m.row(i).tolist()) for i in range(m.n_rows)]
-
-
-def fresh_copy(m):
-    """The same rows in new arrays, holding no column form."""
-    return SparseBinaryMatrix(m.indptr.copy(), m.indices.copy(), m.n_cols)
-
-
-def random_binary(rng, n_rows, n_cols, density):
-    rows = []
-    for _ in range(n_rows):
-        mask = rng.random(n_cols) < density
-        rows.append(np.flatnonzero(mask))
-    return SparseBinaryMatrix.from_rows(rows, n_cols)
 
 
 class TestConstruction:
@@ -186,7 +175,7 @@ class TestStorage:
     """One set of index arrays per matrix, shared by every ``to_scipy()``."""
 
     def test_to_scipy_shares_index_arrays(self):
-        m = random_binary(np.random.default_rng(3), 30, 40, 0.2)
+        m = random_sparse(np.random.default_rng(3), 30, 40, 0.2)
         assert m.indices.dtype == m.indptr.dtype == np.int32
         csr = m.to_scipy()
         assert np.shares_memory(csr.indices, m.indices)
@@ -251,17 +240,17 @@ class TestColumnForm:
 
     def test_is_the_transpose_and_kept(self):
         rng = np.random.default_rng(5)
-        m = random_binary(rng, 30, 40, 0.2)
+        m = random_sparse(rng, 30, 40, 0.2)
         columns = m._column_form()
         assert columns.shape == (40, 30)
         assert columns.indices.dtype == columns.indptr.dtype == m.indices.dtype
         assert np.array_equal(columns.toarray(), m.to_dense().T)
         assert m._column_form() is columns
-        sparse_gram(random_binary(rng, 5, 40, 0.2), m)
+        sparse_gram(random_sparse(rng, 5, 40, 0.2), m)
         assert m._column_form() is columns
 
     def test_arrays_read_only(self):
-        columns = random_binary(np.random.default_rng(6), 20, 30, 0.2)._column_form()
+        columns = random_sparse(np.random.default_rng(6), 20, 30, 0.2)._column_form()
         for array in (columns.data, columns.indices, columns.indptr):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -269,14 +258,14 @@ class TestColumnForm:
 
     def test_left_operand_holds_none(self):
         rng = np.random.default_rng(7)
-        a = random_binary(rng, 10, 30, 0.2)
-        sparse_gram(a, random_binary(rng, 8, 30, 0.2))
+        a = random_sparse(rng, 10, 30, 0.2)
+        sparse_gram(a, random_sparse(rng, 8, 30, 0.2))
         assert a._columns is None
 
     def test_threads_racing_to_build_agree(self):
         rng = np.random.default_rng(9)
-        lefts = [random_binary(rng, 6, 50, 0.2) for _ in range(8)]
-        shared = random_binary(rng, 40, 50, 0.2)
+        lefts = [random_sparse(rng, 6, 50, 0.2) for _ in range(8)]
+        shared = random_sparse(rng, 40, 50, 0.2)
         expected = [sparse_gram(a, fresh_copy(shared)) for a in lefts]
         results = [None] * len(lefts)
 
@@ -301,7 +290,7 @@ class TestColumnForm:
     def test_derived_matrices_build_their_own(self):
         # a widened or gathered matrix has another shape, so it never
         # reuses the column form of its source
-        m = random_binary(np.random.default_rng(8), 12, 20, 0.3)
+        m = random_sparse(np.random.default_rng(8), 12, 20, 0.3)
         source = m._column_form()
         for derived in (m.widen(25), m.take_rows([3, 1, 1]), m.take_rows(range(12))):
             assert derived._columns is None
@@ -321,8 +310,8 @@ class TestGram:
 
     def test_matches_set_intersection_oracle(self):
         rng = np.random.default_rng(4021)
-        a = random_binary(rng, 50, 200, 0.1)
-        b = random_binary(rng, 30, 200, 0.1)
+        a = random_sparse(rng, 50, 200, 0.1)
+        b = random_sparse(rng, 30, 200, 0.1)
         g = sparse_gram(a, b)
         sets_a = row_sets(a)
         sets_b = row_sets(b)
@@ -332,13 +321,13 @@ class TestGram:
 
     def test_values_are_exact_integers(self):
         rng = np.random.default_rng(77)
-        a = random_binary(rng, 20, 500, 0.2)
+        a = random_sparse(rng, 20, 500, 0.2)
         g = sparse_gram(a, a)
         assert np.array_equal(g, np.round(g))
 
     def test_self_gram_symmetric_with_count_diagonal(self):
         rng = np.random.default_rng(9)
-        a = random_binary(rng, 25, 100, 0.15)
+        a = random_sparse(rng, 25, 100, 0.15)
         g = sparse_gram(a, a)
         np.testing.assert_array_equal(g, g.T)
         np.testing.assert_array_equal(np.diag(g), row_counts(a).astype(float))
@@ -413,7 +402,7 @@ class TestDenseProduct:
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     def test_projection_with_wide_pattern_indices(self, dtype):
         rng = np.random.default_rng(12)
-        x = random_binary(rng, 40, 500, 0.05)
+        x = random_sparse(rng, 40, 500, 0.05)
         p = _with_index_dtype(make_projection(500, 60, 0.1, 3).to_scipy(), dtype)
         assert _dense_product(x, p).tobytes() == (x.to_scipy() @ p).toarray().tobytes()
 
@@ -421,7 +410,7 @@ class TestDenseProduct:
         # a block's output row pointers reach its rows * n; from
         # _INT32_BOUND on, every index array the kernel sees is int64
         rng = np.random.default_rng(13)
-        a = random_binary(rng, 30, 50, 0.2)
+        a = random_sparse(rng, 30, 50, 0.2)
         b = make_projection(50, 40, 0.2, 1).to_scipy()
         expected = (a.to_scipy() @ b).toarray()
         kernel, seen = _sparsetools.csr_matmat, []
@@ -440,7 +429,7 @@ class TestDenseProduct:
 class TestRowCounts:
     def test_matches_direct_recount(self):
         rng = np.random.default_rng(311)
-        a = random_binary(rng, 40, 150, 0.12)
+        a = random_sparse(rng, 40, 150, 0.12)
         counts = row_counts(a)
         expected = [len(a.row(i)) for i in range(a.n_rows)]
         assert counts.tolist() == expected
