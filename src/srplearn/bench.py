@@ -14,7 +14,8 @@ the files they write from its rows.
 Runs execute one after another in run order, and each derives all its
 randomness from its own seed, so the artifacts on disk are identical
 across reruns.  Wall-clock timings are inherently non-repeatable and are
-reported only in ``report.txt``, never in the CSV outputs.  So is the
+reported only in ``report.txt`` (per-method means) and ``timings.txt``
+(one line per run and method), never in the CSV outputs.  So is the
 ``environment:`` line naming the numpy, scipy and BLAS builds, whose
 kernels the outputs' last bits depend on.
 """
@@ -379,6 +380,15 @@ def _write_report(out_dir, title, context, body):
         handle.write("\n".join(lines) + "\n")
 
 
+def _write_timings(out_dir, rows):
+    """``timings.txt``: one line ``dim run method seconds`` per row, failed
+    runs included.  Not a ``.csv``, so no byte-identity check reads it."""
+    with open(os.path.join(out_dir, "timings.txt"), "w", encoding="utf-8") as handle:
+        handle.writelines(
+            f"{r['dim']} {r['run']} {r['method']} {r['seconds']:.6f}\n" for r in rows
+        )
+
+
 def _aggregate(rows, methods, n_runs, alpha):
     """Build the report from per-run rows; incomplete methods are dropped."""
     auc_runs = {}
@@ -454,6 +464,7 @@ def _write_bench_artifacts(out_dir, rows, report, acc_runs, context):
         )
     body += _constant_lines(rows) + _failure_lines(rows)
     _write_report(out_dir, "benchmark report", context, body)
+    _write_timings(out_dir, rows)
 
 
 def cmd_bench(cfg: RunConfig) -> EvalReport:
@@ -490,4 +501,5 @@ def cmd_sweep(cfg: RunConfig):
             table.append(f"{dim:>6}  {m:<14} {auc_mean:9.4f} {t_mean:8.3f}{partial}")
     table += ["", *_constant_lines(rows), *_failure_lines(rows)]
     _write_report(cfg.out_dir, "sweep report", context, table)
+    _write_timings(cfg.out_dir, rows)
     return rows

@@ -212,6 +212,53 @@ method.logreg-srp.max_iter = 40
         assert "time" in report_text  # timings live in the report instead
 
 
+def _timing_keys(out1, out2):
+    """The (dim, run, method) of each line of both runs' ``timings.txt``,
+    after checking that each line ends in its seconds and that every
+    ``*.csv`` of the two runs is byte-identical."""
+    csvs = sorted(p.name for p in out1.glob("*.csv"))
+    assert csvs == sorted(p.name for p in out2.glob("*.csv"))
+    for name in csvs:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    keys = []
+    for out in (out1, out2):
+        fields = [line.split() for line in (out / "timings.txt").read_text().splitlines()]
+        assert all(len(f) == 4 and float(f[3]) >= 0.0 for f in fields)
+        keys.append([f[:3] for f in fields])
+    return keys
+
+
+class TestTimingsFile:
+    def test_bench_one_line_per_row(self, tmp_path):
+        for out in ("t1", "t2"):
+            cmd_bench(parse_config(_bench_cfg(tmp_path, out)))
+        _, rows = read_table_csv(str(tmp_path / "t1" / "runs.csv"))
+        expected = [["40", r[0], r[2]] for r in rows]  # one line per row
+        assert _timing_keys(tmp_path / "t1", tmp_path / "t2") == [expected, expected]
+
+    def test_sweep_one_line_per_row(self, tmp_path):
+        text = """
+base_seed = 1
+n_runs = 2
+n_train = 40
+methods = elm-srp, krr-srp
+sweep.dims = 8, 32
+data.kind = synth
+data.n_features = 900
+data.n_train_pool = 100
+data.n_test = 50
+data.signal_features = 60
+data.density = 0.015
+"""
+        for out in ("s1", "s2"):
+            cmd_sweep(parse_config(
+                _write_cfg(tmp_path, f"{out}.txt", f"out_dir = {tmp_path / out}\n" + text)
+            ))
+        _, rows = read_table_csv(str(tmp_path / "s1" / "sweep.csv"))
+        expected = [[r[0], r[1], r[3]] for r in rows]  # one line per row
+        assert _timing_keys(tmp_path / "s1", tmp_path / "s2") == [expected, expected]
+
+
 class TestMethodTable:
     def test_every_method_runs_with_every_key(self, tmp_path):
         cfg = parse_config(

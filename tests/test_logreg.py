@@ -5,6 +5,7 @@ import pytest
 
 from srplearn import logreg
 from srplearn.exceptions import NumericalDivergenceError
+from srplearn.ridge import default_lambda_grid
 from srplearn.logreg import (
     _descend,
     _loss_grad,
@@ -179,6 +180,44 @@ class TestDescend:
             _, grad_w, grad_b = _loss_grad(X, y, W[j], b[j], grid[j])
             assert max(np.max(np.abs(grad_w)), abs(grad_b)) < tol
 
+    def test_whole_default_grid_converges(self):
+        # the plain descent left 4 of these 41 columns at the cap; the
+        # accelerated rounds finish every one well inside it
+        X, y = _make_problem(np.random.default_rng(16), n=60, p=150)
+        grid = default_lambda_grid()
+        _, _, converged, iterations = _descend(X, y, grid, 200, 1e-6)
+        assert grid.size == 41
+        assert np.all(converged) and np.all(iterations < 200)
+
+    def test_very_large_penalties_converge(self):
+        # the plain descent ran 2^17 to the cap with its gradient stuck
+        # just above tol, its loss changes below one ulp of the loss
+        X, y = _make_problem(np.random.default_rng(20), n=80, p=6, noise=1.5)
+        grid = 2.0 ** np.arange(10, 21)
+        W, b, converged, iterations = _descend(X, y, grid, 500, 1e-6)
+        assert np.all(converged) and np.all(iterations < 500)
+        for j in range(grid.size):
+            _, grad_w, grad_b = _loss_grad(X, y, W[j], b[j], grid[j])
+            assert max(np.max(np.abs(grad_w)), abs(grad_b)) < 1e-6
+
+    def test_every_round_counts_toward_the_cap(self):
+        # a tol no gradient reaches: every column runs to the cap, restarts
+        # included, reports it, and ends at a loss no higher than at any
+        # smaller cap.  (Past about 40 rounds here a column's loss is flat
+        # to float64 and it ends early, as the docstring says.)
+        X, y = _make_problem(np.random.default_rng(17), n=80, p=6, noise=1.5)
+        grid = np.array([0.0, 2.0**-6, 1.0, 2.0**6, 2.0**18])
+        caps = [0, 1, 2, 5, 10, 20, 30]
+        losses = []
+        for cap in caps:
+            W, b, converged, iterations = _descend(X, y, grid, cap, 1e-300)
+            assert np.all(iterations == cap) and not np.any(converged)
+            losses.append([_loss_grad(X, y, W[j], b[j], lam)[0]
+                           for j, lam in enumerate(grid)])
+        # the descent's own loss never rises; recomputed from the returned
+        # weights, a change below one ulp of the loss may read as one ulp
+        assert np.all(np.diff(losses, axis=0) <= 2e-16)
+
     def test_columns_converged_at_the_start(self):
         # the gradient at the zero start does not depend on the penalty, so
         # step-0 convergence holds for every column or none: rows repeated
@@ -250,15 +289,15 @@ class TestSelectLambda:
         X, y = _make_problem(rng, n=100, p=5, noise=0.5)
         grid = 2.0 ** np.arange(-8, 21, 4)
         converged = np.zeros(grid.size, dtype=bool)
-        lam, losses = logreg_select_lambda(X, y, grid, seed=3, max_iter=30,
+        lam, losses = logreg_select_lambda(X, y, grid, seed=3, max_iter=16,
                                            converged=converged)
         # the same split as the selection: 20 of 100 rows held out
         train = np.random.default_rng(3).permutation(100)[20:]
-        _, _, expected, _ = _descend(X[train], y[train], grid, 30, 1e-6)
+        _, _, expected, _ = _descend(X[train], y[train], grid, 16, 1e-6)
         assert np.array_equal(converged, expected)
         assert 0 < np.count_nonzero(converged) < grid.size
         # the flags are an extra output: the selection itself is unchanged
-        plain_lam, plain_losses = logreg_select_lambda(X, y, grid, seed=3, max_iter=30)
+        plain_lam, plain_losses = logreg_select_lambda(X, y, grid, seed=3, max_iter=16)
         assert lam == plain_lam and np.array_equal(losses, plain_losses)
 
     def test_tie_prefers_larger_lambda(self):
