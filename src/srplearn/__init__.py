@@ -18,8 +18,6 @@ from .datasets import (
     write_svmlight,
 )
 from .distance import (
-    KIND_JACCARD,
-    KIND_SQEUCLIDEAN,
     DistanceMatrix,
     jaccard_distance_matrix,
     squared_euclidean_distance_matrix,
@@ -65,8 +63,6 @@ __all__ = [
     "ElmModel",
     "EvalReport",
     "KERNEL_JACCARD",
-    "KIND_JACCARD",
-    "KIND_SQEUCLIDEAN",
     "KrrModel",
     "LogRegModel",
     "NumericalDivergenceError",

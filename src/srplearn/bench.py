@@ -34,7 +34,7 @@ import scipy
 
 from . import checks
 from .datasets import Dataset, read_svmlight, subsample_indices, synth_generate
-from .distance import KIND_JACCARD, KIND_SQEUCLIDEAN, distance_matrix
+from .distance import distance_matrix
 from .elm import elm_fit, model_predict, rbf_fit, rvfl_fit
 from .exceptions import DegenerateFitError, NumericalDivergenceError
 from .kernel import (
@@ -73,86 +73,88 @@ class _Fit:
 
 # Method input: the shared projected features, or the raw sparse rows
 # (ELM/RVFL build their own ternary layer, the Jaccard variants need the
-# binary sets themselves).
+# binary sets themselves).  Its row type picks RBF's and kNN's distance.
 _FEATURES = "features"
 _ROWS = "rows"
-_ELM = "elm"
-_RVFL = "rvfl"
 
 # Each family fits on (X_train, X_test) and returns (scores, decision
-# threshold, iterations, converged).  It calls the library functions by
-# their module-level names, so wrappers installed on those are seen.
+# threshold, iterations, converged, the penalty PRESS chose or None).  It
+# calls the library functions by their module-level names, so wrappers
+# installed on those are seen.
 
-def _hidden_layer(kind, X_train, X_test, fit):
-    """ELM, or RVFL with its direct linear block, on a random ternary layer."""
+def _elm(X_train, X_test, fit):
+    """ELM on a random ternary layer."""
     L = fit.width_override or fit.params.get("L", 1000)
     density = fit.params.get("density")
-    if kind == _ELM:
-        model = elm_fit(X_train, fit.y_train, L, density, fit.seed, fit.grid)
-    else:
-        d_lin = fit.params.get("d_lin")
-        model = rvfl_fit(X_train, fit.y_train, L, d_lin, density, fit.seed, fit.grid)
-    return model_predict(model, X_test), 0.0, 0, True
+    model = elm_fit(X_train, fit.y_train, L, density, fit.seed, fit.grid)
+    return model_predict(model, X_test), 0.0, 0, True, model.solution.lam
 
 
-def _rbf(kind, X_train, X_test, fit):
-    """RBF network on random training centroids under distance ``kind``."""
+def _rvfl(X_train, X_test, fit):
+    """RVFL: ELM with its direct linear block."""
+    L = fit.width_override or fit.params.get("L", 1000)
+    d_lin, density = fit.params.get("d_lin"), fit.params.get("density")
+    model = rvfl_fit(X_train, fit.y_train, L, d_lin, density, fit.seed, fit.grid)
+    return model_predict(model, X_test), 0.0, 0, True, model.solution.lam
+
+
+def _rbf(X_train, X_test, fit):
+    """RBF network on random training centroids."""
     L = fit.params.get("L", min(1000, fit.y_train.size))
-    model = rbf_fit(X_train, fit.y_train, L, kind, fit.seed, fit.grid)
-    return model_predict(model, X_test), 0.0, 0, True
+    model = rbf_fit(X_train, fit.y_train, L, fit.seed, fit.grid)
+    return model_predict(model, X_test), 0.0, 0, True, model.solution.lam
 
 
-def _ridge(kind, X_train, X_test, fit):
+def _ridge(X_train, X_test, fit):
     """Ridge on the features themselves, primal or dual by their shape."""
     solution = solve_ridge_press(X_train, fit.y_train, fit.grid)
-    return X_test @ solution.beta[:, 0], 0.0, 0, True
+    return X_test @ solution.beta[:, 0], 0.0, 0, True, solution.lam
 
 
-def _krr(kind, X_train, X_test, fit):
-    K = kernel_matrix(kind, X_train, X_train)
-    model = krr_fit(K, fit.y_train, fit.grid, kind)
-    scores = krr_predict_kernel(model, kernel_matrix(kind, X_test, X_train))
-    return scores, 0.0, 0, True
+def _krr(X_train, X_test, fit):
+    """Kernel ridge on the Jaccard kernel of the raw sets."""
+    K = kernel_matrix(KERNEL_JACCARD, X_train, X_train)
+    model = krr_fit(K, fit.y_train, fit.grid)
+    scores = krr_predict_kernel(model, kernel_matrix(KERNEL_JACCARD, X_test, X_train))
+    return scores, 0.0, 0, True, model.lam
 
 
-def _knn(kind, X_train, X_test, fit):
+def _knn(X_train, X_test, fit):
     k = fit.params.get("k", 1)
-    D = distance_matrix(kind, X_test, X_train)
-    return knn_predict(D, fit.y_train, k), 0.0, 0, True
+    D = distance_matrix(X_test, X_train)
+    return knn_predict(D, fit.y_train, k), 0.0, 0, True, None
 
 
-def _logreg(kind, X_train, X_test, fit):
+def _logreg(X_train, X_test, fit):
     model = logreg_fit(X_train, fit.y_train, fit.logreg_lambda, **fit.params)
-    return logreg_predict(model, X_test), 0.5, model.iterations, model.converged
+    # the tuned penalty, not chosen by PRESS, has its own report line
+    return logreg_predict(model, X_test), 0.5, model.iterations, model.converged, None
 
 
-# name -> (input, family, kind, {parameter: rule}); the config reader
-# checks each ``method.<name>.<parameter>`` value with the rule of
+# name -> (input, family, {parameter: rule}); the config reader checks
+# each ``method.<name>.<parameter>`` value with the rule of
 # :mod:`srplearn.checks` that the library applies to that argument.
 # Ranges that depend on the data (k or L against n_train) are checked by
 # the library when a run starts.
 _WIDTH, _DENSITY, _K = checks.count, checks.density, checks.neighbors
 METHODS = {
-    "elm-srp": (_ROWS, _hidden_layer, _ELM, {"L": _WIDTH, "density": _DENSITY}),
-    "rvfl-srp": (
-        _ROWS, _hidden_layer, _RVFL, {"L": _WIDTH, "d_lin": _WIDTH, "density": _DENSITY}
-    ),
-    "rbf-srp": (_FEATURES, _rbf, KIND_SQEUCLIDEAN, {"L": _WIDTH}),
-    "krr-srp": (_FEATURES, _ridge, None, {}),
-    "knn-srp": (_FEATURES, _knn, KIND_SQEUCLIDEAN, {"k": _K}),
-    "logreg-srp": (
-        _FEATURES, _logreg, None, {"max_iter": checks.max_iter, "tol": checks.tol}
-    ),
-    "rbf-jaccard": (_ROWS, _rbf, KIND_JACCARD, {"L": _WIDTH}),
-    "krr-jaccard": (_ROWS, _krr, KERNEL_JACCARD, {}),
-    "knn-jaccard": (_ROWS, _knn, KIND_JACCARD, {"k": _K}),
+    "elm-srp": (_ROWS, _elm, {"L": _WIDTH, "density": _DENSITY}),
+    "rvfl-srp": (_ROWS, _rvfl, {"L": _WIDTH, "d_lin": _WIDTH, "density": _DENSITY}),
+    "rbf-srp": (_FEATURES, _rbf, {"L": _WIDTH}),
+    "krr-srp": (_FEATURES, _ridge, {}),
+    "knn-srp": (_FEATURES, _knn, {"k": _K}),
+    "logreg-srp": (_FEATURES, _logreg, {"max_iter": checks.max_iter, "tol": checks.tol}),
+    "rbf-jaccard": (_ROWS, _rbf, {"L": _WIDTH}),
+    "krr-jaccard": (_ROWS, _krr, {}),
+    "knn-jaccard": (_ROWS, _knn, {"k": _K}),
 }
-# Sweeps default to the methods that depend on the projection: the
-# Jaccard ones see the raw sets, so sweeping them is uninformative.
+# Sweeps default to the methods that see the projection, as features or a
+# random layer: the Jaccard ones see the raw sets, so sweeping them is
+# uninformative.
 BENCH_METHODS = list(METHODS)
 SWEEP_METHODS = [
-    m for m, (_, _, kind, _) in METHODS.items()
-    if kind not in (KIND_JACCARD, KERNEL_JACCARD)
+    m for m, (source, family, _) in METHODS.items()
+    if source == _FEATURES or family in (_elm, _rvfl)
 ]
 
 
@@ -248,8 +250,9 @@ def _run_block(cfg, pool, test, F_pool, F_test, methods, grid, logreg_lambda,
                width_override):
     """Execute all runs for one feature configuration; rows in run order.
 
-    A row's ``constant`` says whether every score of the run was equal; it
-    is reported, not written to the CSVs.
+    A row's ``constant`` says whether every score of the run was equal,
+    and its ``lambda`` is the penalty PRESS chose (None for kNN, logreg
+    and failed runs); both are reported, not written to the CSVs.
     """
     rows = []
     for run_index in range(cfg.n_runs):
@@ -260,7 +263,7 @@ def _run_block(cfg, pool, test, F_pool, F_test, methods, grid, logreg_lambda,
         if F_pool is not None:
             inputs[_FEATURES] = (F_pool[idx], F_test)
         for name in methods:
-            source, family, kind, _ = METHODS[name]
+            source, family, _ = METHODS[name]
             fit = _Fit(
                 y_train=train.labels.astype(np.float64),
                 grid=grid,
@@ -271,7 +274,7 @@ def _run_block(cfg, pool, test, F_pool, F_test, methods, grid, logreg_lambda,
             )
             start = time.perf_counter()
             try:
-                scores, threshold, iters, conv = family(kind, *inputs[source], fit)
+                scores, threshold, iters, conv, lam = family(*inputs[source], fit)
                 seconds = time.perf_counter() - start
                 result = {
                     "auc": roc_auc(scores, test.labels),
@@ -280,6 +283,7 @@ def _run_block(cfg, pool, test, F_pool, F_test, methods, grid, logreg_lambda,
                     "converged": int(conv),
                     "error": "",
                     "constant": bool(np.all(scores == scores[:1])),
+                    "lambda": lam,
                 }
             except (ValueError, DegenerateFitError, NumericalDivergenceError,
                     np.linalg.LinAlgError) as exc:
@@ -296,6 +300,7 @@ def _run_block(cfg, pool, test, F_pool, F_test, methods, grid, logreg_lambda,
                     "converged": 0,
                     "error": message,
                     "constant": False,
+                    "lambda": None,
                 }
             rows.append({"run": run_index, "seed": run_seed, "method": name,
                          **result, "seconds": seconds})
@@ -429,7 +434,24 @@ def _constant_lines(rows):
     ]
 
 
-def _write_bench_artifacts(out_dir, rows, report, acc_runs, context):
+def _edge_lines(rows, grid):
+    """The report's count of runs whose PRESS penalty sat at an edge of the
+    grid, then one line per dim, method and edge."""
+    edges = {grid[0]: "bottom", grid[-1]: "top"}
+    runs = Counter((r["dim"], r["method"]) for r in rows)
+    at = Counter((r["dim"], r["method"], r["lambda"]) for r in rows if r["lambda"] in edges)
+    return [f"lambda at grid edge: {at.total() or 'none'}"] + [
+        f"  dim {dim} {m}: {n}/{runs[dim, m]} runs at 2^{np.log2(lam):g} ({edges[lam]})"
+        for (dim, m, lam), n in at.items()
+    ]
+
+
+def _outcome_lines(rows, grid):
+    """The report's sections of degenerate and failed runs."""
+    return _constant_lines(rows) + _failure_lines(rows) + _edge_lines(rows, grid)
+
+
+def _write_bench_artifacts(out_dir, rows, report, acc_runs, context, grid):
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "runs.csv"), _RUN_COLUMNS, rows)
     summary_rows = []
@@ -462,7 +484,7 @@ def _write_bench_artifacts(out_dir, rows, report, acc_runs, context):
             f"logreg iterations: min={min(iters)} max={max(iters)}; "
             f"converged {conv}/{len(logreg_rows)} runs"
         )
-    body += _constant_lines(rows) + _failure_lines(rows)
+    body += _outcome_lines(rows, grid)
     _write_report(out_dir, "benchmark report", context, body)
     _write_timings(out_dir, rows)
 
@@ -471,7 +493,7 @@ def cmd_bench(cfg: RunConfig) -> EvalReport:
     """Run the repeated-subsample benchmark and write artifacts to disk."""
     methods, rows, context = _evaluate(cfg, sweep=False)
     report, acc_runs = _aggregate(rows, methods, cfg.n_runs, cfg.alpha)
-    _write_bench_artifacts(cfg.out_dir, rows, report, acc_runs, context)
+    _write_bench_artifacts(cfg.out_dir, rows, report, acc_runs, context, cfg.lambda_grid())
     return report
 
 
@@ -499,7 +521,7 @@ def cmd_sweep(cfg: RunConfig):
             t_mean = float(np.mean([r["seconds"] for r in ok]))
             partial = f"  ({len(ok)}/{cfg.n_runs} runs)" if len(ok) < cfg.n_runs else ""
             table.append(f"{dim:>6}  {m:<14} {auc_mean:9.4f} {t_mean:8.3f}{partial}")
-    table += ["", *_constant_lines(rows), *_failure_lines(rows)]
+    table += ["", *_outcome_lines(rows, cfg.lambda_grid())]
     _write_report(cfg.out_dir, "sweep report", context, table)
     _write_timings(cfg.out_dir, rows)
     return rows

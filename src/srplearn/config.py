@@ -90,7 +90,7 @@ _KEYS = {
     "data.train_features": ("svmlight", "train_features", str),
     "data.test_features": ("svmlight", "test_features", str),
 }
-_KINDS = ("synth", "svmlight")
+_DATA_KINDS = ("synth", "svmlight")
 
 
 def default_sweep_dims(low: int = 4, high: int = 10000, points: int = 12):
@@ -156,7 +156,7 @@ def _method_key(path: str, key: str) -> tuple:
     if len(parts) != 3:
         raise ValueError(f"{path}: malformed method key {key!r}")
     _, name, param = parts
-    rules = METHODS[_known_method(path, name)][3]
+    rules = METHODS[_known_method(path, name)][2]
     if param not in rules:
         raise ValueError(f"{path}: method {name!r} has no parameter {param!r}")
     return name, param, _checked(rules[param])
@@ -176,7 +176,7 @@ def parse_config(path: str) -> RunConfig:
     if "out_dir" not in raw:
         raise ValueError(f"{path}: missing required key out_dir")
     kind = raw.get("data.kind", "synth")
-    if kind not in _KINDS:
+    if kind not in _DATA_KINDS:
         raise ValueError(f"{path}: data.kind must be synth or svmlight, got {kind!r}")
 
     cfg = RunConfig(out_dir=raw["out_dir"])
@@ -189,7 +189,7 @@ def parse_config(path: str) -> RunConfig:
         if key not in _KEYS:
             raise ValueError(f"{path}: unknown config key {key!r}")
         section, attr, parse = _KEYS[key]
-        if section in _KINDS and section != kind:
+        if section in _DATA_KINDS and section != kind:
             raise ValueError(
                 f"{path}: config key {key!r} applies only to data.kind = {section}"
             )

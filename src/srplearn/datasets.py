@@ -368,11 +368,10 @@ def synth_generate(
     of stream ``derive_seed(s, 1)``; its label flips when stream
     ``derive_seed(s, 2)`` puts an entry in ``[0, 1)`` at rate
     ``flip_prob``.  The streams and the gap sampling are those of
-    projection rows (see :mod:`srplearn.projection`), drawn in blocks of
-    at most ``_BLOCK_DRAWS`` draws per segment; only the nonzeros are
-    drawn, so the work is O(nnz + n).  The arguments are checked by the
-    rules of :mod:`srplearn.checks` that the config reader applies to the
-    ``data.*`` keys.
+    projection rows (see :mod:`srplearn.projection`), drawn in the same
+    row blocks; only the nonzeros are drawn, so the work is O(nnz + n).
+    The arguments are checked by the rules of :mod:`srplearn.checks` that
+    the config reader applies to the ``data.*`` keys.
     """
     n = checks.count(n, "n")
     n_features = checks.count(n_features, "n_features")

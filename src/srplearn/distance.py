@@ -12,7 +12,9 @@ The product runs in row blocks of A, sized from the one block budget of
 distances in place as soon as it is complete, so the intermediates of
 either sparse distance stay within that budget beyond the result.  Dense
 rows get squared Euclidean distances from one matrix product.
-:func:`distance_matrix` selects the distance by kind.
+:func:`distance_matrix` picks the distance by row type: Jaccard for
+sparse binary sets, squared Euclidean for dense rows such as SRP
+features, whose distances the projection preserves.
 
 Per-pair scalar computation is deliberately not exposed; the matrix
 product route is only efficient when pairs are joined in large matrices.
@@ -31,11 +33,6 @@ __all__ = [
     "jaccard_distance_matrix",
     "squared_euclidean_distance_matrix",
 ]
-
-KIND_JACCARD = "jaccard"
-KIND_SQEUCLIDEAN = "squared-euclidean"
-KINDS = (KIND_JACCARD, KIND_SQEUCLIDEAN)
-
 
 class DistanceMatrix:
     """Dense (n_rows(A), n_rows(B)) matrix of pairwise distances.
@@ -121,10 +118,9 @@ def squared_euclidean_distance_matrix(A, B) -> DistanceMatrix:
     return DistanceMatrix(d2)
 
 
-def distance_matrix(kind: str, A, B) -> DistanceMatrix:
-    """Pairwise distances of ``kind``, one of :data:`KINDS`, between rows of A and B."""
-    if kind == KIND_JACCARD:
+def distance_matrix(A, B) -> DistanceMatrix:
+    """Jaccard distances between sparse binary rows, squared Euclidean
+    distances between dense rows; one operand of each raises ``TypeError``."""
+    if isinstance(A, SparseBinaryMatrix) or isinstance(B, SparseBinaryMatrix):
         return jaccard_distance_matrix(A, B)
-    if kind == KIND_SQEUCLIDEAN:
-        return squared_euclidean_distance_matrix(A, B)
-    raise ValueError(f"unknown distance kind: {kind!r}")
+    return squared_euclidean_distance_matrix(A, B)

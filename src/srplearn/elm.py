@@ -8,8 +8,8 @@ Three hidden-layer constructions share one training path:
   with V an independent ternary projection and no activation.
 - RBF: H[i, j] = exp(-gamma_j * d^2(x_i, c_j)) against centroids sampled
   from the training rows, with random log-uniform kernel widths.  The
-  distances come from :func:`srplearn.distance.distance_matrix`, which
-  also checks the operands (Jaccard needs sparse binary rows).
+  row type picks d, through :func:`srplearn.distance.distance_matrix`:
+  the Jaccard distance on sparse binary rows, the Euclidean on dense ones.
 
 Each model has one design function that builds H, called both by its fit
 and by :func:`model_predict`, which scores rows in blocks so that the
@@ -25,7 +25,7 @@ import warnings
 import numpy as np
 
 from . import checks
-from .distance import KIND_JACCARD, KIND_SQEUCLIDEAN, KINDS, distance_matrix
+from .distance import distance_matrix
 from .projection import (
     SparseProjection,
     apply_projection,
@@ -95,24 +95,22 @@ class ElmModel:
 
 
 class RbfModel:
-    """Fitted radial-basis-function model."""
+    """Fitted radial-basis-function model; its centroids' row type picks
+    the distance (see :func:`srplearn.distance.distance_matrix`)."""
 
-    __slots__ = ("centroids", "gammas", "distance_kind", "solution", "seed")
+    __slots__ = ("centroids", "gammas", "solution", "seed")
 
-    def __init__(self, centroids, gammas, distance_kind, solution, seed=0):
+    def __init__(self, centroids, gammas, solution, seed=0):
         gammas = np.asarray(gammas, dtype=np.float64)
         if not np.all((0 < gammas) & (gammas < np.inf)):  # NaN fails too
             raise ValueError("kernel widths must be finite and > 0")
         n_centroids = centroids.shape[0]
         if gammas.shape != (n_centroids,):
             raise ValueError("one kernel width per centroid required")
-        if distance_kind not in KINDS:
-            raise ValueError(f"unknown distance kind: {distance_kind!r}")
         if solution.beta.shape[0] != n_centroids:
             raise ValueError("output weight row count does not match design")
         self.centroids = centroids
         self.gammas = gammas
-        self.distance_kind = distance_kind
         self.solution = solution
         self.seed = int(seed)
 
@@ -186,9 +184,10 @@ def rvfl_fit(
     return _fit_hidden(X, y, L, d_lin, density, seed, lambda_grid)
 
 
-def _squared_distances(X, centroids, distance_kind) -> np.ndarray:
-    d = distance_matrix(distance_kind, X, centroids).values
-    return d * d if distance_kind == KIND_JACCARD else d
+def _squared_distances(X, centroids) -> np.ndarray:
+    """Squared distances to the centroids: only Jaccard's need squaring."""
+    d = distance_matrix(X, centroids).values
+    return d * d if isinstance(centroids, SparseBinaryMatrix) else d
 
 
 def _rbf_design(d2, gammas) -> np.ndarray:
@@ -198,14 +197,7 @@ def _rbf_design(d2, gammas) -> np.ndarray:
     return np.exp(d2, out=d2)
 
 
-def rbf_fit(
-    X,
-    y,
-    L: int,
-    distance_kind: str = KIND_SQEUCLIDEAN,
-    seed: int = 0,
-    lambda_grid=None,
-) -> RbfModel:
+def rbf_fit(X, y, L: int, seed: int = 0, lambda_grid=None) -> RbfModel:
     """Fit an RBF model with L centroids sampled from the training rows.
 
     Kernel widths are gamma_j = g_j / m**2 with g_j log-uniform on
@@ -223,7 +215,7 @@ def rbf_fit(
     )
     # the centroids are rows ``idx``, so their pairwise distances are rows
     # of the train-to-centroid distances the design is built from
-    d2 = _squared_distances(X, centroids, distance_kind)
+    d2 = _squared_distances(X, centroids)
     m = 1.0  # no pairs to measure with one centroid
     if L > 1:
         dist = np.sqrt(np.maximum(d2[idx], 0.0))  # for jaccard, d2 entries are J^2
@@ -239,14 +231,14 @@ def rbf_fit(
     gammas = g / (m * m)
     H = _rbf_design(d2, gammas)
     solution = solve_ridge_press(H, y[:, None], lambda_grid)
-    return RbfModel(centroids, gammas, distance_kind, solution, seed)
+    return RbfModel(centroids, gammas, solution, seed)
 
 
 def _design(model, X) -> np.ndarray:
     """The design of ``model`` on the rows of X."""
     if isinstance(model, ElmModel):
         return _elm_design(X, model.W, model.bias, model.linear_part)
-    d2 = _squared_distances(X, model.centroids, model.distance_kind)
+    d2 = _squared_distances(X, model.centroids)
     return _rbf_design(d2, model.gammas)
 
 

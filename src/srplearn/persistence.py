@@ -89,7 +89,6 @@ def save_model(model, prefix: str) -> None:
         dense_centroids = not isinstance(model.centroids, SparseBinaryMatrix)
         meta = {
             "kind": "rbf",
-            "distance_kind": model.distance_kind,
             "seed": model.seed,
             "centroid_storage": "dense" if dense_centroids else "sparse",
             "centroid_cols": model.centroids.shape[1],
@@ -125,7 +124,9 @@ def load_model(prefix: str):
     """Rebuild the model saved at ``prefix``; predictions match exactly.
 
     Keys that older files carry and this version does not need are
-    ignored, such as the ``activation=tanh`` of ELM and RVFL models.
+    ignored, such as the ``activation=tanh`` of ELM and RVFL models.  An
+    RBF file's ``distance_kind`` must be the one its centroids' row type
+    picks: squared Euclidean on sparse centroids is refused.
     """
     meta = read_keyvalues(prefix + ".meta")
     kind = meta["kind"]
@@ -154,15 +155,20 @@ def load_model(prefix: str):
     )
     if kind == "rbf":
         gammas = read_matrix_csv(prefix + ".gammas.csv").ravel()
-        if meta["centroid_storage"] == "dense":
+        storage = meta["centroid_storage"]
+        expected = "squared-euclidean" if storage == "dense" else "jaccard"
+        if meta.get("distance_kind", expected) != expected:
+            raise ValueError(
+                f"{prefix}.meta: distance_kind={meta['distance_kind']} on {storage} "
+                f"centroids; this version measures them by {expected} distance only"
+            )
+        if storage == "dense":
             centroids = read_matrix_csv(prefix + ".centroids.csv")
         else:
             centroids = _read_sparse_rows(
                 prefix + ".centroids.txt", int(meta["centroid_cols"])
             )
-        return RbfModel(
-            centroids, gammas, meta["distance_kind"], solution, int(meta["seed"])
-        )
+        return RbfModel(centroids, gammas, solution, int(meta["seed"]))
     input_dim = int(meta["input_dim"])
     W = make_projection(
         input_dim, int(meta["hidden_width"]), float(meta["density"]), int(meta["seed"])

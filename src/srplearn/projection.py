@@ -35,9 +35,11 @@ of :func:`srplearn.datasets.synth_generate`.
 All rows of a block are drawn at once with a fixed budget of draws per
 row, :func:`_draw_budget`; the rare row that uses up its budget is
 extended by further passes, never truncated, so the budget changes no
-bit.  A block holds at most ``_BLOCK_DRAWS`` draws (a row whose budget is
-larger is a block of its own), which caps the memory of generation at a
-few slabs of that size beyond the output, whatever ``input_dim``.
+bit.  A block's rows are sized like a sparse product's, from the one
+block budget of :mod:`srplearn.sparse` at three 8-byte slabs per draw (a
+row whose budget is larger is a block of its own), which caps the memory
+of generation at a few slabs of that size beyond the output, whatever
+``input_dim``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import checks
-from .sparse import _INT32_BOUND, SparseBinaryMatrix, _dense_product, _read_only
+from .sparse import (
+    _INT32_BOUND,
+    SparseBinaryMatrix,
+    _block_rows,
+    _dense_product,
+    _read_only,
+)
 
 __all__ = [
     "SparseProjection",
@@ -67,8 +75,6 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _TOP_BIT = np.uint64(1 << 63)
-# draws per block of rows (2 MB per uint64 slab)
-_BLOCK_DRAWS = 1 << 18
 
 
 def derive_seed(seed: int, stream: int) -> int:
@@ -181,9 +187,9 @@ def _bernoulli_rows(seed, lo, hi, width, rate):
 
 def _row_blocks(start, stop, mean):
     """(lo, hi) of each block of rows ``start .. stop - 1`` with ``mean``
-    nonzeros expected per row: at most ``_BLOCK_DRAWS`` draws at the
-    budget of that mean, or one row."""
-    step = max(1, _BLOCK_DRAWS // _draw_budget(mean))
+    nonzeros expected per row: as many rows as the block budget holds at
+    three 8-byte slabs per draw at the budget of that mean, or one row."""
+    step = _block_rows(_draw_budget(mean), 24)
     return [(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
 
 

@@ -66,7 +66,8 @@ __all__ = [
 ]
 
 # Memory budget of one row block: a sparse product's scratch arrays and
-# its combine's temporary, or one block of a model's prediction design
+# its combine's temporary, one block of a model's prediction design, or
+# the draws of one block of projection or synthetic rows
 _BLOCK_BUDGET_MB = 4.0
 # counts and indices from here up need int64 index arrays
 _INT32_BOUND = 2**31

@@ -323,10 +323,11 @@ class TestKrrSrpIsRidge:
             return solutions[-1]
 
         monkeypatch.setattr(bench, "solve_ridge_press", recorded)
-        _, family, kind, _ = bench.METHODS["krr-srp"]
+        _, family, _ = bench.METHODS["krr-srp"]
         fit = bench._Fit(y, grid, 0, {}, None, None)
-        scores, threshold, _, _ = family(kind, F_train, F_test, fit)
+        scores, threshold, _, _, lam = family(F_train, F_test, fit)
         (solution,) = solutions
+        assert lam == solution.lam
 
         model = krr_fit(F_train @ F_train.T, y, grid)
         reference = krr_predict_kernel(model, F_test @ F_train.T)
@@ -394,6 +395,8 @@ data.density = 0.012
         timed = [l.split() for l in report_lines if l.split()[:1] in (["16"], ["64"])]
         assert len(timed) == 2 * n_methods
         assert all(len(f[3].rsplit(".", 1)[1]) == 3 for f in timed)
+        failures = next(i for i, l in enumerate(report_lines) if l.startswith("failures:"))
+        assert report_lines[failures + 1].startswith("lambda at grid edge: ")
 
         # bench at srp.dim 64 with the ELM/RVFL widths set to 64 is the
         # sweep's dim-64 block: same projection, seeds, subsamples, models
@@ -591,6 +594,30 @@ method.knn-jaccard.k = 7
         assert "failures: 2" in report_text
 
 
+class TestLambdaEdgeLines:
+    GRID = default_lambda_grid(-3, 3)
+
+    def test_runs_at_each_edge_counted(self):
+        rows = [
+            {"dim": 8, "method": "a", "lambda": 2.0**-3},
+            {"dim": 8, "method": "a", "lambda": 2.0**-1},  # inside the grid
+            {"dim": 8, "method": "b", "lambda": 2.0**3},
+            {"dim": 8, "method": "c", "lambda": None},  # kNN, logreg, failures
+            {"dim": 16, "method": "a", "lambda": 2.0**-3},
+        ]
+        assert bench._edge_lines(rows, self.GRID) == [
+            "lambda at grid edge: 3",
+            "  dim 8 a: 1/2 runs at 2^-3 (bottom)",
+            "  dim 8 b: 1/1 runs at 2^3 (top)",
+            "  dim 16 a: 1/1 runs at 2^-3 (bottom)",
+        ]
+
+    def test_none_at_an_edge(self):
+        rows = [{"dim": 8, "method": "a", "lambda": 1.0},
+                {"dim": 8, "method": "c", "lambda": None}]
+        assert bench._edge_lines(rows, self.GRID) == ["lambda at grid edge: none"]
+
+
 class TestKnnSrpCollapse:
     def test_constant_scores_warned_and_reported(self, tmp_path):
         # at this shape (bench-mix's) 1-NN on the projected features gives
@@ -631,6 +658,11 @@ data.signal_features = 600
         start = lines.index("constant scores: 2")
         assert lines[start : start + 3] == [
             "constant scores: 2", "  dim 400 knn-srp: 2/2 runs", "failures: none"
+        ]
+        # the Jaccard kernel is well conditioned, so PRESS falls toward
+        # lambda = 0 and picks the bottom of the grid in both runs
+        assert lines[start + 3 :] == [
+            "lambda at grid edge: 2", "  dim 400 krr-jaccard: 2/2 runs at 2^-20 (bottom)"
         ]
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srplearn import datasets, projection
+from srplearn import datasets, sparse
 from srplearn.datasets import (
     Dataset,
     read_svmlight,
@@ -629,7 +629,8 @@ class TestSynthGenerate:
     ):
         for seed in (0, 3):
             expected = synth_generate(n, n_features, density, signal, flip, seed)
-            monkeypatch.setattr(projection, "_BLOCK_DRAWS", block)
+            # a budget of ``block`` draws at 24 bytes each
+            monkeypatch.setattr(sparse, "_BLOCK_BUDGET_MB", (24 * block + 0.5) / 1e6)
             ds = synth_generate(n, n_features, density, signal, flip, seed)
             monkeypatch.undo()
             for name in ("indptr", "indices"):
@@ -652,7 +653,9 @@ class TestSynthGenerate:
         finally:
             tracemalloc.stop()
         output = ds.sparse.indptr.nbytes + ds.sparse.indices.nbytes + ds.labels.nbytes
-        assert peak - before - output <= 8 * projection._BLOCK_DRAWS * 8
+        # eight 8-byte slabs of one block's draws, which the budget sizes
+        # at three
+        assert peak - before - output <= 8 / 3 * sparse._BLOCK_BUDGET_MB * 1e6
 
     def test_rows_independent_of_row_count(self):
         # row i depends only on (seed, i), so a shorter run is a prefix

@@ -7,15 +7,11 @@ import pytest
 
 from srplearn import distance, sparse
 from srplearn.distance import (
-    KIND_JACCARD,
-    KIND_SQEUCLIDEAN,
-    KINDS,
     DistanceMatrix,
     distance_matrix,
     jaccard_distance_matrix,
     squared_euclidean_distance_matrix,
 )
-from srplearn.elm import rbf_fit
 from srplearn.kernel import KERNEL_JACCARD, kernel_matrix
 from srplearn.sparse import SparseBinaryMatrix
 
@@ -173,27 +169,30 @@ class TestDistanceMatrix:
             DistanceMatrix(np.zeros(3))
 
 
-class TestDistanceMatrixByKind:
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_matches_named_function(self, kind):
+class TestDistanceMatrixByRowType:
+    def test_sparse_rows_get_jaccard(self):
         rng = np.random.default_rng(14)
         A = random_sparse(rng, 9, 30, 0.2)
         B = random_sparse(rng, 7, 30, 0.2)
-        named = {
-            KIND_JACCARD: jaccard_distance_matrix,
-            KIND_SQEUCLIDEAN: squared_euclidean_distance_matrix,
-        }[kind]
-        D = distance_matrix(kind, A, B)
-        assert np.array_equal(D.values, named(A, B).values)
+        D = distance_matrix(A, B).values
+        assert D.tobytes() == jaccard_distance_matrix(A, B).values.tobytes()
 
-    def test_unknown_kind_rejected(self):
-        A = SparseBinaryMatrix.from_rows([[0]], 3)
-        with pytest.raises(ValueError):
-            distance_matrix("chebyshev", A, A)
+    def test_dense_rows_get_squared_euclidean(self):
+        rng = np.random.default_rng(15)
+        A = rng.standard_normal((9, 30))
+        B = rng.standard_normal((7, 30))
+        D = distance_matrix(A, B).values
+        assert D.tobytes() == squared_euclidean_distance_matrix(A, B).values.tobytes()
+
+    @pytest.mark.parametrize("sparse_first", [True, False])
+    def test_mixed_operands_rejected(self, sparse_first):
+        S = SparseBinaryMatrix.from_rows([[0], [1, 2]], 3)
+        F = np.zeros((2, 3))
+        with pytest.raises(TypeError):
+            distance_matrix(*((S, F) if sparse_first else (F, S)))
 
 
 _DENSE = np.eye(4)
-_LABELS = np.array([1.0, -1.0, 1.0, -1.0])
 
 
 @pytest.mark.parametrize(
@@ -201,10 +200,8 @@ _LABELS = np.array([1.0, -1.0, 1.0, -1.0])
     [
         lambda: jaccard_distance_matrix(_DENSE, _DENSE),
         lambda: kernel_matrix(KERNEL_JACCARD, _DENSE, _DENSE),
-        lambda: rbf_fit(_DENSE, _LABELS, 2, KIND_JACCARD),
-        lambda: distance_matrix(KIND_JACCARD, _DENSE, _DENSE),
     ],
-    ids=["jaccard_distance_matrix", "kernel_matrix", "rbf_fit", "distance_matrix"],
+    ids=["jaccard_distance_matrix", "kernel_matrix"],
 )
 def test_jaccard_of_dense_rows_is_a_type_error(call):
     with pytest.raises(TypeError):

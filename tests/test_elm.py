@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from srplearn import sparse
-from srplearn.distance import KIND_JACCARD, KIND_SQEUCLIDEAN
 from srplearn.elm import (
     ElmModel,
     RbfModel,
@@ -198,10 +197,10 @@ class TestRbf:
         rng = np.random.default_rng(12)
         F = rng.standard_normal((20, 5))
         y = np.where(F[:, 0] > 0, 1.0, -1.0)
-        model = rbf_fit(F, y, 6, KIND_SQEUCLIDEAN, seed=4)
+        model = rbf_fit(F, y, 6, seed=4)
         from srplearn.elm import _squared_distances
 
-        d2 = _squared_distances(model.centroids, model.centroids, KIND_SQEUCLIDEAN)
+        d2 = _squared_distances(model.centroids, model.centroids)
         H = np.exp(-model.gammas[None, :] * d2)
         assert np.allclose(np.diag(H), 1.0, atol=1e-12)
 
@@ -209,8 +208,8 @@ class TestRbf:
         rng = np.random.default_rng(13)
         F = rng.standard_normal((30, 4))
         y = np.where(F[:, 0] > 0, 1.0, -1.0)
-        m1 = rbf_fit(F, y, 8, KIND_SQEUCLIDEAN, seed=5)
-        m2 = rbf_fit(F, y, 8, KIND_SQEUCLIDEAN, seed=5)
+        m1 = rbf_fit(F, y, 8, seed=5)
+        m2 = rbf_fit(F, y, 8, seed=5)
         assert np.all(m1.gammas > 0)
         assert np.array_equal(m1.gammas, m2.gammas)
         assert np.array_equal(m1.centroids, m2.centroids)
@@ -221,13 +220,13 @@ class TestRbf:
     def test_widths_must_be_finite_and_positive(self, gammas):
         solution = RidgeSolution(np.zeros((2, 1)), 1.0, 0.0, np.array([1.0]))
         with pytest.raises(ValueError):
-            RbfModel(np.zeros((2, 3)), gammas, KIND_SQEUCLIDEAN, solution)
+            RbfModel(np.zeros((2, 3)), gammas, solution)
 
     def test_jaccard_variant_on_sparse_rows(self):
         rng = np.random.default_rng(14)
         X, y = _separable_data(rng, 120)
         X_test, y_test = _separable_data(rng, 60)
-        model = rbf_fit(X, y, 60, KIND_JACCARD, seed=6)
+        model = rbf_fit(X, y, 60, seed=6)
         auc = roc_auc(model_predict(model, X_test), y_test)
         assert auc > 0.9
 
@@ -235,29 +234,30 @@ class TestRbf:
         # the centroids keep their column form from fit to every batch
         rng = np.random.default_rng(19)
         X, y = _separable_data(rng, 80)
-        model = rbf_fit(X, y, 20, KIND_JACCARD, seed=7)
+        model = rbf_fit(X, y, 20, seed=7)
         for _ in range(3):
             batch, _ = _separable_data(rng, 12)
             fresh = RbfModel(
                 fresh_copy(model.centroids),
-                model.gammas, model.distance_kind, model.solution, model.seed,
+                model.gammas, model.solution, model.seed,
             )
             expected = model_predict(fresh, batch)
             assert model_predict(model, batch).tobytes() == expected.tobytes()
 
     def test_jaccard_requires_sparse(self):
+        # sparse centroids measure by Jaccard, which dense rows cannot give
         rng = np.random.default_rng(15)
-        F = rng.standard_normal((10, 3))
-        y = np.where(F[:, 0] > 0, 1.0, -1.0)
+        X, y = _separable_data(rng, 20)
+        model = rbf_fit(X, y, 4, seed=0)
         with pytest.raises(TypeError):
-            rbf_fit(F, y, 4, KIND_JACCARD)
+            model_predict(model, X.to_dense())
 
     def test_too_many_centroids_rejected(self):
         rng = np.random.default_rng(16)
         F = rng.standard_normal((5, 3))
         y = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
         with pytest.raises(ValueError):
-            rbf_fit(F, y, 6, KIND_SQEUCLIDEAN)
+            rbf_fit(F, y, 6)
 
     def test_coincident_centroids_warn_and_fit(self):
         X = SparseBinaryMatrix.from_rows([[0, 1]] * 4 + [[2, 3]] * 2, 6)
@@ -269,7 +269,7 @@ class TestRbf:
         for seed in range(200):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                model = rbf_fit(X, y, 2, KIND_JACCARD, seed=seed)
+                model = rbf_fit(X, y, 2, seed=seed)
             if any("coincide" in str(w.message) for w in caught):
                 hit = True
                 assert np.all(np.isfinite(model.gammas))
@@ -282,7 +282,7 @@ class TestRbf:
         y = np.where(F[:, 0] > 0, 1.0, -1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rbf_fit(F, y, 1, KIND_SQEUCLIDEAN, seed=0)
+            rbf_fit(F, y, 1, seed=0)
 
     def test_large_gamma_locality(self):
         # responses decay with distance from the centroid
@@ -292,8 +292,8 @@ class TestRbf:
         from srplearn.elm import _squared_distances
 
         gamma = 5.0
-        h_near = np.exp(-gamma * _squared_distances(near, centroid, KIND_SQEUCLIDEAN))
-        h_far = np.exp(-gamma * _squared_distances(far, centroid, KIND_SQEUCLIDEAN))
+        h_near = np.exp(-gamma * _squared_distances(near, centroid))
+        h_far = np.exp(-gamma * _squared_distances(far, centroid))
         assert h_near > h_far
 
 
@@ -307,8 +307,7 @@ class TestBlockedPrediction:
         return [
             (elm_fit(X, y, 24, seed=1), X),
             (rvfl_fit(X, y, 16, seed=2), X),
-            (rbf_fit(X, y, 20, KIND_JACCARD, seed=3), X),
-            (rbf_fit(X, y, 20, KIND_SQEUCLIDEAN, seed=4), X),
+            (rbf_fit(X, y, 20, seed=3), X),
             (elm_fit(F, y, 24, seed=5), F),
             (rvfl_fit(F, y, 16, seed=6), F),
         ]

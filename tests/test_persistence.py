@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from srplearn.distance import KIND_JACCARD, KIND_SQEUCLIDEAN
 from srplearn.elm import RbfModel, elm_fit, model_predict, rbf_fit, rvfl_fit
 from srplearn.logreg import logreg_fit, logreg_predict
 from srplearn.matio import read_keyvalues, write_keyvalues
@@ -92,7 +91,7 @@ class TestRbfRoundTrip:
         rng = np.random.default_rng(2)
         F = rng.standard_normal((50, 12))
         y = _labels(rng, 50)
-        model = rbf_fit(F, y, 10, KIND_SQEUCLIDEAN, seed=7)
+        model = rbf_fit(F, y, 10, seed=7)
         prefix = str(tmp_path / "rbf")
         save_model(model, prefix)
         back = load_model(prefix)
@@ -105,7 +104,7 @@ class TestRbfRoundTrip:
         rng = np.random.default_rng(3)
         X = random_sparse(rng, 60, 80, 0.15)
         y = _labels(rng, 60)
-        model = rbf_fit(X, y, 20, KIND_JACCARD, seed=9)
+        model = rbf_fit(X, y, 20, seed=9)
         prefix = str(tmp_path / "rbfj")
         save_model(model, prefix)
         back = load_model(prefix)
@@ -121,7 +120,7 @@ class TestRbfRoundTrip:
         centroids = SparseBinaryMatrix.from_rows(rows, 20001)
         beta = rng.standard_normal((len(rows), 1))
         solution = RidgeSolution(beta, 0.5, 1.25, np.array([0.5, 1.0]))
-        model = RbfModel(centroids, np.full(len(rows), 0.7), KIND_JACCARD, solution, 3)
+        model = RbfModel(centroids, np.full(len(rows), 0.7), solution, 3)
         prefix = str(tmp_path / "rbfj")
         save_model(model, prefix)
         text = (tmp_path / "rbfj.centroids.txt").read_text()
@@ -130,6 +129,48 @@ class TestRbfRoundTrip:
         assert back.centroids == centroids
         X_new = random_sparse(rng, 6, 20001, 0.001)
         assert np.array_equal(model_predict(model, X_new), model_predict(back, X_new))
+
+    @staticmethod
+    def _saved(tmp_path, storage):
+        """An RBF model on dense or sparse rows, saved; (model, rows, prefix)."""
+        rng = np.random.default_rng(5)
+        if storage == "dense":
+            X = rng.standard_normal((40, 10))
+        else:
+            X = random_sparse(rng, 40, 60, 0.15)
+        model = rbf_fit(X, _labels(rng, 40), 12, seed=4)
+        prefix = str(tmp_path / storage)
+        save_model(model, prefix)
+        return model, X, prefix
+
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    def test_distance_kind_not_written(self, tmp_path, storage):
+        _, _, prefix = self._saved(tmp_path, storage)
+        meta = read_keyvalues(prefix + ".meta")
+        assert meta["centroid_storage"] == storage
+        assert "distance_kind" not in meta
+
+    @pytest.mark.parametrize(
+        "storage, kind", [("dense", "squared-euclidean"), ("sparse", "jaccard")]
+    )
+    def test_older_file_with_matching_kind_loads(self, tmp_path, storage, kind):
+        # files written while RBF took a distance kind name it; where the
+        # kind is the one the centroids' row type picks, they load as before
+        model, X, prefix = self._saved(tmp_path, storage)
+        meta = read_keyvalues(prefix + ".meta")
+        write_keyvalues(prefix + ".meta", {"distance_kind": kind, **meta})
+        back = load_model(prefix)
+        assert model_predict(back, X).tobytes() == model_predict(model, X).tobytes()
+
+    def test_older_squared_euclidean_sparse_file_refused(self, tmp_path):
+        # such a model measured sparse rows by squared Euclidean distance;
+        # loaded now, it would score them by Jaccard
+        _, _, prefix = self._saved(tmp_path, "sparse")
+        meta = read_keyvalues(prefix + ".meta")
+        write_keyvalues(prefix + ".meta", {**meta, "distance_kind": "squared-euclidean"})
+        with pytest.raises(ValueError, match="distance_kind=squared-euclidean") as exc:
+            load_model(prefix)
+        assert str(exc.value).startswith(f"{prefix}.meta: ")
 
     @pytest.mark.parametrize("line, token", [(b"3 x5", "x5"), (b"3 \xff", "\\xff")])
     def test_bad_column_index_named(self, tmp_path, line, token):

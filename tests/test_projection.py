@@ -25,6 +25,12 @@ from oracles import random_sparse, reference_row
 ORACLE_SEEDS = [0, 5, -7, 2**63 + 5, 2**64 - 1]
 
 
+def _budget_mb(draws):
+    """A block budget of ``draws`` draws at 24 bytes each (the half byte
+    keeps float rounding from losing one)."""
+    return (24 * draws + 0.5) / 1e6
+
+
 def _assert_matches_oracle(seed, input_dim, output_dim, density):
     P = make_projection(input_dim, output_dim, density, seed)
     magnitude = np.sqrt((1.0 / density) / output_dim)
@@ -104,13 +110,13 @@ class TestBlockGenerationMatchesPerRowStream:
         ],
     )
     def test_small_blocks(self, monkeypatch, seed, input_dim, output_dim, density):
-        monkeypatch.setattr(projection, "_BLOCK_DRAWS", 64)
+        monkeypatch.setattr(sparse, "_BLOCK_BUDGET_MB", _budget_mb(64))
         _assert_matches_oracle(seed, input_dim, output_dim, density)
 
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     def test_default_block_size(self, seed):
         # three rows past the first block boundary
-        per_block = projection._BLOCK_DRAWS // projection._draw_budget(16 * 0.05)
+        per_block = sparse._block_rows(projection._draw_budget(16 * 0.05), 24)
         _assert_matches_oracle(seed, per_block + 3, 16, 0.05)
 
     def test_row_wider_than_default_block(self):
@@ -127,12 +133,12 @@ class TestBlockGenerationMatchesPerRowStream:
     def test_property_any_seed_and_block(
         self, seed, input_dim, output_dim, density, block
     ):
-        old = projection._BLOCK_DRAWS
-        projection._BLOCK_DRAWS = block
+        old = sparse._BLOCK_BUDGET_MB
+        sparse._BLOCK_BUDGET_MB = _budget_mb(block)
         try:
             _assert_matches_oracle(seed, input_dim, output_dim, density)
         finally:
-            projection._BLOCK_DRAWS = old
+            sparse._BLOCK_BUDGET_MB = old
 
     @pytest.mark.parametrize(
         "budget", [lambda mean: 1, lambda mean: int(mean)], ids=["one", "mean"]
@@ -140,7 +146,7 @@ class TestBlockGenerationMatchesPerRowStream:
     def test_overrun_rows_are_extended_not_truncated(self, monkeypatch, budget):
         expected = make_projection(300, 64, 0.3, seed=4)
         monkeypatch.setattr(projection, "_draw_budget", budget)
-        monkeypatch.setattr(projection, "_BLOCK_DRAWS", 64)
+        monkeypatch.setattr(sparse, "_BLOCK_BUDGET_MB", _budget_mb(64))
         got = make_projection(300, 64, 0.3, seed=4)
         if budget(64 * 0.3) == 1:
             # every row has an entry, so every row outruns its first pass
@@ -210,9 +216,10 @@ def test_generation_stays_within_block_budget():
     output = sum(
         a.nbytes for a in (P.pattern.indptr, P.pattern.indices, P.positive, P.values)
     )
-    # at most three 8-byte slabs of one block's draws beyond the output;
-    # drawing every row at once needs about 49 MB at this shape
-    assert peak - before - output <= 3 * projection._BLOCK_DRAWS * 8
+    # at most three 8-byte slabs of one block's draws, one block budget,
+    # beyond the output; drawing every row at once needs about 49 MB at
+    # this shape
+    assert peak - before - output <= sparse._BLOCK_BUDGET_MB * 1e6
 
 
 def test_apply_stays_within_one_block():
