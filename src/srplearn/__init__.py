@@ -5,9 +5,10 @@ high-dimensional sparse binary rows: an exact-reproducible ternary
 sparse random projection, an exact sparse Jaccard distance, random
 feature models solved in closed form with leave-one-out ridge selection
 (ELM, RVFL, RBF variants), kernel ridge regression with an analytic
-leave-one-out residual, nearest neighbours, a gradient-descent logistic
-regression baseline, rank-based evaluation (ROC AUC, paired t-tests),
-and a benchmark harness with deterministic CSV artifacts.
+leave-one-out residual, nearest neighbours, a logistic regression
+baseline fitted by Newton's method, rank-based evaluation (ROC AUC,
+paired t-tests), and a benchmark harness with deterministic CSV
+artifacts.
 """
 
 from .datasets import (

@@ -80,8 +80,10 @@ def max_iter(value) -> int:
 
 
 def tol(value) -> float:
-    if not value > 0:
-        raise ValueError(f"tol must be > 0, got {value!r}")
+    """A stopping tolerance: finite and > 0.  An infinite one would stop
+    every fit at its zero start and call it converged."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {value!r}")
     return float(value)
 
 

@@ -125,8 +125,11 @@ def krr_predict(model: KrrModel, X_test) -> np.ndarray:
 def knn_predict(D: DistanceMatrix | np.ndarray, labels, k: int) -> np.ndarray:
     """Mean label of the k nearest training rows for each test row.
 
-    Neighbors are taken by ascending distance; equal distances resolve to
-    the lower training index.  Scores lie in [-1, 1]; class is sign(score).
+    Neighbors are taken by ascending distance; equal distances, as
+    computed, resolve to the lower training index.  Distances equal in
+    exact arithmetic may differ in their last bits (dense squared
+    distances come from ``|a|^2 + |b|^2 - 2ab``), and then the smaller
+    one wins.  Scores lie in [-1, 1]; class is sign(score).
     """
     values = checks.rows(D.values if isinstance(D, DistanceMatrix) else D)
     labels = checks.labels(labels, values.shape[1])

@@ -1,54 +1,27 @@
-"""L2-regularized logistic regression trained by deterministic descent.
+"""L2-regularized logistic regression trained by Newton's method.
 
 Minimizes mean log-loss plus (lambda/2) ||w||^2 (intercept unpenalized)
-with a monotone accelerated gradient descent and backtracking.  The
-penalty is chosen on a grid by held-out log-loss, since the closed-form
-leave-one-out identity of the ridge models does not apply here.
+by a line-search truncated Newton method (Newton-CG; Nocedal & Wright,
+*Numerical Optimization*, Algorithm 7.1).  The penalty is chosen on a
+grid by held-out log-loss, since the closed-form leave-one-out identity
+of the ridge models does not apply here.
 
 One loop, :func:`_descend`, runs the descent for any number of
 penalties at once: tuning advances the whole grid together, sharing
-each round's matrix products, and a single fit is its one-penalty case.
+each iteration's matrix products, and a single fit is its one-penalty
+case.  Each iteration solves the Newton system approximately by
+conjugate gradients, which need only Hessian-vector products
+(Lin, Weng & Keerthi 2008), and backtracks from the full Newton step.
+Newton's steps do not depend on the scaling of the variables, so the
+intercept, whose curvature stays below 1/4, and the weights, whose
+curvature grows with lambda, need no step scaling of their own.
 
-Each round extrapolates from the last kept point along its last move
-(Nesterov's momentum as in Beck & Teboulle's FISTA), takes the loss and
-gradient at the extrapolated point, and backtracks from there.  Plain
-descent needs on the order of kappa steps on a problem of condition
-number kappa, momentum about sqrt(kappa).  Momentum alone can raise the
-loss, so a trial is kept only if its loss is no higher than the kept
-point's; otherwise the momentum restarts from the kept point
-(O'Donoghue & Candes's adaptive restart) and the loss never rises.
-``iterations`` counts these rounds, kept or restarted.
-
-The backtracking asks the loss to fall by at least half of ``step``
-times the squared gradient along the scaled direction.  On a quadratic
-of curvature L along that direction this accepts steps up to 1 / L, the
-step the accelerated method's guarantee assumes; Armijo's customary
-1e-4 accepts nearly 2 / L, the stability edge, where the momentum
-oscillates, and left 8, 17 and 6 of bench-mix's 41 tuning penalties at
-``max_iter = 200`` (seeds 0-2).  The search starts at twice the last
-accepted step (at most 1e6), so a step the curvature allows carries
-over from round to round and regrows after a short one; a search that
-started at 1 every round left 13 of 41 at the cap at each seed.
-
-A trial's loss is the extrapolated point's plus a change summed from
-each row's own softplus change, ``log1p(p expm1(delta))``, rather than a
-second rounded loss.  Near the optimum of a very large penalty, the
-weights' remaining error moves a loss near 0.69 by less than an ulp, so
-the difference of two rounded losses is noise there: the search halves
-its step on noise and a 2^20 penalty ran to ``max_iter`` with its
-gradient stuck near 7e-6.  The summed change keeps its own relative
+A trial's loss change is summed from each row's own softplus change,
+``log1p(p expm1(delta))``, rather than taken as the difference of two
+rounded losses.  Near the optimum of a very large penalty the remaining
+error moves a loss near 0.69 by less than an ulp, so a difference of
+rounded losses is noise there; the summed change keeps its own relative
 precision, and the search needs no matrix product of its own.
-
-The weights and the intercept share one step size, but the weights'
-step is divided by ``1 + 3 lambda``.  The loss's curvature is at most
-1/4 along the intercept and grows like lambda along the weights, so an
-unscaled step that suits the weights of a large penalty leaves the
-intercept crawling; scaled, the weights' curvature tends to 1/3, just
-above the intercept's 1/4, and both blocks move at one step.  (With
-``1 + 4 lambda`` both curvatures tend to 1/4 and the step settles on
-the stability edge of both blocks at once.)  The intercept's step does
-not depend on lambda, so penalties whose weights stay at zero take
-identical intercept paths.
 
 Log-losses use one softplus, ``max(m, 0) + log1p(exp(-|m|))``, for the
 training loss and the held-out loss alike: it agrees with
@@ -72,12 +45,12 @@ __all__ = [
     "logreg_select_lambda",
 ]
 
-# an accepted trial lowers the loss by _ARMIJO_C * step * the squared
-# scaled gradient (see the module docstring)
-_ARMIJO_C = 0.5
+# an accepted trial lowers the loss by at least _ARMIJO_C times the
+# decrease the slope at the current point predicts (Armijo's rule)
+_ARMIJO_C = 1e-4
 _MIN_STEP = 1e-20
-# a penalty's weight step is its step divided by 1 + _WEIGHT_STEP_SCALE * lambda
-_WEIGHT_STEP_SCALE = 3.0
+# conjugate-gradient steps at most per Newton iteration
+_CG_STEPS = 30
 # share of the rows held out when choosing the penalty
 _HOLDOUT_FRACTION = 0.2
 
@@ -110,20 +83,16 @@ def _check_fit(X, y, max_iter, tol):
     return X, checks.labels(y, X.shape[0]), checks.max_iter(max_iter), checks.tol(tol)
 
 
-def _row_dots(A):
-    """Each row's dot product with itself, as a (1, d) @ (d, 1) product per
-    row: the same BLAS dot as ``a @ a`` for one row ``a``."""
-    return (A[:, None, :] @ A[:, :, None])[:, 0, 0]
+def _row_dots(A, B=None):
+    """Each row of ``A`` dotted with the same row of ``B`` (``A`` itself by
+    default), as a (1, d) @ (d, 1) product per row: the same BLAS dot as
+    ``a @ b`` for one pair of rows."""
+    return (A[:, None, :] @ (A if B is None else B)[:, :, None])[:, 0, 0]
 
 
 def _softplus(m):
     """log(1 + exp(m)), elementwise, without overflow."""
     return np.maximum(m, 0.0) + np.log1p(np.exp(-np.abs(m)))
-
-
-def _weight_scale(lams):
-    """Divisor of each penalty's weight step (see the module docstring)."""
-    return 1.0 + _WEIGHT_STEP_SCALE * lams
 
 
 def _losses(X, y, W, b, lams):
@@ -141,14 +110,13 @@ def _losses(X, y, W, b, lams):
 
 def _grads(X, y, W, lams, neg_margin):
     """Gradient of each row's problem from its negated margins, with the
-    gradient's infinity norm per row and its squared norm along the
-    scaled descent direction, ``|grad_w|^2 / (1 + 3 lambda) + grad_b^2``."""
+    gradient's infinity norm per row."""
     n = y.size
     yp = y * expit(neg_margin)  # d loss_i / d margin_i = -p
     grad_w = (yp @ X) / -n + lams[:, None] * W
     grad_b = yp.sum(axis=1) / -n
     norm = np.maximum(np.abs(grad_w).max(axis=1, initial=0.0), np.abs(grad_b))
-    return grad_w, grad_b, norm, _row_dots(grad_w) / _weight_scale(lams) + grad_b * grad_b
+    return grad_w, grad_b, norm
 
 
 def _loss_grad(X, y, w, b, lam):
@@ -156,7 +124,7 @@ def _loss_grad(X, y, w, b, lam):
     and :func:`_grads`."""
     W, lams = w[None, :], np.array([lam])
     loss, neg_margin = _losses(X, y, W, np.array([b]), lams)
-    grad_w, grad_b, _, _ = _grads(X, y, W, lams, neg_margin)
+    grad_w, grad_b, _ = _grads(X, y, W, lams, neg_margin)
     return float(loss[0]), grad_w[0], float(grad_b[0])
 
 
@@ -176,36 +144,66 @@ def _softplus_change(neg_margin, p, delta):
     return change
 
 
+def _newton_steps(X, lams, curv, grad_w, grad_b):
+    """Newton steps by conjugate gradients, one row per problem.
+
+    Solves ``H s = -g`` from ``s = 0``, where ``g`` is a row's gradient and
+    ``H`` its Hessian, which multiplies ``v`` as
+    ``X'(curv * (X v_w + v_b)) / n + lambda v_w`` (the intercept's entry
+    without the penalty) with ``curv = p (1 - p)`` per row.  A row stops
+    when its residual falls to ``min(1/2, |g|^(1/2)) |g|``, after
+    ``_CG_STEPS`` steps, or at a direction of no positive curvature; there
+    it keeps the step so far, or ``-g`` on the first direction.  The rows
+    still solving share each step's two matrix products.  Returns the
+    steps' weights and intercepts and ``X s_w + s_b`` per row.
+    """
+    n = curv.shape[1]
+    S_w, S_b, XS = np.zeros_like(grad_w), np.zeros_like(grad_b), np.zeros_like(curv)
+    # the rows still solving, their residual H s + g, its squared norm and
+    # their direction
+    rows, lam, R_w, R_b = np.arange(lams.size), lams, grad_w, grad_b
+    rr, D_w, D_b = _row_dots(grad_w) + grad_b * grad_b, -grad_w, -grad_b
+    goal = np.minimum(0.25, np.sqrt(rr)) * rr
+    for j in range(_CG_STEPS):
+        XD = D_w @ X.T + D_b[:, None]
+        CXD = curv * XD
+        dHd = (CXD * XD).sum(axis=1) / n + lam * _row_dots(D_w)
+        flat = dHd <= 0.0
+        alpha = np.divide(rr, dHd, out=np.full(rr.size, float(j == 0)), where=~flat)
+        S_w[rows] += alpha[:, None] * D_w
+        S_b[rows] += alpha * D_b
+        XS[rows] += alpha[:, None] * XD
+        R_w = R_w + alpha[:, None] * ((CXD @ X) / n + lam[:, None] * D_w)
+        R_b = R_b + alpha * CXD.sum(axis=1) / n
+        rr_next = _row_dots(R_w) + R_b * R_b
+        go = ~flat & (rr_next > goal)
+        if not np.count_nonzero(go):
+            break
+        rows, lam, curv, R_w, R_b, D_w, D_b, rr, rr_next, goal = (
+            a[go] for a in (rows, lam, curv, R_w, R_b, D_w, D_b, rr, rr_next, goal)
+        )
+        beta = rr_next / rr
+        D_w, D_b, rr = beta[:, None] * D_w - R_w, beta * D_b - R_b, rr_next
+    return S_w, S_b, XS
+
+
 def _descend(X, y, lams, max_iter, tol):
-    """Monotone accelerated descent from the zero start, one column per
-    penalty.
+    """Newton-CG from the zero start, one column per penalty.
 
-    A round extrapolates from the last kept point ``x`` along its last
-    move, ``v = x + ((t - 1) / t') (x - x_prev)`` with
-    ``t' = (1 + sqrt(1 + 4 t^2)) / 2`` (``t`` starts at 1, so the first
-    round's ``v`` is ``x``), and takes the loss and gradient at ``v`` from
-    ``v``'s own weights.  It then backtracks from ``v``: a trial moves the
-    intercept by ``step`` times its gradient and the weights by
-    ``step / (1 + 3 lambda)`` times theirs, and is accepted when the loss
-    falls by at least ``_ARMIJO_C * step`` times the squared gradient along
-    that direction, ``|grad_w|^2 / (1 + 3 lambda) + grad_b^2``.  The search
-    starts at twice the last accepted step (at most 1e6) and halves on
-    every rejection; each trial costs elementwise work only
-    (:func:`_softplus_change` along the margins' change per unit step, one
-    product per round, and the penalty's change in closed form).  The
-    accepted trial becomes ``x`` if its loss is no higher than ``x``'s;
-    otherwise the momentum restarts (``t = 1``, ``x_prev = x``) and ``x``
-    stays.  The module docstring gives the reason for each choice.
+    An iteration takes the loss and gradient at the current point, a
+    Newton step by :func:`_newton_steps`, and backtracks along it from the
+    unit step, halving until the loss falls by at least ``_ARMIJO_C``
+    times the step times the slope along it.  A trial costs elementwise
+    work only (:func:`_softplus_change` along the step's margins, and the
+    penalty's change in closed form), and the loss never rises.
 
-    A column stops when the gradient infinity-norm at ``v`` drops below
-    ``tol``, and returns ``v``, so ``converged`` means a gradient below
-    ``tol`` at the returned point.  It also stops after ``max_iter``
-    rounds, or when its step falls below ``_MIN_STEP``, and then returns
-    the last kept ``x``, whose loss never rose.  Every round counts toward
-    ``max_iter``, kept or restarted, so the loop always ends.  The columns
-    still descending share each round's products.  Returns (weights
-    (G, d), intercepts, converged flags, round counts), one entry per
-    penalty.
+    An iteration whose search finds no step of at least ``_MIN_STEP``, as
+    where the loss is flat to float64, leaves its point where it is.  A
+    column stops when the gradient infinity-norm at its point drops below
+    ``tol`` (``converged``) or after ``max_iter`` iterations, and returns
+    its point.  The columns still descending share each iteration's
+    products.  Returns (weights (G, d), intercepts, converged flags,
+    iteration counts), one entry per penalty.
     """
     G, n = lams.size, y.size
     W_out = np.zeros((G, X.shape[1]), dtype=np.float64)
@@ -213,87 +211,58 @@ def _descend(X, y, lams, max_iter, tol):
     converged = np.zeros(G, dtype=bool)
     iterations = np.zeros(G, dtype=np.int64)
 
-    # state of the penalties still descending, in grid order: the kept
-    # point x (W, b, loss), the one before it, the momentum t, the next
-    # round's first trial step and the rounds taken
+    # the penalties still descending, in grid order, and their points;
+    # every one has taken ``it`` iterations
     cols, lam, W, b = np.arange(G), lams, W_out.copy(), b_out.copy()
-    W_prev, b_prev = W.copy(), b.copy()
-    loss = np.zeros(G, dtype=np.float64)  # measured in the first round
-    t = np.ones(G, dtype=np.float64)
-    step = np.ones(G, dtype=np.float64)
-    rounds = np.zeros(G, dtype=np.int64)
-    while True:
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        beta = (t - 1.0) / t_next
-        Wv = W + beta[:, None] * (W - W_prev)
-        bv = b + beta * (b - b_prev)
-        loss_v, neg_margin = _losses(X, y, Wv, bv, lam)
-        finite = np.isfinite(loss_v)
-        if np.count_nonzero(finite) < finite.size:
-            raise NumericalDivergenceError("loss is not finite", int(rounds[~finite][0]))
-        grad_w, grad_b, grad_norm, sq = _grads(X, y, Wv, lam, neg_margin)
+    for it in range(max_iter + 1):
+        loss, neg_margin = _losses(X, y, W, b, lam)
+        if not np.all(np.isfinite(loss)):
+            raise NumericalDivergenceError("loss is not finite", it)
+        grad_w, grad_b, grad_norm = _grads(X, y, W, lam, neg_margin)
         conv = grad_norm < tol
-        done = conv | (rounds >= max_iter) | (step < _MIN_STEP)
+        done = conv | (it == max_iter)
         if np.count_nonzero(done):
             ended = cols[done]
-            W_out[ended] = np.where(conv[done, None], Wv[done], W[done])
-            b_out[ended] = np.where(conv[done], bv[done], b[done])
-            converged[ended], iterations[ended] = conv[done], rounds[done]
-            keep = ~done
-            if not np.count_nonzero(keep):
+            W_out[ended], b_out[ended] = W[done], b[done]
+            converged[ended], iterations[ended] = conv[done], it
+            if np.all(done):
                 return W_out, b_out, converged, iterations
-            cols, lam, W, b, W_prev, b_prev, loss, t, t_next, beta, step, rounds = (
-                a[keep] for a in
-                (cols, lam, W, b, W_prev, b_prev, loss, t, t_next, beta, step, rounds)
+            cols, lam, W, b, neg_margin, grad_w, grad_b = (
+                a[~done] for a in (cols, lam, W, b, neg_margin, grad_w, grad_b)
             )
-            Wv, bv, loss_v, neg_margin, grad_w, grad_b, sq = (
-                a[keep] for a in (Wv, bv, loss_v, neg_margin, grad_w, grad_b, sq)
-            )
-        # a round that starts at x itself (v = x) measures x's loss afresh
-        loss = np.where(beta == 0.0, loss_v, loss)
 
-        # the weights' step direction, the margins' change per unit step
-        # and the pieces of the penalty's change
-        U = grad_w / _weight_scale(lam)[:, None]
-        slope = y * (U @ X.T + grad_b[:, None])
         p = expit(neg_margin)
-        uu, uw = _row_dots(U), (U[:, None, :] @ Wv[:, :, None])[:, 0, 0]
+        S_w, S_b, XS = _newton_steps(X, lam, p * expit(-neg_margin), grad_w, grad_b)
+        # the negated margins' change per unit step, the slope along the
+        # step and the pieces of the penalty's change
+        slope = -y * XS
+        gs = _row_dots(grad_w, S_w) + grad_b * S_b
+        ss, sw = _row_dots(S_w), _row_dots(S_w, W)
 
-        # backtrack from v; a column whose step falls below _MIN_STEP
-        # leaves the search and ends at the next round's test
-        change = np.empty_like(loss_v)
+        step = np.ones(cols.size)
         trying = np.arange(cols.size)
         while trying.size:
             s = step[trying]
             rows = _softplus_change(neg_margin[trying], p[trying], s[:, None] * slope[trying])
-            c = rows.sum(axis=1) / n + 0.5 * lam[trying] * s * (s * uu[trying] - 2.0 * uw[trying])
-            ok = c <= -_ARMIJO_C * s * sq[trying]
-            change[trying[ok]] = c[ok]
-            missed = trying[~ok]
+            c = rows.sum(axis=1) / n + 0.5 * lam[trying] * s * (s * ss[trying] + 2.0 * sw[trying])
+            missed = trying[c > _ARMIJO_C * s * gs[trying]]
             step[missed] *= 0.5
             trying = missed[step[missed] >= _MIN_STEP]
 
-        moved = step >= _MIN_STEP
-        loss_z = loss_v + change
-        kept = moved & (loss_z <= loss)
-        W_prev[moved], b_prev[moved] = W[moved], b[moved]
-        W[kept] = Wv[kept] - step[kept, None] * U[kept]
-        b[kept] = bv[kept] - step[kept] * grad_b[kept]
-        loss[kept] = loss_z[kept]
-        t = np.where(kept, t_next, np.where(moved, 1.0, t))
-        step[moved] = np.minimum(step[moved] * 2.0, 1e6)
-        rounds += moved
+        step[step < _MIN_STEP] = 0.0
+        W += step[:, None] * S_w
+        b += step * S_b
 
 
 def logreg_fit(
     X, y, lam: float, max_iter: int = 500, tol: float = 1e-6
 ) -> LogRegModel:
-    """Monotone accelerated descent with backtracking from the zero start.
+    """Newton-CG with backtracking from the zero start.
 
     Stops when the gradient infinity-norm drops below ``tol`` or after
-    ``max_iter`` rounds, whichever comes first; ``iterations`` counts the
-    rounds.  This is the one-penalty case of the descent that tunes the
-    penalty.
+    ``max_iter`` Newton iterations, whichever comes first; ``iterations``
+    counts them.  This is the one-penalty case of the descent that tunes
+    the penalty.
     """
     X, y, max_iter, tol = _check_fit(X, y, max_iter, tol)
     lam = checks.penalty(lam)

@@ -1,16 +1,19 @@
 """Slow references that the library's fast paths are checked against.
 
 Each one computes its result from the definition, element by element
-with Python sets and ints or by explicit retraining, and shares no code
-with the library beyond its matrix type and ``derive_seed``.  The unit
-tests, the acceptance criteria and the end-to-end harness check import
-them from here; this module holds no tests.
+with Python sets and ints, by explicit retraining or by a general-purpose
+optimizer, and shares no code with the library beyond its matrix type
+and ``derive_seed``.  The unit tests, the acceptance criteria and the
+end-to-end harness check import them from here; this module holds no
+tests.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.optimize import minimize
+from scipy.special import expit
 
 from srplearn import datasets
 from srplearn.projection import derive_seed
@@ -79,6 +82,25 @@ def krr_loo_sse(K, y, lam):
         pred = K[i, keep] @ alpha_i
         total += (y[i] - pred) ** 2
     return total
+
+
+def reference_logreg(X, y, lam):
+    """(weights, intercept) minimizing mean log-loss plus (lam/2) |w|^2,
+    intercept unpenalized, by scipy's L-BFGS-B from zero to a projected
+    gradient of 1e-12 (or until its line search finds no lower loss)."""
+    n, d = X.shape
+
+    def loss_grad(theta):
+        w, b = theta[:d], theta[d]
+        margin = y * (X @ w + b)
+        dloss = -y * expit(-margin) / n
+        loss = np.logaddexp(0.0, -margin).mean() + 0.5 * lam * (w @ w)
+        return loss, np.append(X.T @ dloss + lam * w, dloss.sum())
+
+    result = minimize(loss_grad, np.zeros(d + 1), jac=True, method="L-BFGS-B",
+                      options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 100000,
+                               "maxfun": 200000})
+    return result.x[:d], result.x[d]
 
 
 def knn_scores(D, labels, k):

@@ -185,13 +185,13 @@ method.logreg-srp.max_iter = 40
 
         monkeypatch.setattr(bench, "logreg_select_lambda", recording)
         grid = default_lambda_grid()
-        for out, max_iter in [("out", 20), ("one_step", 1)]:
+        for out, max_iter in [("out", 5), ("one_step", 1)]:
             extra = f"methods = logreg-srp\nn_runs = 1\nmethod.logreg-srp.max_iter = {max_iter}"
             cmd_bench(parse_config(_bench_cfg(tmp_path, out, extra)))
             lam, converged = tunings.pop()
             tuned_converged = converged[grid == lam][0]
-            if max_iter == 20:
-                # a cap of 20 steps leaves some of the 41 penalties unconverged
+            if max_iter == 5:
+                # a cap of 5 iterations leaves some of the 41 penalties unconverged
                 assert converged.size == 41 and 0 < np.count_nonzero(converged) < 41
             else:
                 # one step from the zero start leaves the tuned penalty unconverged

@@ -214,6 +214,7 @@ method.knn-srp.k = 3
             "srp.density = nan",
             "method.logreg-srp.max_iter = -1",
             "method.logreg-srp.tol = 0",
+            "method.logreg-srp.tol = inf",
         ],
     )
     def test_bad_method_value_names_key(self, tmp_path, line):
@@ -406,7 +407,7 @@ class TestParityWithLibrary:
             "srp.density": [1, 0.5],
             "method.knn-srp.k": [1],
             "method.logreg-srp.max_iter": [0, 1, 2],
-            "method.logreg-srp.tol": [1, 0.5, 2, float("inf")],
+            "method.logreg-srp.tol": [1, 0.5, 2],
             "data.index_base": [0, 1],
             "data.dense_features": [0, 1, 2],
             "data.n_features": [1, 2],

@@ -1,8 +1,11 @@
-"""Tests for the gradient-descent logistic regression baseline."""
+"""Tests for the Newton-CG logistic regression baseline."""
+
+import warnings
 
 import numpy as np
 import pytest
 
+import oracles
 from srplearn import logreg
 from srplearn.exceptions import NumericalDivergenceError
 from srplearn.ridge import default_lambda_grid
@@ -142,6 +145,39 @@ class TestFit:
         with pytest.raises(ValueError, match="tol"):
             logreg_fit(X, y, 0.1, tol=np.nan)
 
+    def test_infinite_tol_rejected(self):
+        # every gradient is below an infinite tol, so a fit would return the
+        # zero start flagged converged after 0 iterations
+        X = np.zeros((4, 2))
+        y = np.array([1.0, -1.0, 1.0, -1.0])
+        with pytest.raises(ValueError, match="tol must be finite"):
+            logreg_fit(X, y, 0.1, tol=np.inf)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            logreg_select_lambda(X, y, np.array([1.0]), tol=np.inf)
+
+
+class TestSeparable:
+    def test_zero_penalty_descends_without_warnings(self):
+        # at lambda = 0 on separable rows the loss has no minimum: the
+        # weights grow every iteration and the Hessian flattens along the
+        # separating direction, yet no step may warn, overflow or raise the
+        # loss, for a single fit and for a grid column alike
+        X, y = _make_problem(np.random.default_rng(40), n=40, p=3)
+        grid = np.array([0.0, 2.0**-10, 1.0])
+        fit_losses, grid_losses = [], []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for cap in [0, 3, 10, 30, 100]:
+                model = logreg_fit(X, y, 0.0, max_iter=cap, tol=1e-300)
+                W, b, _, _ = _descend(X, y, grid, cap, 1e-300)
+                assert np.all(np.isfinite(model.weights)) and np.all(np.isfinite(W))
+                fit_losses.append(_loss_grad(X, y, model.weights, model.intercept, 0.0)[0])
+                grid_losses.append([_loss_grad(X, y, W[j], b[j], lam)[0]
+                                    for j, lam in enumerate(grid)])
+        assert np.all(np.diff(fit_losses) <= 1e-12)
+        assert np.all(np.diff(grid_losses, axis=0) <= 1e-12)
+        assert fit_losses[-1] < 1e-30  # the zero penalty's loss tends to 0
+
 
 class TestDescend:
     """Each column of the grid descent takes the path of its own fit."""
@@ -163,8 +199,7 @@ class TestDescend:
         X, y = _make_problem(rng, n=80, p=6, noise=1.5)
         grid = np.array([0.0, 2.0**-8, 2.0**-2, 1.0, 2.0**4, 2.0**8])
         converged, iterations = self._assert_columns_match_fits(X, y, grid, 60, 1e-6)
-        # with the weights' step scaled by 1 / (1 + 3 lambda), the large
-        # penalties converge within the cap too, not only lambda <= 1
+        # the large penalties converge within the cap too, not only lambda <= 1
         assert np.all(converged) and np.all(iterations < 60)
 
     def test_converged_columns_are_stationary(self):
@@ -181,8 +216,8 @@ class TestDescend:
             assert max(np.max(np.abs(grad_w)), abs(grad_b)) < tol
 
     def test_whole_default_grid_converges(self):
-        # the plain descent left 4 of these 41 columns at the cap; the
-        # accelerated rounds finish every one well inside it
+        # the plain gradient descent left 4 of these 41 columns at the cap;
+        # Newton's iterations finish every one well inside it
         X, y = _make_problem(np.random.default_rng(16), n=60, p=150)
         grid = default_lambda_grid()
         _, _, converged, iterations = _descend(X, y, grid, 200, 1e-6)
@@ -190,8 +225,8 @@ class TestDescend:
         assert np.all(converged) and np.all(iterations < 200)
 
     def test_very_large_penalties_converge(self):
-        # the plain descent ran 2^17 to the cap with its gradient stuck
-        # just above tol, its loss changes below one ulp of the loss
+        # the plain gradient descent ran 2^17 to the cap with its gradient
+        # stuck just above tol, its loss changes below one ulp of the loss
         X, y = _make_problem(np.random.default_rng(20), n=80, p=6, noise=1.5)
         grid = 2.0 ** np.arange(10, 21)
         W, b, converged, iterations = _descend(X, y, grid, 500, 1e-6)
@@ -201,16 +236,17 @@ class TestDescend:
             assert max(np.max(np.abs(grad_w)), abs(grad_b)) < 1e-6
 
     def test_every_round_counts_toward_the_cap(self):
-        # a tol no gradient reaches: every column runs to the cap, restarts
-        # included, reports it, and ends at a loss no higher than at any
-        # smaller cap.  (Past about 40 rounds here a column's loss is flat
-        # to float64 and it ends early, as the docstring says.)
+        # a tol no gradient reaches: every column runs to the cap, reports
+        # it, and ends at a loss no higher than at any smaller cap, also
+        # past the few iterations after which its loss is flat to float64.
+        # (A positive tol would not do: Newton's steps reach an exactly
+        # zero gradient at lambda = 2^6.)
         X, y = _make_problem(np.random.default_rng(17), n=80, p=6, noise=1.5)
         grid = np.array([0.0, 2.0**-6, 1.0, 2.0**6, 2.0**18])
         caps = [0, 1, 2, 5, 10, 20, 30]
         losses = []
         for cap in caps:
-            W, b, converged, iterations = _descend(X, y, grid, cap, 1e-300)
+            W, b, converged, iterations = _descend(X, y, grid, cap, 0.0)
             assert np.all(iterations == cap) and not np.any(converged)
             losses.append([_loss_grad(X, y, W[j], b[j], lam)[0]
                            for j, lam in enumerate(grid)])
@@ -289,16 +325,38 @@ class TestSelectLambda:
         X, y = _make_problem(rng, n=100, p=5, noise=0.5)
         grid = 2.0 ** np.arange(-8, 21, 4)
         converged = np.zeros(grid.size, dtype=bool)
-        lam, losses = logreg_select_lambda(X, y, grid, seed=3, max_iter=16,
+        lam, losses = logreg_select_lambda(X, y, grid, seed=3, max_iter=4,
                                            converged=converged)
         # the same split as the selection: 20 of 100 rows held out
         train = np.random.default_rng(3).permutation(100)[20:]
-        _, _, expected, _ = _descend(X[train], y[train], grid, 16, 1e-6)
+        _, _, expected, _ = _descend(X[train], y[train], grid, 4, 1e-6)
         assert np.array_equal(converged, expected)
         assert 0 < np.count_nonzero(converged) < grid.size
         # the flags are an extra output: the selection itself is unchanged
-        plain_lam, plain_losses = logreg_select_lambda(X, y, grid, seed=3, max_iter=16)
+        plain_lam, plain_losses = logreg_select_lambda(X, y, grid, seed=3, max_iter=4)
         assert lam == plain_lam and np.array_equal(losses, plain_losses)
+
+    @pytest.mark.parametrize(
+        "seed, n, p, noise",
+        [(30, 100, 8, 1.0), (33, 60, 40, 0.2)],
+        ids=["small", "near-separable"],
+    )
+    def test_matches_converged_reference(self, seed, n, p, noise):
+        # every penalty's held-out loss within 1e-4 relative of the fit that
+        # L-BFGS-B converges to a gradient of 1e-12, so the same penalty wins;
+        # on the near-separable rows the small penalties' optima lie far out
+        X, y = _make_problem(np.random.default_rng(seed), n=n, p=p, noise=noise)
+        grid = default_lambda_grid()
+        lam, losses = logreg_select_lambda(X, y, grid, seed=0, max_iter=500, tol=1e-9)
+        # the same split as the selection: a fifth of the rows held out
+        perm = np.random.default_rng(0).permutation(n)
+        hold, train = perm[: round(n / 5)], perm[round(n / 5):]
+        expected = np.empty(grid.size)
+        for j, penalty in enumerate(grid):
+            w, b = oracles.reference_logreg(X[train], y[train], penalty)
+            expected[j] = np.logaddexp(0.0, -y[hold] * (X[hold] @ w + b)).mean()
+        assert np.all(np.abs(losses - expected) <= 1e-4 * expected)
+        assert lam == grid[np.argmin(expected)]
 
     def test_tie_prefers_larger_lambda(self):
         # constant features make every lambda fit the same trivial model
