@@ -23,7 +23,16 @@ from .distance import (
     jaccard_distance_matrix,
     squared_euclidean_distance_matrix,
 )
-from .elm import ElmModel, RbfModel, elm_fit, elm_hidden, model_predict, rbf_fit, rvfl_fit
+from .elm import (
+    ElmModel,
+    RbfModel,
+    elm_fit,
+    elm_hidden,
+    model_predict,
+    rbf_centroid_indices,
+    rbf_fit,
+    rvfl_fit,
+)
 from .exceptions import DegenerateFitError, NumericalDivergenceError, SvmlightParseError
 from .kernel import (
     KERNEL_JACCARD,
@@ -94,6 +103,7 @@ __all__ = [
     "make_projection",
     "model_predict",
     "paired_t_test",
+    "rbf_centroid_indices",
     "rbf_fit",
     "read_keyvalues",
     "read_matrix_csv",

@@ -6,6 +6,15 @@ the same projected representation), one tuning subsample (seed
 ``n_runs`` training subsamples with seeds ``base_seed + run_index``, every
 configured method fit on each and scored on the fixed test set.
 
+Within a run, each method input (the raw sparse rows, the projected
+features) has two distinct pairwise matrices, train x train and test x
+train; RBF centroids are training rows, so their distances are columns
+of those.  A run builds each input's two once, the first time one of its
+methods asks: Jaccard kernels on the rows, which RBF and kNN read back
+as the distance 1 - K, and squared Euclidean distances on the features.
+They are dropped when the run ends.  The method that asks first is
+charged the build in ``timings.txt`` and the report's mean times.
+
 ``bench`` is a sweep of the one dimension ``srp.dim`` with the configured
 ELM/RVFL widths; ``sweep`` runs each of ``sweep.dims`` and uses it as the
 ELM/RVFL width too.  Both follow one evaluation path and differ only in
@@ -35,7 +44,7 @@ import scipy
 from . import checks
 from .datasets import Dataset, read_svmlight, subsample_indices, synth_generate
 from .distance import distance_matrix
-from .elm import elm_fit, model_predict, rbf_fit, rvfl_fit
+from .elm import elm_fit, model_predict, rbf_centroid_indices, rbf_fit, rvfl_fit
 from .exceptions import DegenerateFitError, NumericalDivergenceError
 from .kernel import (
     KERNEL_JACCARD,
@@ -49,6 +58,7 @@ from .matio import read_matrix_csv, write_table_csv
 from .metrics import EvalReport, accuracy, format_report, roc_auc, summarize
 from .projection import apply_projection, derive_seed, make_projection
 from .ridge import solve_ridge_press
+from .sparse import SparseBinaryMatrix
 
 __all__ = ["BENCH_METHODS", "METHODS", "SWEEP_METHODS", "cmd_bench", "cmd_sweep"]
 
@@ -77,58 +87,104 @@ class _Fit:
 _FEATURES = "features"
 _ROWS = "rows"
 
-# Each family fits on (X_train, X_test) and returns (scores, decision
-# threshold, iterations, converged, the penalty PRESS chose or None).  It
-# calls the library functions by their module-level names, so wrappers
-# installed on those are seen.
 
-def _elm(X_train, X_test, fit):
+class _Space:
+    """One run's train and test rows of one method input, and their two
+    pairwise matrices, train x train and test x train.
+
+    The matrices are built together the first time a method asks and
+    dropped with the run, so a run builds each once, and a run whose
+    methods ask for none builds none.  A build that raises leaves none
+    kept, so only the asking method fails and the next one builds again.
+    On raw rows they are Jaccard kernels, on features squared Euclidean
+    distances; both are read-only, so no method changes them for the next.
+    """
+
+    def __init__(self, train, test):
+        self.train, self.test = train, test
+        self.kernel = isinstance(train, SparseBinaryMatrix)
+        self._pairs = None
+
+    def pairs(self):
+        """(train x train, test x train) kernels or distances."""
+        if self._pairs is None:
+            if self.kernel:
+                pairs = [kernel_matrix(KERNEL_JACCARD, a, self.train)
+                         for a in (self.train, self.test)]
+            else:
+                pairs = [distance_matrix(a, self.train).values
+                         for a in (self.train, self.test)]
+            for matrix in pairs:
+                matrix.flags.writeable = False
+            self._pairs = pairs
+        return self._pairs
+
+    def distances(self, part, cols=None):
+        """Distances of train (part 0) or test (part 1) to train, columns
+        ``cols`` only when given.  On raw rows they are the Jaccard
+        distances 1 - K, equal to ``distance_matrix``'s bit for bit:
+        1 - (1 - D) is D for every D = fl(1 - g/union) in [0, 1]."""
+        d = self.pairs()[part]
+        if cols is not None:
+            d = d.take(cols, axis=1)  # a copy, converted below in place
+            return np.subtract(1.0, d, out=d) if self.kernel else d
+        return 1.0 - d if self.kernel else d
+
+
+# Each family fits on one run's space of its input and returns (scores,
+# decision threshold, iterations, converged, the penalty PRESS chose or
+# None).  It calls the library functions by their module-level names, so
+# wrappers installed on those are seen.
+
+def _elm(space, fit):
     """ELM on a random ternary layer."""
     L = fit.width_override or fit.params.get("L", 1000)
     density = fit.params.get("density")
-    model = elm_fit(X_train, fit.y_train, L, density, fit.seed, fit.grid)
-    return model_predict(model, X_test), 0.0, 0, True, model.solution.lam
+    model = elm_fit(space.train, fit.y_train, L, density, fit.seed, fit.grid)
+    return model_predict(model, space.test), 0.0, 0, True, model.solution.lam
 
 
-def _rvfl(X_train, X_test, fit):
+def _rvfl(space, fit):
     """RVFL: ELM with its direct linear block."""
     L = fit.width_override or fit.params.get("L", 1000)
     d_lin, density = fit.params.get("d_lin"), fit.params.get("density")
-    model = rvfl_fit(X_train, fit.y_train, L, d_lin, density, fit.seed, fit.grid)
-    return model_predict(model, X_test), 0.0, 0, True, model.solution.lam
+    model = rvfl_fit(space.train, fit.y_train, L, d_lin, density, fit.seed, fit.grid)
+    return model_predict(model, space.test), 0.0, 0, True, model.solution.lam
 
 
-def _rbf(X_train, X_test, fit):
-    """RBF network on random training centroids."""
+def _rbf(space, fit):
+    """RBF network on random training centroids, its distances gathered
+    from the run's pairwise matrices."""
     L = fit.params.get("L", min(1000, fit.y_train.size))
-    model = rbf_fit(X_train, fit.y_train, L, fit.seed, fit.grid)
-    return model_predict(model, X_test), 0.0, 0, True, model.solution.lam
+    model = rbf_fit(space.train, fit.y_train, L, fit.seed, fit.grid,
+                    distances=space.distances(0))
+    idx = rbf_centroid_indices(fit.y_train.size, L, fit.seed)
+    scores = model_predict(model, space.test, distances=space.distances(1, idx))
+    return scores, 0.0, 0, True, model.solution.lam
 
 
-def _ridge(X_train, X_test, fit):
+def _ridge(space, fit):
     """Ridge on the features themselves, primal or dual by their shape."""
-    solution = solve_ridge_press(X_train, fit.y_train, fit.grid)
-    return X_test @ solution.beta[:, 0], 0.0, 0, True, solution.lam
+    solution = solve_ridge_press(space.train, fit.y_train, fit.grid)
+    return space.test @ solution.beta[:, 0], 0.0, 0, True, solution.lam
 
 
-def _krr(X_train, X_test, fit):
+def _krr(space, fit):
     """Kernel ridge on the Jaccard kernel of the raw sets."""
-    K = kernel_matrix(KERNEL_JACCARD, X_train, X_train)
-    model = krr_fit(K, fit.y_train, fit.grid)
-    scores = krr_predict_kernel(model, kernel_matrix(KERNEL_JACCARD, X_test, X_train))
-    return scores, 0.0, 0, True, model.lam
+    K_train, K_test = space.pairs()
+    model = krr_fit(K_train, fit.y_train, fit.grid)
+    return krr_predict_kernel(model, K_test), 0.0, 0, True, model.lam
 
 
-def _knn(X_train, X_test, fit):
+def _knn(space, fit):
     k = fit.params.get("k", 1)
-    D = distance_matrix(X_test, X_train)
-    return knn_predict(D, fit.y_train, k), 0.0, 0, True, None
+    return knn_predict(space.distances(1), fit.y_train, k), 0.0, 0, True, None
 
 
-def _logreg(X_train, X_test, fit):
-    model = logreg_fit(X_train, fit.y_train, fit.logreg_lambda, **fit.params)
+def _logreg(space, fit):
+    model = logreg_fit(space.train, fit.y_train, fit.logreg_lambda, **fit.params)
     # the tuned penalty, not chosen by PRESS, has its own report line
-    return logreg_predict(model, X_test), 0.5, model.iterations, model.converged, None
+    return logreg_predict(model, space.test), 0.5, model.iterations, model.converged, None
 
 
 # name -> (input, family, {parameter: rule}); the config reader checks
@@ -250,6 +306,7 @@ def _run_block(cfg, pool, test, F_pool, F_test, methods, grid, logreg_lambda,
                width_override):
     """Execute all runs for one feature configuration; rows in run order.
 
+    A run's methods share the pairwise matrices of its inputs (``_Space``).
     A row's ``constant`` says whether every score of the run was equal,
     and its ``lambda`` is the penalty PRESS chose (None for kNN, logreg
     and failed runs); both are reported, not written to the CSVs.
@@ -259,9 +316,9 @@ def _run_block(cfg, pool, test, F_pool, F_test, methods, grid, logreg_lambda,
         run_seed = cfg.base_seed + run_index
         idx = subsample_indices(pool.n_samples, cfg.n_train, run_seed)
         train = pool.take(idx)
-        inputs = {_ROWS: (train.sparse, test.sparse)}
+        spaces = {_ROWS: _Space(train.sparse, test.sparse)}
         if F_pool is not None:
-            inputs[_FEATURES] = (F_pool[idx], F_test)
+            spaces[_FEATURES] = _Space(F_pool[idx], F_test)
         for name in methods:
             source, family, _ = METHODS[name]
             fit = _Fit(
@@ -274,7 +331,7 @@ def _run_block(cfg, pool, test, F_pool, F_test, methods, grid, logreg_lambda,
             )
             start = time.perf_counter()
             try:
-                scores, threshold, iters, conv, lam = family(*inputs[source], fit)
+                scores, threshold, iters, conv, lam = family(spaces[source], fit)
                 seconds = time.perf_counter() - start
                 result = {
                     "auc": roc_auc(scores, test.labels),

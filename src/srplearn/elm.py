@@ -10,6 +10,10 @@ Three hidden-layer constructions share one training path:
   from the training rows, with random log-uniform kernel widths.  The
   row type picks d, through :func:`srplearn.distance.distance_matrix`:
   the Jaccard distance on sparse binary rows, the Euclidean on dense ones.
+  Both :func:`rbf_fit` and :func:`model_predict` also take those distances
+  precomputed, for a caller that already holds them; the centroids are
+  then the rows :func:`rbf_centroid_indices` picks, whose columns the fit
+  gathers from the training rows' own pairwise distances.
 
 Each model has one design function that builds H, called both by its fit
 and by :func:`model_predict`, which scores rows in blocks so that the
@@ -25,7 +29,7 @@ import warnings
 import numpy as np
 
 from . import checks
-from .distance import distance_matrix
+from .distance import DistanceMatrix, distance_matrix
 from .projection import (
     SparseProjection,
     apply_projection,
@@ -42,6 +46,7 @@ __all__ = [
     "elm_hidden",
     "elm_fit",
     "rvfl_fit",
+    "rbf_centroid_indices",
     "rbf_fit",
     "model_predict",
 ]
@@ -184,10 +189,27 @@ def rvfl_fit(
     return _fit_hidden(X, y, L, d_lin, density, seed, lambda_grid)
 
 
+def _squared(d, centroids) -> np.ndarray:
+    """Distances ``d`` to the centroids, as :func:`distance_matrix` gives
+    them, squared in place: only Jaccard's need squaring."""
+    if isinstance(centroids, SparseBinaryMatrix):
+        np.multiply(d, d, out=d)
+    return d
+
+
 def _squared_distances(X, centroids) -> np.ndarray:
-    """Squared distances to the centroids: only Jaccard's need squaring."""
-    d = distance_matrix(X, centroids).values
-    return d * d if isinstance(centroids, SparseBinaryMatrix) else d
+    """Squared distances from the rows of X to the centroids."""
+    return _squared(distance_matrix(X, centroids).values, centroids)
+
+
+def _given(distances, shape) -> np.ndarray:
+    """The values of precomputed ``distances``, which must be ``shape``."""
+    if isinstance(distances, DistanceMatrix):
+        distances = distances.values
+    d = np.asarray(distances, dtype=np.float64)
+    if d.shape != shape:
+        raise ValueError(f"distances must be {shape[0]} x {shape[1]}, got {d.shape}")
+    return d
 
 
 def _rbf_design(d2, gammas) -> np.ndarray:
@@ -197,25 +219,44 @@ def _rbf_design(d2, gammas) -> np.ndarray:
     return np.exp(d2, out=d2)
 
 
-def rbf_fit(X, y, L: int, seed: int = 0, lambda_grid=None) -> RbfModel:
+def rbf_centroid_indices(n: int, L: int, seed: int = 0) -> np.ndarray:
+    """The rows, of ``n`` training rows, that :func:`rbf_fit` takes as its
+    L centroids under ``seed``, in centroid order."""
+    L = checks.count(L, "L", most=n)
+    pick = np.random.default_rng(derive_seed(seed, _STREAM_CENTROIDS))
+    return pick.choice(n, size=L, replace=False)
+
+
+def rbf_fit(X, y, L: int, seed: int = 0, lambda_grid=None, distances=None) -> RbfModel:
     """Fit an RBF model with L centroids sampled from the training rows.
 
     Kernel widths are gamma_j = g_j / m**2 with g_j log-uniform on
     [0.1, 10] and m the median pairwise distance among the centroids.
+
+    ``distances``, when given, are the (n, n) pairwise distances among the
+    rows of X as ``distance_matrix(X, X)`` gives them, a
+    :class:`DistanceMatrix` or an array: Jaccard on sparse binary rows,
+    squared Euclidean on dense ones.  The fit then gathers the columns of
+    its centroids, rows :func:`rbf_centroid_indices` of X, in place of
+    computing their distances.  Jaccard distances are exact, so the
+    gather changes no bit; dense ones may differ from the computed ones
+    in their last bits.
     """
     y, lambda_grid = _check_fit(X, y, lambda_grid)
     n = X.shape[0]
-    L = checks.count(L, "L", most=n)
-    pick = np.random.default_rng(derive_seed(seed, _STREAM_CENTROIDS))
-    idx = pick.choice(n, size=L, replace=False)
+    idx = rbf_centroid_indices(n, L, seed)
+    L = idx.size
     centroids = (
         X.take_rows(idx)
         if isinstance(X, SparseBinaryMatrix)
         else np.ascontiguousarray(np.asarray(X, dtype=np.float64)[idx])
     )
+    if distances is None:
+        d2 = _squared_distances(X, centroids)
+    else:
+        d2 = _squared(_given(distances, (n, n)).take(idx, axis=1), centroids)
     # the centroids are rows ``idx``, so their pairwise distances are rows
     # of the train-to-centroid distances the design is built from
-    d2 = _squared_distances(X, centroids)
     m = 1.0  # no pairs to measure with one centroid
     if L > 1:
         dist = np.sqrt(np.maximum(d2[idx], 0.0))  # for jaccard, d2 entries are J^2
@@ -234,11 +275,16 @@ def rbf_fit(X, y, L: int, seed: int = 0, lambda_grid=None) -> RbfModel:
     return RbfModel(centroids, gammas, solution, seed)
 
 
-def _design(model, X) -> np.ndarray:
-    """The design of ``model`` on the rows of X."""
+def _design(model, X, d=None) -> np.ndarray:
+    """The design of ``model`` on the rows of X, or, for an RBF model, on
+    the rows whose distances to its centroids are ``d``."""
     if isinstance(model, ElmModel):
         return _elm_design(X, model.W, model.bias, model.linear_part)
-    d2 = _squared_distances(X, model.centroids)
+    if d is None:
+        d2 = _squared_distances(X, model.centroids)
+    else:  # a row-major copy: the design is formed in place, and a
+        # row's score takes other bits from another memory layout
+        d2 = _squared(np.array(d, order="C"), model.centroids)
     return _rbf_design(d2, model.gammas)
 
 
@@ -253,7 +299,7 @@ def _row_scores(H, beta) -> np.ndarray:
     return (H[:, None, :] @ beta)[:, 0]
 
 
-def model_predict(model, X) -> np.ndarray:
+def model_predict(model, X, distances=None) -> np.ndarray:
     """Real-valued scores for each row of X; class decision is sign(score).
 
     Rows are scored in blocks whose design fits the block budget of
@@ -261,17 +307,38 @@ def model_predict(model, X) -> np.ndarray:
     row's design and score are computed from that row alone, so the
     blocks change no bit, except for dense rows under an RBF model, whose
     squared distances come from one matrix product per block.
+
+    ``distances``, for an RBF model only, are the (n_rows(X), L)
+    distances from the rows of X to the model's centroids, as
+    :func:`distance_matrix` gives them; the design is then built from
+    them, and X gives only the row count and row type.  With the
+    distances of :func:`rbf_fit`'s own rows, columns
+    ``rbf_centroid_indices(n, L, seed)`` of their pairwise distances, the
+    scores equal those from the rows bit for bit on sparse rows; on dense
+    rows they may differ in the last bits.
     """
     if not isinstance(model, (ElmModel, RbfModel)):
         raise TypeError(f"unsupported model type: {type(model).__name__}")
     beta = model.solution.beta
     binary = isinstance(X, SparseBinaryMatrix)
     n = X.n_rows if binary else len(X)
+    d = None
+    if distances is not None:
+        if not isinstance(model, RbfModel):
+            raise TypeError("only an RBF model scores from distances")
+        if binary != isinstance(model.centroids, SparseBinaryMatrix):
+            raise TypeError("rows and centroids must be of one row type")
+        d = _given(distances, (n, beta.shape[0]))
     step = _block_rows(beta.shape[0], 8)
     if n <= step:
-        return _row_scores(_design(model, X), beta).ravel()
+        return _row_scores(_design(model, X, d), beta).ravel()
     scores = np.empty((n, beta.shape[1]), dtype=np.float64)
     for lo in range(0, n, step):
-        block = X.take_rows(np.arange(lo, min(lo + step, n))) if binary else X[lo : lo + step]
-        scores[lo : lo + step] = _row_scores(_design(model, block), beta)
+        if d is not None:
+            block, d_block = None, d[lo : lo + step]
+        elif binary:
+            block, d_block = X.take_rows(np.arange(lo, min(lo + step, n))), None
+        else:
+            block, d_block = X[lo : lo + step], None
+        scores[lo : lo + step] = _row_scores(_design(model, block, d_block), beta)
     return scores.ravel()

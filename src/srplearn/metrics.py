@@ -124,7 +124,6 @@ class EvalReport:
     methods: list
     auc_mean: dict
     auc_std: dict
-    run_aucs: dict
     p_values: np.ndarray
     best_set: list
     alpha: float
@@ -185,7 +184,6 @@ def summarize(runs, alpha: float = 0.05, times=None) -> EvalReport:
         methods=methods,
         auc_mean=auc_mean,
         auc_std=auc_std,
-        run_aucs={m: arrays[m].tolist() for m in methods},
         p_values=p,
         best_set=best_set,
         alpha=alpha,

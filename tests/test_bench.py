@@ -300,6 +300,65 @@ method.logreg-srp.tol = 1e-4
         assert report.methods == BENCH_METHODS
 
 
+class TestSharedPairs:
+    """A run builds each space's two pairwise matrices, train x train and
+    test x train, once, the first time a method asks, through bench's
+    module-level ``kernel_matrix`` (raw rows) and ``distance_matrix``
+    (features)."""
+
+    ALL = (
+        "methods = " + ", ".join(BENCH_METHODS) + "\nn_runs = 2\n"
+        "method.rvfl-srp.L = 32\nmethod.rbf-srp.L = 20\nmethod.rbf-jaccard.L = 20\n"
+        "method.logreg-srp.max_iter = 20"
+    )
+
+    @staticmethod
+    def _count(monkeypatch, calls, fail_first=False):
+        for name in ("kernel_matrix", "distance_matrix"):
+            real = getattr(bench, name)
+
+            def counting(*args, _name=name, _real=real):
+                calls.append((_name, tuple(type(a).__name__ for a in args[-2:])))
+                if fail_first and len(calls) == 1:
+                    raise ValueError("injected build failure")
+                return _real(*args)
+
+            monkeypatch.setattr(bench, name, counting)
+
+    def test_two_builds_per_space_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        self._count(monkeypatch, calls)
+        cmd_bench(parse_config(_bench_cfg(tmp_path, extra=self.ALL)))
+        # per run, rbf-srp asks for the features' pair, rbf-jaccard for the rows'
+        dense = ("distance_matrix", ("ndarray", "ndarray"))
+        rows = ("kernel_matrix", ("SparseBinaryMatrix", "SparseBinaryMatrix"))
+        assert calls == [dense, dense, rows, rows] * 2
+        _, csv_rows = read_table_csv(str(tmp_path / "out" / "runs.csv"))
+        assert [r[7] for r in csv_rows] == [""] * 18
+
+    def test_elm_sweep_builds_none(self, tmp_path, monkeypatch):
+        calls = []
+        self._count(monkeypatch, calls)
+        cmd_sweep(parse_config(
+            _bench_cfg(tmp_path, "sweep", "methods = elm-srp\nsweep.dims = 16, 40")
+        ))
+        assert calls == []
+
+    def test_failed_build_fails_only_the_asking_method(self, tmp_path, monkeypatch):
+        extra = "methods = rbf-jaccard, krr-jaccard, knn-jaccard\nn_runs = 2"
+        cmd_bench(parse_config(_bench_cfg(tmp_path, "clean", extra)))
+        calls = []
+        self._count(monkeypatch, calls, fail_first=True)
+        with pytest.warns(RuntimeWarning, match="method rbf-jaccard failed on run 0"):
+            cmd_bench(parse_config(_bench_cfg(tmp_path, "out", extra)))
+        # the failed build, then run 0's rebuild for krr-jaccard, then run 1's
+        assert [name for name, _ in calls] == ["kernel_matrix"] * 5
+        _, rows = read_table_csv(str(tmp_path / "out" / "runs.csv"))
+        _, clean = read_table_csv(str(tmp_path / "clean" / "runs.csv"))
+        assert rows[0][2] == "rbf-jaccard" and rows[0][7] == "injected build failure"
+        assert rows[1:] == clean[1:]
+
+
 class TestKrrSrpIsRidge:
     """krr-srp fits ridge on the projected features F through bench's binding
     of ``solve_ridge_press``; that is kernel ridge on the linear kernel F F'."""
@@ -325,7 +384,7 @@ class TestKrrSrpIsRidge:
         monkeypatch.setattr(bench, "solve_ridge_press", recorded)
         _, family, _ = bench.METHODS["krr-srp"]
         fit = bench._Fit(y, grid, 0, {}, None, None)
-        scores, threshold, _, _, lam = family(F_train, F_test, fit)
+        scores, threshold, _, _, lam = family(bench._Space(F_train, F_test), fit)
         (solution,) = solutions
         assert lam == solution.lam
 

@@ -5,8 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srplearn import sparse
+from srplearn.distance import _jaccard, distance_matrix, jaccard_distance_matrix
 from srplearn.elm import (
     ElmModel,
     RbfModel,
@@ -14,9 +17,11 @@ from srplearn.elm import (
     elm_fit,
     elm_hidden,
     model_predict,
+    rbf_centroid_indices,
     rbf_fit,
     rvfl_fit,
 )
+from srplearn.kernel import KERNEL_JACCARD, kernel_matrix
 from srplearn.metrics import roc_auc
 from srplearn.projection import default_density, make_projection, ternary_row
 from srplearn.ridge import RidgeSolution, default_lambda_grid
@@ -295,6 +300,114 @@ class TestRbf:
         h_near = np.exp(-gamma * _squared_distances(near, centroid))
         h_far = np.exp(-gamma * _squared_distances(far, centroid))
         assert h_near > h_far
+
+
+class TestRbfFromDistances:
+    """``rbf_fit`` and ``model_predict`` on precomputed distances: the
+    training rows' pairwise ones, and the new rows' to the centroids."""
+
+    @staticmethod
+    def _both_paths(X, y, X_new, L, seed, to_centroids):
+        grid = 2.0 ** np.arange(-8, 9)
+        by_rows = rbf_fit(X, y, L, seed, grid)
+        given = rbf_fit(X, y, L, seed, grid, distances=distance_matrix(X, X))
+        scores = model_predict(by_rows, X_new)
+        idx = rbf_centroid_indices(X.shape[0], L, seed)
+        given_scores = model_predict(given, X_new, distances=to_centroids[:, idx])
+        return by_rows, given, scores, given_scores
+
+    def test_sparse_rows_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(50)
+        X, y = _separable_data(rng, 70)
+        X_new, _ = _separable_data(rng, 45)
+        # the harness's form: Jaccard distances as 1 - K
+        to_train = 1.0 - kernel_matrix(KERNEL_JACCARD, X_new, X)
+        by_rows, given, scores, given_scores = self._both_paths(
+            X, y, X_new, 30, 9, to_train
+        )
+        assert given.solution.lam == by_rows.solution.lam
+        assert given.solution.press_value == by_rows.solution.press_value
+        assert given.solution.beta.tobytes() == by_rows.solution.beta.tobytes()
+        assert given.gammas.tobytes() == by_rows.gammas.tobytes()
+        assert given_scores.tobytes() == scores.tobytes()
+        # blocks of 4 rows change no bit of the distances path either
+        idx = rbf_centroid_indices(70, 30, 9)
+        monkeypatch.setattr(sparse, "_BLOCK_BUDGET_MB", 4.5 * 8 * 30 / 1e6)
+        blocked = model_predict(given, X_new, distances=to_train[:, idx])
+        assert blocked.tobytes() == scores.tobytes()
+
+    def test_dense_rows_agree(self):
+        rng = np.random.default_rng(51)
+        F = rng.standard_normal((60, 12))
+        y = np.where(F[:, 0] + 0.3 * F[:, 1] > 0, 1.0, -1.0)
+        F_new = rng.standard_normal((40, 12))
+        to_train = distance_matrix(F_new, F).values
+        by_rows, given, scores, given_scores = self._both_paths(
+            F, y, F_new, 25, 3, to_train
+        )
+        assert given.solution.lam == by_rows.solution.lam
+        assert np.max(np.abs(given_scores - scores)) <= 1e-12 * np.max(np.abs(scores))
+
+    def test_centroids_are_the_picked_rows(self):
+        rng = np.random.default_rng(52)
+        F = rng.standard_normal((30, 4))
+        y = np.where(F[:, 0] > 0, 1.0, -1.0)
+        model = rbf_fit(F, y, 8, seed=5)
+        assert np.array_equal(model.centroids, F[rbf_centroid_indices(30, 8, 5)])
+        with pytest.raises(ValueError):
+            rbf_centroid_indices(5, 6, 0)
+
+    def test_given_distances_not_changed(self):
+        rng = np.random.default_rng(53)
+        F = rng.standard_normal((20, 5))
+        y = np.where(F[:, 0] > 0, 1.0, -1.0)
+        D = distance_matrix(F, F).values
+        kept = D.copy()
+        model = rbf_fit(F, y, 20, seed=1, distances=D)
+        model_predict(model, F, distances=D[:, rbf_centroid_indices(20, 20, 1)])
+        assert np.array_equal(D, kept)
+
+    def test_misshapen_or_misapplied_distances_rejected(self):
+        rng = np.random.default_rng(54)
+        X, y = _separable_data(rng, 30)
+        D = jaccard_distance_matrix(X, X)
+        with pytest.raises(ValueError, match="distances must be 30 x 30"):
+            rbf_fit(X, y, 10, distances=D.values[:, :10])
+        model = rbf_fit(X, y, 10, distances=D)
+        with pytest.raises(ValueError, match="distances must be 30 x 10"):
+            model_predict(model, X, distances=D)
+        with pytest.raises(TypeError):
+            model_predict(model, X.to_dense(), distances=D.values[:, :10])
+        with pytest.raises(TypeError):
+            model_predict(elm_fit(X, y, 8), X, distances=D.values[:, :10])
+
+
+def _jaccard_from_counts(g, a, b):
+    """``_jaccard`` on count triples (intersection, |row a|, |row b|)."""
+    slab = np.array(g, dtype=np.float64)
+    _jaccard(slab, np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+    return slab
+
+
+class TestJaccardThroughKernel:
+    """Jaccard distances taken back from the kernel, 1 - (1 - D), are D."""
+
+    def test_every_count_triple_to_64(self):
+        # rows: every (|a|, g) with g <= |a| <= 64; columns: |b| = 0..64
+        a, g = np.array([(a, g) for a in range(65) for g in range(a + 1)], dtype=float).T
+        b = np.arange(65, dtype=np.float64)
+        D = _jaccard_from_counts(np.broadcast_to(g[:, None], (a.size, b.size)),
+                                 a[:, None], b[None, :])
+        valid = g[:, None] <= b[None, :]
+        assert np.array_equal((1.0 - (1.0 - D))[valid], D[valid])
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 10**7), st.integers(0, 10**7), st.floats(0.0, 1.0))
+    def test_large_counts(self, a, b, share):
+        g = np.floor(share * min(a, b))
+        D = _jaccard_from_counts([[g]], [[a]], [[b]])
+        assert 0.0 <= D[0, 0] <= 1.0
+        assert 1.0 - (1.0 - D[0, 0]) == D[0, 0]
 
 
 class TestBlockedPrediction:
